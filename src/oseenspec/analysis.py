@@ -3,9 +3,12 @@
 Sigma(alpha, k) is the smallest real part of the spectrum of the mode
 operator.  Psi(alpha, k) is the reciprocal of the resolvent-norm supremum
 along the imaginary axis, computed as the minimum over real shifts lam of
-s_min(H - i lam).  Both carry a grid-doubling convergence protocol:
-recompute at (n, 2n), accept on relative agreement below 1e-2, double
-once more (cap 4n) otherwise.
+s_min(H - i lam).  Sigma, Psi and the numerical-range bound share one
+grid-doubling convergence protocol: levels n, 2n, 4n on the caller's
+r_max, stopping once two consecutive levels agree to relative 1e-2, and
+reporting the level where the protocol stopped.  A range point whose
+first two levels disagree therefore goes on to 4n, like sigma and psi,
+instead of stopping at 2n with converged=false.
 
 Sigma is computed from the rotated operator rather than the straight one.
 The two have the same point spectrum (rotation moves only the essential
@@ -26,7 +29,7 @@ norms), so that path stays unrotated.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +53,6 @@ class BoundResult:
     sigma_bound: float = None
     psi_bound: float = None
     lambda_star: float = None
-    eigenvalues: object = None
 
 
 @dataclass
@@ -73,8 +75,22 @@ class SweepPoint:
     lambda_star: float = None
 
 
-def _rel_change(a, b):
-    return abs(a - b) / max(abs(b), 1e-300)
+def _grid_doubling(grid, step, name, mode):
+    """Convergence protocol of sigma, psi and range: runs step(g, prev) on
+    n, 2n, 4n points at grid.r_max until two consecutive values agree to
+    relative 1e-2.  step returns a tuple, value first; prev is the previous
+    level's tuple, None on the first level.  Returns (result, n, converged)
+    of the last level run."""
+    prev = None
+    for level in range(3):
+        g = grid if level == 0 else make_grid(grid.n * 2 ** level, grid.r_max)
+        out = step(g, prev)
+        if prev is not None and abs(prev[0] - out[0]) / max(abs(out[0]), 1e-300) < 1e-2:
+            return out, g.n, True
+        prev = out
+    logger.warning("%s bound not converged at n=%d (alpha=%g, k=%d)",
+                   name, g.n, mode.alpha, mode.k)
+    return out, g.n, False
 
 
 def _mode_matrix(mode, grid):
@@ -133,31 +149,18 @@ def spectral_bound(mode, grid=None):
     imaginary parts.  Runs the grid-doubling protocol starting from the
     given grid (default: the mode's default grid at n = 600, with r_max
     raised to 4.4 |beta_k|^{1/4} to keep wall artifacts above the
-    eigenvalue scale).  For beta_k != 0 the reported eigenvalues are
-    those of the rotated matrix; its point spectrum matches the straight
-    operator's, but rays of rotated essential spectrum replace the
-    straight ones.
+    eigenvalue scale).  For beta_k != 0 Sigma is read from the rotated
+    matrix; its point spectrum matches the straight operator's, but rays
+    of rotated essential spectrum replace the straight ones.
     """
     if grid is None:
         grid = sigma_grid(mode)
-    sig_prev = None
-    eig = None
-    n, r_max = grid.n, grid.r_max
-    converged = False
-    for level in range(3):
-        g = grid if level == 0 else make_grid(n, r_max)
-        eig = solver.eigenvalues(_sigma_matrix(mode, g))
-        sig = float(eig.values.real.min())
-        if sig_prev is not None and _rel_change(sig_prev, sig) < 1e-2:
-            converged = True
-            break
-        sig_prev = sig
-        n *= 2
-    if not converged:
-        logger.warning("sigma bound not converged at n=%d (alpha=%g, k=%d)",
-                       n // 2, mode.alpha, mode.k)
-    return BoundResult(mode=mode, grid_n=n if converged else n // 2,
-                       converged=converged, sigma_bound=sig, eigenvalues=eig)
+
+    def step(g, prev):
+        return (float(solver.eigenvalues(_sigma_matrix(mode, g)).values.real.min()),)
+
+    (sig,), n, converged = _grid_doubling(grid, step, "sigma", mode)
+    return BoundResult(mode=mode, grid_n=n, converged=converged, sigma_bound=sig)
 
 
 def _golden_min(fn, a, b, reltol=1e-3):
@@ -211,53 +214,37 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
     if lambda_points < 8:
         raise ValueError("lambda_points must be >= 8, got %d" % lambda_points)
     beta = mode.beta_k
-    n, r_max = grid.n, grid.r_max
     if beta == 0.0:
         res = spectral_bound(mode, grid)
         return BoundResult(mode=mode, grid_n=res.grid_n, converged=res.converged,
                            sigma_bound=res.sigma_bound, psi_bound=res.sigma_bound,
-                           lambda_star=0.0, eigenvalues=res.eigenvalues)
-    psi_prev = None
-    lam_prev = None
-    psi = lam_star = None
-    converged = False
-    scan_ok = True
-    for level in range(3):
-        g = grid if level == 0 else make_grid(n, r_max)
+                           lambda_star=0.0)
+
+    def step(g, prev):
         matrix = _mode_matrix(mode, g)
-        if lam_prev is None:
+        if prev is None:
             hit = _scan_psi(matrix, beta, -0.2, 1.2, lambda_points, refine_tol)
             if hit is None:
                 hit = _scan_psi(matrix, beta, -0.7, 1.7, lambda_points + lambda_points // 2,
                                 refine_tol)
-                if hit is None:
-                    logger.warning("no interior resolvent minimum for alpha=%g k=%d",
-                                   mode.alpha, mode.k)
-                    scan_ok = False
-                    edge = solver.smallest_singular_value(matrix, -0.2 * beta)
-                    hit = (edge, -0.2 * beta)
-            psi, lam_star = hit
-        else:
-            # refined grids rescan locally around the coarse minimizer
-            cell = 1.4 * abs(beta) / (lambda_points - 1)
-            hit = _scan_psi(matrix, 1.0, lam_prev - 1.5 * cell, lam_prev + 1.5 * cell, 9,
-                            refine_tol)
             if hit is None:
-                lam, val = _golden_min(
-                    lambda s: solver.smallest_singular_value(matrix, s),
-                    lam_prev - 1.5 * cell, lam_prev + 1.5 * cell, reltol=refine_tol)
-                hit = (float(val), float(lam))
-            psi, lam_star = hit
-        if psi_prev is not None and _rel_change(psi_prev, psi) < 1e-2:
-            converged = True
-            break
-        psi_prev, lam_prev = psi, lam_star
-        n *= 2
-    if not converged:
-        logger.warning("psi bound not converged at n=%d (alpha=%g, k=%d)",
-                       n // 2, mode.alpha, mode.k)
-    return BoundResult(mode=mode, grid_n=n if converged else n // 2,
-                       converged=converged and scan_ok,
+                logger.warning("no interior resolvent minimum for alpha=%g k=%d",
+                               mode.alpha, mode.k)
+                return solver.smallest_singular_value(matrix, -0.2 * beta), -0.2 * beta, False
+            return hit + (True,)
+        # refined grids rescan locally around the coarser level's minimizer
+        _, lam_prev, scan_ok = prev
+        cell = 1.4 * abs(beta) / (lambda_points - 1)
+        a, b = lam_prev - 1.5 * cell, lam_prev + 1.5 * cell
+        hit = _scan_psi(matrix, 1.0, a, b, 9, refine_tol)
+        if hit is None:
+            lam, val = _golden_min(lambda s: solver.smallest_singular_value(matrix, s),
+                                   a, b, reltol=refine_tol)
+            hit = (float(val), float(lam))
+        return hit + (scan_ok,)
+
+    (psi, lam_star, scan_ok), n, converged = _grid_doubling(grid, step, "psi", mode)
+    return BoundResult(mode=mode, grid_n=n, converged=converged and scan_ok,
                        psi_bound=psi, lambda_star=lam_star)
 
 
@@ -281,8 +268,28 @@ def combined_bounds(alpha, k_max=8, grid=None):
                        converged=best_sig.converged and best_psi.converged,
                        sigma_bound=best_sig.sigma_bound,
                        psi_bound=best_psi.psi_bound,
-                       lambda_star=best_psi.lambda_star,
-                       eigenvalues=best_sig.eigenvalues)
+                       lambda_star=best_psi.lambda_star)
+
+
+def quasimode_shift(beta_1):
+    """(r1, lam): the quasimode's centre r1 = |beta_1|^{1/6} and shift
+    lam = beta_1 sigma(r1); ValueError below |beta_1| = 27/8."""
+    if abs(beta_1) < QUASIMODE_MIN_BETA:
+        raise ValueError("quasimode needs |beta_1| >= 27/8")
+    r1 = abs(beta_1) ** (1.0 / 6.0)
+    return r1, beta_1 * specfun.sigma(r1)
+
+
+def quasimode_grid(beta_1, n=None, r_max=None):
+    """Grid for quasimode(beta_1, grid): n and r_max as given, else
+    r_max = max(12, r1 + 2/r1 + 1) and n = ceil(20 r1 r_max) + 8, which
+    clear the support and resolution checks of quasimode."""
+    r1, _ = quasimode_shift(beta_1)
+    if r_max is None:
+        r_max = max(12.0, r1 + 2.0 / r1 + 1.0)
+    if n is None:
+        n = int(math.ceil(20.0 * r1 * r_max)) + 8
+    return make_grid(n, r_max)
 
 
 def quasimode(beta_1, grid):
@@ -303,9 +310,7 @@ def quasimode(beta_1, grid):
     w = c/r1, nearly minimal at c = 3.  The support stays off the origin
     only for |beta_1| > (3/2)^3 = 27/8.
     """
-    if abs(beta_1) < QUASIMODE_MIN_BETA:
-        raise ValueError("quasimode needs |beta_1| >= 27/8")
-    r1 = abs(beta_1) ** (1.0 / 6.0)
+    r1, lam = quasimode_shift(beta_1)
     if grid.r_max < r1 + 2.0 / r1:
         raise ValueError("grid does not cover the quasimode support: "
                          "r_max %.3g < %.3g" % (grid.r_max, r1 + 2.0 / r1))
@@ -316,7 +321,6 @@ def quasimode(beta_1, grid):
     x = r1 * (r - r1) / _QUASIMODE_WIDTH + 0.5
     eta = np.where((x > 0.0) & (x < 1.0), x ** 2 * (x - 1.0) ** 2, 0.0)
     u = Field(grid, eta.astype(complex))
-    lam = beta_1 * specfun.sigma(r1)
     mode = ModeSpec(alpha=8.0 * math.pi * beta_1, k=1, lam=lam)
     ratio = operators.apply_L1(mode, u).norm() / u.norm()
     v = operators.apply_Tstar(u)
@@ -354,58 +358,64 @@ def sweep_point(mode, quantity, n=600):
 
     sigma and range run on the wall-aware grid of the spectral path;
     psi runs on the mode's default grid (its resolvent peak sits at the
-    critical radius, already covered by the default policy).  The range
-    value is the finer of a two-grid agreement pair.
+    critical radius, already covered by the default policy).  All three
+    run the grid-doubling protocol from base resolution n.
     """
+    lam = None
     if quantity == "sigma":
         grid = sigma_grid(mode, n=n)
         res = spectral_bound(mode, grid)
-        return SweepPoint(mode=mode, quantity=quantity, value=res.sigma_bound,
-                          converged=res.converged, grid_n=res.grid_n,
-                          r_max=grid.r_max)
-    if quantity == "psi":
+        value, converged, grid_n = res.sigma_bound, res.converged, res.grid_n
+    elif quantity == "psi":
         grid = default_grid(mode, n=n)
         res = pseudospectral_bound(mode, grid)
-        return SweepPoint(mode=mode, quantity=quantity, value=res.psi_bound,
-                          converged=res.converged, grid_n=res.grid_n,
-                          r_max=grid.r_max, lambda_star=res.lambda_star)
-    if quantity == "range":
+        value, converged, grid_n = res.psi_bound, res.converged, res.grid_n
+        lam = res.lambda_star
+    elif quantity == "range":
         grid = sigma_grid(mode, n=n)
-        v1 = numerical_range_bound(mode, grid)
-        v2 = numerical_range_bound(mode, make_grid(2 * grid.n, grid.r_max))
-        return SweepPoint(mode=mode, quantity=quantity, value=float(v2),
-                          converged=_rel_change(v1, v2) < 1e-2,
-                          grid_n=2 * grid.n, r_max=grid.r_max)
-    raise ValueError("unknown quantity %r" % (quantity,))
+        (value,), grid_n, converged = _grid_doubling(
+            grid, lambda g, prev: (float(numerical_range_bound(mode, g)),), "range", mode)
+    else:
+        raise ValueError("unknown quantity %r" % (quantity,))
+    return SweepPoint(mode=mode, quantity=quantity, value=value, converged=converged,
+                      grid_n=grid_n, r_max=grid.r_max, lambda_star=lam)
+
+
+def check_fit_alphas(alphas):
+    """Reject, before any solve, alphas that cannot carry a log-log fit:
+    fewer than 4, a zero, or all of one magnitude.  Signs may differ,
+    since the fit runs against log |alpha|."""
+    if len(alphas) < 4:
+        raise ValueError("a fit needs at least 4 alphas, got %d" % len(alphas))
+    if 0 in alphas:
+        raise ValueError("a fit needs nonzero alphas, got alpha = 0")
+    logs = [math.log(abs(alpha)) for alpha in alphas]
+    if max(logs) - min(logs) < 1e-12:
+        raise ValueError("a fit needs alphas spanning a range, got |alpha| = %g "
+                         "throughout" % abs(alphas[0]))
+
+
+def fit_sweep(points):
+    """Log-log fit of sweep points against |alpha|; points that did not
+    converge or are not positive are left out and listed by alpha."""
+    logs, excluded = [], []
+    for pt in points:
+        if pt.converged and pt.value > 0:
+            logs.append((math.log(abs(pt.mode.alpha)), math.log(pt.value)))
+        else:
+            logger.warning("sweep point alpha=%g (%s) excluded: converged=%s value=%s",
+                           pt.mode.alpha, pt.quantity, pt.converged, pt.value)
+            excluded.append(float(pt.mode.alpha))
+    return fit_loglog(logs, excluded_alphas=tuple(excluded))
 
 
 def scaling_sweep(alphas, k, quantity, n=600):
-    """Least-squares slope of log(quantity) against log(alpha).
-
-    quantity is one of sigma, psi, range.  Each point runs at the mode's
-    default grid with base resolution n under the doubling protocol;
-    points that fail to converge are excluded from the fit and reported.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size < 4:
-        raise ValueError("need at least 4 sweep points, got %d" % alphas.size)
-    if np.ptp(np.log(np.abs(alphas))) < 1e-12:
-        raise ValueError("degenerate sweep: all alphas equal")
-    if quantity not in ("sigma", "psi", "range"):
-        raise ValueError("unknown quantity %r" % (quantity,))
-    logs = []
-    excluded = []
-    for alpha in alphas:
-        mode = ModeSpec(alpha=alpha, k=k)
-        pt = sweep_point(mode, quantity, n=n)
-        value, ok = pt.value, pt.converged
-        if not ok or not (value > 0):
-            logger.warning("sweep point alpha=%g (%s) excluded: converged=%s value=%s",
-                           alpha, quantity, ok, value)
-            excluded.append(float(alpha))
-            continue
-        logs.append((math.log(abs(alpha)), math.log(value)))
-    return fit_loglog(logs, excluded_alphas=tuple(excluded))
+    """Least-squares slope of log(quantity) against log|alpha|, quantity
+    one of sigma, psi, range: check_fit_alphas, then sweep_point on each
+    alpha in turn at base resolution n, then fit_sweep."""
+    check_fit_alphas(alphas)
+    return fit_sweep([sweep_point(ModeSpec(alpha=alpha, k=k), quantity, n=n)
+                      for alpha in alphas])
 
 
 def fit_loglog(points, excluded_alphas=()):

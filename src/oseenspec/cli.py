@@ -19,9 +19,8 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__, analysis, solver, specfun, verify
+from . import __version__, analysis, solver, verify
 from .grids import ModeSpec, default_grid, make_grid
 
 CSV_HEADER = "alpha,k,n,r_max,quantity,value,lambda_star,converged,elapsed_ms"
@@ -141,36 +140,28 @@ def cmd_sweep(args):
     if args.n < 16:
         raise UsageError("n must be >= 16, got %d" % args.n)
     if args.fit:
-        if len(alphas) < 4:
-            raise UsageError("--fit needs at least 4 alphas, got %d" % len(alphas))
-        if max(alphas) <= 0 or abs(math.log(max(map(abs, alphas)))
-                                   - math.log(min(map(abs, alphas)))) < 1e-12:
-            raise UsageError("--fit needs alphas spanning a range")
-
-    def work(alpha):
+        try:
+            analysis.check_fit_alphas(alphas)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    # points run one after another, so each elapsed_ms is the point's own time
+    points, rows = [], []
+    for alpha in alphas:
         t0 = time.perf_counter()
         pt = analysis.sweep_point(ModeSpec(alpha=alpha, k=args.k),
                                   args.quantity, n=args.n)
-        return pt, round(1000 * (time.perf_counter() - t0))
-
-    with ThreadPoolExecutor(max_workers=min(4, len(alphas))) as pool:
-        results = list(pool.map(work, alphas))
-    rows = [_row(a, args.k, pt.grid_n, pt.r_max, args.quantity, pt.value,
-                 pt.lambda_star, pt.converged, ms)
-            for a, (pt, ms) in zip(alphas, results)]
+        ms = round(1000 * (time.perf_counter() - t0))
+        points.append(pt)
+        rows.append(_row(alpha, args.k, pt.grid_n, pt.r_max, args.quantity,
+                         pt.value, pt.lambda_star, pt.converged, ms))
     fit = None
     if args.fit:
-        pts = [(math.log(abs(a)), math.log(pt.value))
-               for a, (pt, _) in zip(alphas, results)
-               if pt.converged and pt.value > 0]
-        excluded = [a for a, (pt, _) in zip(alphas, results)
-                    if not (pt.converged and pt.value > 0)]
-        res = analysis.fit_loglog(pts, excluded_alphas=tuple(excluded))
+        res = analysis.fit_sweep(points)
         fit = {"slope": res.slope, "intercept": res.intercept,
                "max_residual": res.max_residual,
                "excluded_alphas": list(res.excluded_alphas)}
     meta = _meta(quantity=args.quantity, n_base=args.n,
-                 points=[_mode_meta(ModeSpec(alpha=a, k=args.k)) for a in alphas])
+                 points=[_mode_meta(pt.mode) for pt in points])
     _emit(rows, args.format, meta, fit=fit)
     return 0
 
@@ -178,17 +169,15 @@ def cmd_sweep(args):
 def cmd_quasimode(args):
     _check_common(args)
     beta_1 = args.alpha / (8.0 * math.pi)
-    if abs(beta_1) < analysis.QUASIMODE_MIN_BETA:
+    try:
+        r1, lam = analysis.quasimode_shift(beta_1)
+    except ValueError:
         raise UsageError("quasimode needs |alpha| >= (27/8) 8 pi "
-                         "(|beta_1| >= 27/8), got alpha = %g" % args.alpha)
-    r1 = abs(beta_1) ** (1.0 / 6.0)
-    r_max = args.rmax if args.rmax is not None else max(12.0, r1 + 2.0 / r1 + 1.0)
-    n = args.n if args.n is not None else int(math.ceil(20.0 * r1 * r_max)) + 8
-    grid = make_grid(n, r_max)
+                         "(|beta_1| >= 27/8), got alpha = %g" % args.alpha) from None
+    grid = analysis.quasimode_grid(beta_1, n=args.n, r_max=args.rmax)
     t0 = time.perf_counter()
     v, ratio = analysis.quasimode(beta_1, grid)
     ms = round(1000 * (time.perf_counter() - t0))
-    lam = beta_1 * specfun.sigma(r1)
     scaled = ratio / abs(beta_1) ** (1.0 / 3.0)
     rows = [_row(args.alpha, 1, grid.n, grid.r_max, "quasimode_ratio",
                  ratio, lam, True, ms),
@@ -285,7 +274,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, solver.SolverError, specfun.PoleError) as exc:
+    except (ValueError, solver.SolverError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

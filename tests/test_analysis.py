@@ -259,6 +259,36 @@ def test_scaling_sweep_guards():
         analysis.scaling_sweep([1.0, 2.0, 4.0, 8.0], 1, "slope")
 
 
+def test_scaling_sweep_rejects_zero_alpha_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        pytest.fail("sweep_point ran before the fit guard")
+
+    monkeypatch.setattr(analysis, "sweep_point", no_solve)
+    with pytest.raises(ValueError, match="alpha = 0"):
+        analysis.scaling_sweep([0.0, 1e3, 1e4, 1e5], 1, "range")
+
+
+@pytest.mark.parametrize("values, grid_n, converged, steps", [
+    ((1.0, 1.001, 5.0), 600, True, 2),     # levels 0 and 1 agree
+    ((1.0, 2.0, 2.001), 1200, True, 3),    # levels 1 and 2 agree
+    ((1.0, 2.0, 4.0), 1200, False, 3),     # no two levels agree
+])
+def test_grid_doubling_protocol(values, grid_n, converged, steps):
+    grid = make_grid(300, 30.0)
+    seen = []
+
+    def step(g, prev):
+        assert g.r_max == grid.r_max
+        assert prev == ((values[len(seen) - 1],) if seen else None)
+        seen.append(g.n)
+        return (values[len(seen) - 1],)
+
+    out, n, ok = analysis._grid_doubling(grid, step, "stub", ModeSpec(alpha=0.0, k=1))
+    assert (n, ok, len(seen)) == (grid_n, converged, steps)
+    assert seen == [300, 600, 1200][:steps]
+    assert out == (values[steps - 1],)
+
+
 def test_sweep_point_psi_row():
     pt = analysis.sweep_point(ModeSpec(alpha=0.0, k=1), "psi", n=300)
     assert pt.quantity == "psi"

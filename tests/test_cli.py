@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oseenspec import cli
+from oseenspec import analysis, cli
 
 EIGHT_PI = 8 * math.pi
 
@@ -101,6 +101,30 @@ def test_sweep_fit_needs_spread(capsys):
     assert code == 2 and "spanning" in err
 
 
+def test_sweep_fit_rejects_zero_alpha_before_solving(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        pytest.fail("sweep_point ran before the fit guard")
+
+    monkeypatch.setattr(analysis, "sweep_point", no_solve)
+    code, _, err = run_cli(capsys, "sweep", "--alphas", "0,1e3,1e4,1e5",
+                           "--quantity", "range", "--fit")
+    assert code == 2 and "alpha = 0" in err
+
+
+def test_sweep_fit_negative_alphas_match_library(capsys):
+    alphas = [-1e3, -1e4, -1e5, -1e6]
+    # the = form keeps argparse from reading the leading minus as a flag
+    code, out, _ = run_cli(capsys, "sweep", "--alphas=" + ",".join(map(repr, alphas)),
+                           "--quantity", "range", "--n", "300", "--fit",
+                           "--format", "json")
+    assert code == 0
+    lib = analysis.scaling_sweep(alphas, 1, "range", n=300)
+    assert json.loads(out)["fit"] == {
+        "slope": lib.slope, "intercept": lib.intercept,
+        "max_residual": lib.max_residual,
+        "excluded_alphas": list(lib.excluded_alphas)}
+
+
 def test_sweep_json_document(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--alphas", "0,10", "--k", "2",
                            "--quantity", "sigma", "--n", "300",
@@ -125,6 +149,22 @@ def test_quasimode_rows(capsys):
     assert abs(ratio - 36.3725) / 36.3725 < 2e-2
     assert scaled == pytest.approx(ratio / 10.0, rel=1e-6)
     assert float(r1[6]) == pytest.approx(1e3 * 0.36716600, rel=1e-4)
+
+
+def test_quasimode_reports_the_analysis_policy(capsys):
+    # n, r_max and lambda_star come from analysis, for the beta_1 the CLI
+    # derived from alpha, on the default grid and on an explicit one
+    for extra, n, r_max in (((), None, None),
+                            (("--n", "900", "--rmax", "14"), 900, 14.0)):
+        code, out, _ = run_cli(capsys, "quasimode", "--alpha", repr(EIGHT_PI * 1e3),
+                               "--format", "json", *extra)
+        assert code == 0
+        doc = json.loads(out)
+        beta_1 = doc["meta"]["beta_1"]
+        grid = analysis.quasimode_grid(beta_1, n=n, r_max=r_max)
+        _, lam = analysis.quasimode_shift(beta_1)
+        row = doc["rows"][0]
+        assert (row["n"], row["r_max"], row["lambda_star"]) == (grid.n, grid.r_max, lam)
 
 
 def test_quasimode_alpha_too_small(capsys):
