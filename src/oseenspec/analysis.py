@@ -24,7 +24,9 @@ nu outside that range the operator is coercive at the |beta|^{1/2} scale,
 so the resolvent peak sits where sigma(r) crosses nu.  The scan window
 beta_k [-0.2, 1.2] covers it with margin on both sides.  Psi is a
 property of the straight operator (rotation does not preserve resolvent
-norms), so that path stays unrotated.
+norms), so that path stays unrotated; it runs on the banded form of the
+straight operator, assembled once per grid level, where each shift costs
+one O(n) band LU.
 """
 
 import logging
@@ -93,14 +95,6 @@ def _grid_doubling(grid, step, name, mode):
     return out, g.n, False
 
 
-def _mode_matrix(mode, grid):
-    """Straight operator whose resolvent carries Psi (lam = 0)."""
-    base = ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0)
-    if abs(base.k) == 1:
-        return operators.assemble_L1(base, grid)
-    return operators.assemble_H(base, grid)
-
-
 def _dilation_angle(mode):
     """Standard rotation angle for the mode: sgn(beta_k) pi/12 for
     |k| = 1, sgn(beta_k) pi/24 otherwise; the mode's own nonzero theta
@@ -114,17 +108,15 @@ def _dilation_angle(mode):
 def _sigma_matrix(mode, grid):
     """Matrix whose eigenvalues carry Sigma(alpha, k), at lam = 0.
 
-    For beta_k = 0 the straight operator, which is then self-adjoint.
+    For beta_k = 0 the dilated family at theta = 0, which is the straight
+    operator (self-adjoint then).
     Otherwise the rotated operator at the standard angle: same point
     spectrum, but the bottom eigenvalue stays well conditioned where the
     straight matrix loses it to pseudospectral pollution (see the module
     docstring)."""
-    base = ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0)
-    if base.beta_k == 0.0:
-        return _mode_matrix(base, grid)
-    tilted = ModeSpec(alpha=base.alpha, k=base.k, lam=0.0,
-                      theta=_dilation_angle(mode))
-    return operators.assemble_H_deformed(tilted, grid)
+    theta = 0.0 if mode.beta_k == 0.0 else _dilation_angle(mode)
+    return operators.assemble_H_deformed(
+        ModeSpec(alpha=mode.alpha, k=mode.k, theta=theta), grid)
 
 
 def sigma_grid(mode, n=600):
@@ -221,7 +213,7 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
                            lambda_star=0.0)
 
     def step(g, prev):
-        matrix = _mode_matrix(mode, g)
+        matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
         if prev is None:
             hit = _scan_psi(matrix, beta, -0.2, 1.2, lambda_points, refine_tol)
             if hit is None:

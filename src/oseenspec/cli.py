@@ -266,9 +266,32 @@ def _build_parser():
     return parser
 
 
+def _is_number_list(token):
+    try:
+        [float(part) for part in token.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv):
+    """argparse takes only plain decimals like -1000 for negative numbers
+    and reads a token like -1e3 as an unknown flag, so a token that starts
+    with '-' and parses as a number or a comma-separated list of numbers
+    is joined to the flag before it: --alpha -1e3 becomes --alpha=-1e3."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and _is_number_list(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:

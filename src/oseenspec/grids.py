@@ -121,11 +121,16 @@ class ModeSpec:
 
 @dataclass
 class OperatorMatrix:
-    """Dense matrix representation of one assembled operator.
+    """Matrix representation of one assembled operator.
 
     kind is one of {"A_k", "K_k", "B_k", "H_full", "L1_model", "H_deformed",
-    "K_truncated", "D2"}; the first three and the last two are real, the
-    rest complex symmetric (equal to their transpose, not their adjoint).
+    "K_truncated", "D2"} for dense (n, n) data; the first three and the
+    last two are real, the rest complex symmetric (equal to their
+    transpose, not their adjoint).  The band kinds of
+    operators.assemble_banded are "L1_band" (the tridiagonal L1, data of
+    shape (n, 3)) and "H_band" (the interleaved 2n pencil whose Schur
+    complement is H_full, data of shape (2n, 5)); row i of their data
+    holds the matrix entries of row i from column i - b to i + b.
     """
     kind: str
     grid: RadialGrid

@@ -23,8 +23,13 @@ dilation r -> r e^{i theta} gives the deformed family used for
 numerical-range bounds; its coefficients are the complex extensions
 F1..F4 evaluated at z = r^2 e^{2 i theta}/4.
 
-All assemblies are dense; integral parts carry the midpoint quadrature
-weight h so that matrices act on plain node-value vectors.
+Integral parts carry the midpoint quadrature weight h so that matrices
+act on plain node-value vectors.  The assemble_* functions return dense
+matrices, except assemble_banded, which stores the straight operator of
+the Psi path in band form: L1 is tridiagonal, and for |k| >= 2 the
+Nystrom matrix of K_k is semiseparable, so its inverse is tridiagonal in
+closed form (kernel_inverse_bands) and H is the Schur complement of a
+pentadiagonal 2n pencil.  The dense H and L1 stay as the test oracle.
 """
 
 import cmath
@@ -59,6 +64,32 @@ def assemble_K(k, grid):
     ratio = np.minimum.outer(r, r) / np.maximum.outer(r, r)
     m = (grid.h / (2 * k)) * ratio ** k * np.sqrt(np.outer(r, r))
     return OperatorMatrix(kind="K_k", grid=grid, mode=None, data=m)
+
+
+def kernel_inverse_bands(k, grid):
+    """Closed-form tridiagonal inverse of assemble_K(k, grid): (diag, off).
+
+    K_k has entries u_min(i,j) v_max(i,j) with generators
+    u = (h/2k) r^{k+1/2} and v = r^{-k+1/2}, so its inverse is
+    tridiagonal with off-diagonal -1/w_i, w_i = u_{i+1} v_i - u_i v_{i+1},
+    interior diagonal (u_{i+1} v_{i-1} - u_{i-1} v_{i+1})/(w_{i-1} w_i)
+    and end entries u_2/(u_1 w_1), v_{n-1}/(v_n w_{n-1}).  Each
+    generator difference is evaluated as
+    u_j v_i - u_i v_j = (h/k) (r_i r_j)^{1/2} sinh(k log(r_j/r_i)),
+    which keeps full relative accuracy where r_j/r_i is close to 1.
+    """
+    k = abs(_check_k(k))
+    r, h = grid.nodes, grid.h
+
+    def wronskian(ri, rj):
+        return (h / k) * np.sqrt(ri * rj) * np.sinh(k * np.log(rj / ri))
+
+    w = wronskian(r[:-1], r[1:])
+    diag = np.empty(grid.n)
+    diag[1:-1] = wronskian(r[:-2], r[2:]) / (w[:-1] * w[1:])
+    diag[0] = (r[1] / r[0]) ** (k + 0.5) / w[0]
+    diag[-1] = (r[-1] / r[-2]) ** (k - 0.5) / w[-1]
+    return diag, -1.0 / w
 
 
 def assemble_B(k, grid):
@@ -112,6 +143,44 @@ def apply_L1(mode, w):
     pot = (0.75 / r ** 2 + r ** 2 / 16 - 0.5 + specfun.f(r)
            + 1j * (mode.beta_k * specfun.sigma(r) - mode.lam))
     return Field(g, out + pot * v)
+
+
+def assemble_banded(mode, grid):
+    """The straight mode operator in band storage (theta = 0).
+
+    |k| = 1: the tridiagonal L1, kind "L1_band", data of shape (n, 3).
+    |k| >= 2: the 2n pencil [[A_k + i beta_k sigma - i lam, -i beta_k g],
+    [-g, K_k^{-1}]] with rows and columns interleaved (x_1, y_1, x_2, ...),
+    kind "H_band", data of shape (2n, 5); eliminating y gives back H.
+    Row i of data holds the entries of matrix row i at columns
+    i - b .. i + b (b = 1 or 2, zero where they fall outside the matrix),
+    so the operator is its x rows' diagonal plus fixed bands, and a shift
+    lam changes that diagonal only.
+    """
+    if mode.theta != 0.0:
+        raise ValueError("assemble_banded requires theta = 0")
+    k = abs(mode.k)
+    r, h, n = grid.nodes, grid.h, grid.n
+    stencil = np.full(n, 2.0 / h ** 2)
+    stencil[0] = 3.0 / h ** 2
+    diag = stencil + (k * k - 0.25) / r ** 2 + r ** 2 / 16 - 0.5
+    if k == 1:
+        diag = diag + specfun.f(r)
+    diag = diag + 1j * (mode.beta_k * specfun.sigma(r) - mode.lam)
+    off = np.full(n - 1, -1.0 / h ** 2)
+    if k == 1:
+        data = np.zeros((n, 3), dtype=complex)
+        data[1:, 0] = off
+        data[:, 1] = diag
+        data[:-1, 2] = off
+        return OperatorMatrix(kind="L1_band", grid=grid, mode=mode, data=data)
+    g = specfun.g(r)
+    kdiag, koff = kernel_inverse_bands(k, grid)
+    data = np.zeros((2 * n, 5), dtype=complex)
+    x, y = data[0::2], data[1::2]
+    x[1:, 0], x[:, 2], x[:, 3], x[:-1, 4] = off, diag, -1j * mode.beta_k * g, off
+    y[1:, 0], y[:, 1], y[:, 2], y[:-1, 4] = koff, -g, kdiag, koff
+    return OperatorMatrix(kind="H_band", grid=grid, mode=mode, data=data)
 
 
 def assemble_H_deformed(mode, grid):

@@ -1,23 +1,41 @@
-"""Dense linear-algebra layer: eigenvalues, singular values, Hermitian parts.
+"""Linear-algebra layer: eigenvalues, singular values, Hermitian parts.
 
 Everything here is a thin, checked wrapper over LAPACK through scipy: the
 contract is the accuracy bound (backward errors at the eps level, far under
 the 1e-8 norm-relative budget the callers assume), not the algorithm.
-Matrices stay dense; no inversions are performed anywhere, in particular
-the smallest singular value of a shifted operator is computed from the
-shifted matrix itself so that tiny values keep full relative accuracy.
+
+Dense matrices go to the dense drivers (eig, svdvals, eigvalsh), capped at
+n = 4000.  The banded operators of operators.assemble_banded carry the
+Psi path: s_min(M - i shift) comes from one band LU of the shifted matrix
+(gttrf or gbtrf) and the inverse Lanczos iteration on
+((M - i shift)^H (M - i shift))^{-1}, the large-scale pseudospectra method
+of Wright & Trefethen (SIAM J. Sci. Comput. 23, 2001).  The inverse is
+never formed; its largest eigenvalue is 1/s_min^2, so the smallest
+singular value is read off the dominant end of the spectrum, where
+Lanczos converges fastest.  The tests hold this path to 1e-10 relative
+agreement with the dense svdvals, which stays as the oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .grids import OperatorMatrix
 
 
 class SolverError(RuntimeError):
-    """Dense eigenvalue or singular-value iteration failed to converge."""
+    """An eigenvalue or singular-value iteration or a band factorization failed."""
+
+
+# kinds of operators.assemble_banded: data has b n rows (b = 1 or 2) and
+# 2b + 1 diagonals, and the shift and the singular value act on rows
+# 0, b, 2b, ...
+BANDED_KINDS = ("L1_band", "H_band")
+# stop once the largest Ritz value moves by less than this, relatively
+_LANCZOS_RTOL = 1e-14
 
 
 @dataclass
@@ -58,7 +76,16 @@ def eigenvalues(m):
 
 
 def smallest_singular_value(m, shift=0.0):
-    """s_min(M - i shift I) = 1/||(M - i shift)^{-1}||, 0 if exactly singular."""
+    """s_min(M - i shift I) = 1/||(M - i shift)^{-1}||.
+
+    A banded operator (kinds in BANDED_KINDS) goes through one band LU
+    and the inverse Lanczos iteration, with no size cap; for the pencil
+    kind this is s_min of its Schur complement H - i shift.  Anything else
+    goes through the dense SVD (n <= 4000), which returns 0 for an exactly
+    singular matrix where the band LU raises SolverError.
+    """
+    if isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS:
+        return _banded_smin(m, shift)
     a, kind = _as_matrix(m)
     n = a.shape[0]
     if n > 4000:
@@ -70,6 +97,94 @@ def smallest_singular_value(m, shift=0.0):
     except sla.LinAlgError as exc:
         raise SolverError("svd failed for %s (n=%d): %s" % (kind, n, exc)) from exc
     return float(s[-1])
+
+
+def _band_lu(m, shift):
+    """One LU of the shifted band (gttrf for b = 1, gbtrf for b = 2).
+
+    Returns (b, solve) with solve(rhs, adjoint) applying (M - i shift)^{-1}
+    or its adjoint to a full-length vector.
+    """
+    data, n = m.data, m.grid.n
+    b = data.shape[0] // n
+    diag = data[:, b].copy()
+    diag[::b] -= 1j * shift
+    if b == 1:
+        dl, d, du, du2, ipiv, info = lapack.zgttrf(data[1:, 0], diag, data[:-1, 2])
+
+        def solve(rhs, adjoint):
+            return lapack.zgttrs(dl, d, du, du2, ipiv, rhs, trans="C" if adjoint else "N")[0]
+    else:
+        # LAPACK band layout: entry (i, j) at ab[2b + i - j, j] under b spare rows
+        size = data.shape[0]
+        ab = np.zeros((3 * b + 1, size), dtype=complex)
+        for col in range(2 * b + 1):
+            off = col - b
+            src = diag if off == 0 else data[:, col]
+            if off >= 0:
+                ab[3 * b - col, off:] = src[:size - off]
+            else:
+                ab[3 * b - col, :size + off] = src[-off:]
+        lu, ipiv, info = lapack.zgbtrf(ab, b, b)
+
+        def solve(rhs, adjoint):
+            return lapack.zgbtrs(lu, b, b, rhs, ipiv, trans=2 if adjoint else 0)[0]
+    if info != 0:
+        raise SolverError("band LU failed for %s (n=%d) at shift %g: info = %d"
+                          % (m.kind, n, shift, info))
+    return b, solve
+
+
+def _top_ritz_value(alpha, beta):
+    """Largest eigenvalue of the Lanczos tridiagonal, by LAPACK bisection
+    (stebz, the driver eigvalsh_tridiagonal calls, without its checks)."""
+    j = len(alpha)
+    _, ritz, _, _, info = lapack.dstebz(alpha, beta, 2, 0.0, 0.0, j, j, 0.0, "E")
+    if info != 0:
+        raise SolverError("Ritz value bisection failed: info = %d" % info)
+    return float(ritz[0])
+
+
+def _banded_smin(m, shift):
+    """Inverse Lanczos: Hermitian Lanczos with full reorthogonalization on
+    X^H X, X the x-row block of (M - i shift)^{-1}, from a fixed start
+    vector.  Stops when the largest Ritz value theta changes by less than
+    relative 1e-14 (or the Krylov space is exhausted) and returns
+    theta^{-1/2}.
+
+    Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
+    which is 0.998 at the scan's edge shifts, where the bottom singular
+    values cluster; Lanczos reaches 1e-14 there in about 30 to 260 steps,
+    and in 7 to 10 steps near the resolvent peak.
+    """
+    n = m.grid.n
+    b, solve = _band_lu(m, shift)
+    rhs = np.zeros(b * n, dtype=complex)
+    q = np.random.default_rng(0).standard_normal(n) + 0j
+    basis = np.empty((min(n, 32), n), dtype=complex)
+    basis[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    prev = 0.0
+    for j in range(n):
+        rhs[::b] = basis[j]
+        x = solve(rhs, False)[::b]
+        rhs[::b] = x
+        z = solve(rhs, True)[::b]
+        alpha.append(float(np.vdot(x, x).real))
+        theta = alpha[0] if j == 0 else _top_ritz_value(alpha, beta)
+        if abs(theta - prev) <= _LANCZOS_RTOL * theta or j == n - 1:
+            break
+        prev = theta
+        q = basis[:j + 1]
+        for _ in range(2):      # twice is enough
+            z = z - (q @ z.conj()).conj() @ q
+        beta.append(float(np.linalg.norm(z)))
+        if beta[-1] <= _LANCZOS_RTOL * theta:
+            break               # invariant subspace: theta is exact
+        if j + 1 == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis)])[:n]
+        basis[j + 1] = z / beta[-1]
+    return 1.0 / math.sqrt(theta)
 
 
 def hermitian_part_min_eig(m):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from oseenspec import analysis, operators, solver, specfun
-from oseenspec.grids import Field, ModeSpec, make_grid, quadrature
+from oseenspec.grids import Field, ModeSpec, default_grid, make_grid, quadrature
 
 EIGHT_PI = 8 * math.pi
 
@@ -97,6 +97,16 @@ def test_psi_golden_value(psi_1e2):
     assert abs(psi_1e2.psi_bound - ref) / ref < 1e-2
 
 
+def test_psi_past_the_dense_cap():
+    # base grid n = 4800 (levels 4800 and 9600) runs on the banded path,
+    # which has no size cap; the dense oracle keeps n <= 4000
+    mode = ModeSpec(alpha=EIGHT_PI * 1e2, k=1)
+    res = analysis.pseudospectral_bound(mode, default_grid(mode, n=4800))
+    ref = golden_value("psi", EIGHT_PI * 1e2, 1)
+    assert res.converged and res.grid_n >= 4800
+    assert abs(res.psi_bound - ref) / ref < 1e-2
+
+
 def test_psi_lambda_star_in_unit_band(psi_1e2):
     # the resolvent peak sits at nu = lambda/beta inside (0, 1)
     assert 0.0 < psi_1e2.lambda_star / 1e2 < 1.0
@@ -104,7 +114,7 @@ def test_psi_lambda_star_in_unit_band(psi_1e2):
 
 def test_psi_scan_endpoints_exceed_interior(psi_1e2):
     mode = ModeSpec(alpha=EIGHT_PI * 1e2, k=1)
-    matrix = analysis._mode_matrix(mode, make_grid(600, 30.0))
+    matrix = operators.assemble_banded(mode, make_grid(600, 30.0))
     for edge in (-0.2 * 1e2, 1.2 * 1e2):
         smin = solver.smallest_singular_value(matrix, edge)
         assert smin > 2.0 * psi_1e2.psi_bound

@@ -113,7 +113,6 @@ def test_sweep_fit_rejects_zero_alpha_before_solving(capsys, monkeypatch):
 
 def test_sweep_fit_negative_alphas_match_library(capsys):
     alphas = [-1e3, -1e4, -1e5, -1e6]
-    # the = form keeps argparse from reading the leading minus as a flag
     code, out, _ = run_cli(capsys, "sweep", "--alphas=" + ",".join(map(repr, alphas)),
                            "--quantity", "range", "--n", "300", "--fit",
                            "--format", "json")
@@ -123,6 +122,20 @@ def test_sweep_fit_negative_alphas_match_library(capsys):
         "slope": lib.slope, "intercept": lib.intercept,
         "max_residual": lib.max_residual,
         "excluded_alphas": list(lib.excluded_alphas)}
+
+
+def test_negative_values_in_exponent_form(capsys):
+    # argparse alone reads -1e3 as a flag; the separate-token form must
+    # print what the = form prints
+    for argv in ((("spectrum", "--alpha"), "-1e3", ("--n", "64")),
+                 (("sweep", "--alphas"), "-1e3,-1e4,-1e5,-1e6",
+                  ("--quantity", "psi", "--n", "300", "--fit"))):
+        head, value, tail = argv
+        code1, out1, _ = run_cli(capsys, *head, value, *tail)
+        code2, out2, _ = run_cli(capsys, *head[:-1], head[-1] + "=" + value, *tail)
+        assert code1 == code2 == 0
+        assert strip_elapsed(out1) == strip_elapsed(out2)
+        assert out1.splitlines()[1].startswith("-1000,")
 
 
 def test_sweep_json_document(capsys):

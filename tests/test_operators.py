@@ -129,6 +129,56 @@ def test_deformed_reduces_at_theta_zero(grid600):
     assert np.abs(d1 - l1).max() / np.abs(l1).max() < 1e-13
 
 
+def band_to_dense(m):
+    """Dense matrix of a banded OperatorMatrix (row i holds columns i - b .. i + b)."""
+    size, width = m.data.shape
+    b = width // 2
+    out = np.zeros((size, size), dtype=complex)
+    for col in range(width):
+        rows = np.arange(max(0, b - col), min(size, size + b - col))
+        out[rows, rows + col - b] = m.data[rows, col]
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_kernel_inverse_closed_form(k):
+    # identity on a grid where rounding in the dense product stays small
+    # (the product's error grows like cond(K) eps, 5e-12 at n = 300)
+    grid = make_grid(64, 10.0)
+    diag, off = operators.kernel_inverse_bands(k, grid)
+    kinv = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    kk = operators.assemble_K(k, grid).data
+    assert np.abs(kinv @ kk - np.eye(grid.n)).max() < 1e-12
+    # and the LAPACK inverse on the finer grid, entrywise against the scale
+    grid = make_grid(600, 30.0)
+    diag, off = operators.kernel_inverse_bands(k, grid)
+    kinv = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.inv(operators.assemble_K(k, grid).data)
+    assert np.abs(kinv - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_banded_L1_is_assembled_L1(grid600):
+    mode = ModeSpec(alpha=-8 * math.pi * 5, k=-1, lam=0.3)
+    band = operators.assemble_banded(mode, grid600)
+    assert band.kind == "L1_band" and band.data.shape == (600, 3)
+    assert_allclose(band_to_dense(band), operators.assemble_L1(mode, grid600).data,
+                    rtol=0, atol=1e-15 * 4 / grid600.h ** 2)
+
+
+@pytest.mark.parametrize("k", [2, -3])
+def test_banded_pencil_schur_complement_is_H(grid600, k):
+    mode = ModeSpec(alpha=-8 * math.pi * 50, k=k, lam=0.3)
+    band = operators.assemble_banded(mode, grid600)
+    assert band.kind == "H_band" and band.data.shape == (1200, 5)
+    p = band_to_dense(band)
+    x, y = slice(0, None, 2), slice(1, None, 2)
+    schur = p[x, x] - p[x, y] @ np.linalg.solve(p[y, y], p[y, x])
+    h = operators.assemble_H(mode, grid600).data
+    assert np.abs(schur - h).max() < 1e-12 * np.abs(h).max()
+    with pytest.raises(ValueError):
+        operators.assemble_banded(ModeSpec(alpha=1.0, k=2, theta=0.1), grid600)
+
+
 def test_deformed_finite_at_nonzero_theta(grid600):
     mode = ModeSpec(alpha=8 * math.pi * 5, k=2, lam=0.3, theta=math.pi / 12)
     m = operators.assemble_H_deformed(mode, grid600).data

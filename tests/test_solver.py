@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from oseenspec import operators, solver
-from oseenspec.grids import ModeSpec, make_grid
+from oseenspec import analysis, operators, solver
+from oseenspec.grids import ModeSpec, OperatorMatrix, default_grid, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +106,30 @@ def test_size_cap():
         solver.eigenvalues(big)
     with pytest.raises(ValueError):
         solver.smallest_singular_value(big, 0.0)
+
+
+# banded s_min against the dense oracle: (k, alpha) with |beta_k| = 1e3,
+# both signs of alpha, and the pencil path for |k| >= 2
+ORACLE_MODES = [(1, 1.0), (1, -1.0), (-1, -1.0), (2, 1.0), (2, -1.0), (3, -1.0)]
+
+
+@pytest.mark.parametrize("n", [300, 600, 1200])
+@pytest.mark.parametrize("k,sign", ORACLE_MODES)
+def test_banded_smin_matches_dense_svd(n, k, sign):
+    mode = ModeSpec(alpha=sign * 8 * math.pi * 1e3 / abs(k), k=k)
+    grid = default_grid(mode, n=n)
+    band = operators.assemble_banded(mode, grid)
+    dense = (operators.assemble_L1 if abs(k) == 1 else operators.assemble_H)(mode, grid)
+    lam_star = analysis.pseudospectral_bound(mode, grid).lambda_star
+    for lam in [nu * mode.beta_k for nu in (-0.2, 0.25, 0.75, 1.2)] + [lam_star]:
+        ref = solver.smallest_singular_value(dense, lam)
+        got = solver.smallest_singular_value(band, lam)
+        assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
+
+
+def test_banded_smin_exact_singularity_raises():
+    grid = make_grid(32, 10.0)
+    zero = OperatorMatrix(kind="L1_band", grid=grid, mode=None,
+                          data=np.zeros((32, 3), dtype=complex))
+    with pytest.raises(solver.SolverError):
+        solver.smallest_singular_value(zero, 0.0)
