@@ -197,9 +197,10 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
     lam = 0 (distance to the real spectrum).  Otherwise a lambda_points
     scan over beta_k [-0.2, 1.2] locates the resolvent peak and
-    golden-section refines it to relative refine_tol; if the scan finds
-    no interior minimum the window is widened once before flagging the
-    result as not converged.
+    golden-section refines it to relative refine_tol.  Refined levels
+    first rescan 9 shifts around the coarser level's minimizer.  Where a
+    scan finds no interior minimum the next one runs (full window, then
+    widened once) before the result is flagged as not converged.
     """
     if grid is None:
         grid = default_grid(mode)
@@ -214,25 +215,22 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
 
     def step(g, prev):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
-        if prev is None:
-            hit = _scan_psi(matrix, beta, -0.2, 1.2, lambda_points, refine_tol)
-            if hit is None:
-                hit = _scan_psi(matrix, beta, -0.7, 1.7, lambda_points + lambda_points // 2,
-                                refine_tol)
-            if hit is None:
-                logger.warning("no interior resolvent minimum for alpha=%g k=%d",
-                               mode.alpha, mode.k)
-                return solver.smallest_singular_value(matrix, -0.2 * beta), -0.2 * beta, False
-            return hit + (True,)
-        # refined grids rescan locally around the coarser level's minimizer
-        _, lam_prev, scan_ok = prev
-        cell = 1.4 * abs(beta) / (lambda_points - 1)
-        a, b = lam_prev - 1.5 * cell, lam_prev + 1.5 * cell
-        hit = _scan_psi(matrix, 1.0, a, b, 9, refine_tol)
+        hit, scan_ok = None, True
+        if prev is not None:
+            # refined grids rescan locally around the coarser level's minimizer
+            _, lam_prev, scan_ok = prev
+            cell = 1.4 * abs(beta) / (lambda_points - 1)
+            hit = _scan_psi(matrix, 1.0, lam_prev - 1.5 * cell, lam_prev + 1.5 * cell, 9,
+                            refine_tol)
         if hit is None:
-            lam, val = _golden_min(lambda s: solver.smallest_singular_value(matrix, s),
-                                   a, b, reltol=refine_tol)
-            hit = (float(val), float(lam))
+            hit = _scan_psi(matrix, beta, -0.2, 1.2, lambda_points, refine_tol)
+        if hit is None:
+            hit = _scan_psi(matrix, beta, -0.7, 1.7, lambda_points + lambda_points // 2,
+                            refine_tol)
+        if hit is None:
+            logger.warning("no interior resolvent minimum for alpha=%g k=%d",
+                           mode.alpha, mode.k)
+            return solver.smallest_singular_value(matrix, -0.2 * beta), -0.2 * beta, False
         return hit + (scan_ok,)
 
     (psi, lam_star, scan_ok), n, converged = _grid_doubling(grid, step, "psi", mode)
@@ -349,9 +347,9 @@ def sweep_point(mode, quantity, n=600):
     front end consumes.
 
     sigma and range run on the wall-aware grid of the spectral path;
-    psi runs on the mode's default grid (its resolvent peak sits at the
-    critical radius, already covered by the default policy).  All three
-    run the grid-doubling protocol from base resolution n.
+    psi runs on the default grid, r_max = 30 (its resolvent peak sits at
+    the critical radius of lambda*, inside that window).  All three run
+    the grid-doubling protocol from base resolution n.
     """
     lam = None
     if quantity == "sigma":

@@ -25,8 +25,7 @@ from .grids import ModeSpec, default_grid, make_grid
 
 CSV_HEADER = "alpha,k,n,r_max,quantity,value,lambda_star,converged,elapsed_ms"
 
-_GRID_POLICY = ("r_max = max(30, 3 r_k + 10) when the critical radius exists; "
-                "sigma and range paths raise it to 4.4 |beta_k|^{1/4}")
+_GRID_POLICY = "r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}"
 
 
 class UsageError(Exception):
@@ -67,7 +66,10 @@ def _emit(rows, fmt, meta, fit=None, out=None):
             print(json.dumps(fit), file=out)
 
 
-def _mode_meta(mode):
+def _mode_meta(mode, lambda_star=None):
+    """alpha, k, beta_k and nu_k; a psi result's nu_k is lambda_star/beta_k."""
+    if lambda_star is not None:
+        mode = ModeSpec(alpha=mode.alpha, k=mode.k, lam=lambda_star)
     return {"alpha": mode.alpha, "k": mode.k,
             "beta_k": mode.beta_k, "nu_k": mode.nu_k}
 
@@ -121,7 +123,7 @@ def cmd_pseudo(args):
     ms = round(1000 * (time.perf_counter() - t0))
     rows = [_row(args.alpha, args.k, res.grid_n, grid.r_max, "psi",
                  res.psi_bound, res.lambda_star, res.converged, ms)]
-    _emit(rows, args.format, _meta(**_mode_meta(mode)))
+    _emit(rows, args.format, _meta(**_mode_meta(mode, res.lambda_star)))
     return 0
 
 
@@ -161,7 +163,7 @@ def cmd_sweep(args):
                "max_residual": res.max_residual,
                "excluded_alphas": list(res.excluded_alphas)}
     meta = _meta(quantity=args.quantity, n_base=args.n,
-                 points=[_mode_meta(pt.mode) for pt in points])
+                 points=[_mode_meta(pt.mode, pt.lambda_star) for pt in points])
     _emit(rows, args.format, meta, fit=fit)
     return 0
 

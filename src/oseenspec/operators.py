@@ -19,17 +19,15 @@ conjugates H at |k| = 1 to the diagonal-potential model
     L1 = A_1 + f + i (beta_1 sigma - lam),
 
 which is what the k = +-1 bounds are computed from.  The analytic
-dilation r -> r e^{i theta} gives the deformed family used for
-numerical-range bounds; its coefficients are the complex extensions
-F1..F4 evaluated at z = r^2 e^{2 i theta}/4.
-
-Integral parts carry the midpoint quadrature weight h so that matrices
-act on plain node-value vectors.  The assemble_* functions return dense
-matrices, except assemble_banded, which stores the straight operator of
-the Psi path in band form: L1 is tridiagonal, and for |k| >= 2 the
-Nystrom matrix of K_k is semiseparable, so its inverse is tridiagonal in
-closed form (kernel_inverse_bands) and H is the Schur complement of a
-pentadiagonal 2n pencil.  The dense H and L1 stay as the test oracle.
+dilation r -> r e^{i theta} (theta = 0 is the straight operator) has
+coefficients F1, F2, F4 at z = r^2 e^{2 i theta}/4, written once by
+_mode_parts and read by assemble_H_deformed (dense), assemble_banded
+(band storage: L1 is tridiagonal, and for |k| >= 2 K_k is semiseparable,
+so its inverse is tridiagonal in closed form and H is the Schur
+complement of a pentadiagonal 2n pencil) and apply_L1.  assemble_A, _K,
+_B, _H and _L1 build the straight operator from sigma, g and f instead,
+as the dense test oracle.  Integral parts carry the midpoint quadrature
+weight h so that matrices act on plain node-value vectors.
 """
 
 import cmath
@@ -131,86 +129,90 @@ def assemble_L1(mode, grid):
 
 
 def apply_L1(mode, w):
-    """Matrix-free action of L1 on a Field (for grids too large to assemble)."""
+    """Action of L1 on a Field: the tridiagonal product with the band
+    form of assemble_banded (at the mode's dilation angle)."""
     if abs(mode.k) != 1:
         raise ValueError("L1 is defined for |k| = 1 only")
-    g, v = w.grid, np.asarray(w.values, dtype=complex)
-    r, h = g.nodes, g.h
-    out = np.empty_like(v)
-    out[1:-1] = (2 * v[1:-1] - v[:-2] - v[2:]) / h ** 2
-    out[0] = (3 * v[0] - v[1]) / h ** 2
-    out[-1] = (2 * v[-1] - v[-2]) / h ** 2
-    pot = (0.75 / r ** 2 + r ** 2 / 16 - 0.5 + specfun.f(r)
-           + 1j * (mode.beta_k * specfun.sigma(r) - mode.lam))
-    return Field(g, out + pot * v)
+    data = assemble_banded(mode, w.grid).data
+    v = np.asarray(w.values, dtype=complex)
+    out = data[:, 1] * v
+    out[1:] += data[1:, 0] * v[:-1]
+    out[:-1] += data[:-1, 2] * v[1:]
+    return Field(w.grid, out)
+
+
+def _mode_parts(mode, grid):
+    """(kin, off, pot, coupling) of the mode operator at angle theta, with
+    rot = e^{2 i theta}, z = r^2 rot/4: the stencil over rot (diagonal kin
+    with the centrifugal term for |k| >= 2, off-diagonal off), the diagonal
+    potential, and (c, F2(z)) of the nonlocal part -c F2 K_k F2,
+    c = i beta_k rot (None for |k| = 1, whose F4 form folds the 2/z pole
+    of F3 into the centrifugal coefficient 35/4)."""
+    rot = cmath.exp(2j * mode.theta)
+    r, h = grid.nodes, grid.h
+    z = (r ** 2 / 4) * rot
+    k = abs(mode.k)
+    kin = np.full(grid.n, 2.0 / h ** 2)
+    kin[0] = 3.0 / h ** 2
+    off = np.full(grid.n - 1, -1.0 / h ** 2) * (1 / rot)
+    if k == 1:
+        pot = (35 / (4 * r ** 2)) / rot + (r ** 2 / 16) * rot - 0.5 \
+            + specfun.F_complex("F4", z) \
+            + 1j * mode.beta_k * specfun.F_complex("F1", z) - 1j * mode.lam
+        return kin * (1 / rot), off, pot, None
+    pot = (r ** 2 / 16) * rot - 0.5 \
+        + 1j * mode.beta_k * specfun.F_complex("F1", z) - 1j * mode.lam
+    return ((kin + (k * k - 0.25) / r ** 2) * (1 / rot), off, pot,
+            (1j * mode.beta_k * rot, specfun.F_complex("F2", z)))
 
 
 def assemble_banded(mode, grid):
-    """The straight mode operator in band storage (theta = 0).
+    """The mode operator at the dilation angle theta in band storage.
 
     |k| = 1: the tridiagonal L1, kind "L1_band", data of shape (n, 3).
-    |k| >= 2: the 2n pencil [[A_k + i beta_k sigma - i lam, -i beta_k g],
-    [-g, K_k^{-1}]] with rows and columns interleaved (x_1, y_1, x_2, ...),
-    kind "H_band", data of shape (2n, 5); eliminating y gives back H.
+    |k| >= 2: the 2n pencil [[kin + pot, -c F2], [-F2, K_k^{-1}]] of the
+    _mode_parts, rows and columns interleaved (x_1, y_1, x_2, ...), kind
+    "H_band", data of shape (2n, 5); eliminating y gives back
+    assemble_H_deformed (K_k^{-1} from kernel_inverse_bands).
     Row i of data holds the entries of matrix row i at columns
     i - b .. i + b (b = 1 or 2, zero where they fall outside the matrix),
     so the operator is its x rows' diagonal plus fixed bands, and a shift
     lam changes that diagonal only.
     """
-    if mode.theta != 0.0:
-        raise ValueError("assemble_banded requires theta = 0")
-    k = abs(mode.k)
-    r, h, n = grid.nodes, grid.h, grid.n
-    stencil = np.full(n, 2.0 / h ** 2)
-    stencil[0] = 3.0 / h ** 2
-    diag = stencil + (k * k - 0.25) / r ** 2 + r ** 2 / 16 - 0.5
-    if k == 1:
-        diag = diag + specfun.f(r)
-    diag = diag + 1j * (mode.beta_k * specfun.sigma(r) - mode.lam)
-    off = np.full(n - 1, -1.0 / h ** 2)
-    if k == 1:
+    kin, off, pot, coupling = _mode_parts(mode, grid)
+    n, diag = grid.n, kin + pot
+    if coupling is None:
         data = np.zeros((n, 3), dtype=complex)
-        data[1:, 0] = off
-        data[:, 1] = diag
-        data[:-1, 2] = off
+        data[1:, 0], data[:, 1], data[:-1, 2] = off, diag, off
         return OperatorMatrix(kind="L1_band", grid=grid, mode=mode, data=data)
-    g = specfun.g(r)
-    kdiag, koff = kernel_inverse_bands(k, grid)
+    c, f2 = coupling
+    kdiag, koff = kernel_inverse_bands(mode.k, grid)
     data = np.zeros((2 * n, 5), dtype=complex)
     x, y = data[0::2], data[1::2]
-    x[1:, 0], x[:, 2], x[:, 3], x[:-1, 4] = off, diag, -1j * mode.beta_k * g, off
-    y[1:, 0], y[:, 1], y[:, 2], y[:-1, 4] = koff, -g, kdiag, koff
+    x[1:, 0], x[:, 2], x[:, 3], x[:-1, 4] = off, diag, -c * f2, off
+    y[1:, 0], y[:, 1], y[:, 2], y[:-1, 4] = koff, -f2, kdiag, koff
     return OperatorMatrix(kind="H_band", grid=grid, mode=mode, data=data)
 
 
 def assemble_H_deformed(mode, grid):
     """Dilated mode operator at angle theta (|theta| < pi/8, theta = 0 allowed).
 
-    |k| = 1 uses the wave-conjugated diagonal form with F4 (the 2/z pole of
-    F3 is folded into the centrifugal coefficient 35/4); |k| >= 2 keeps the
-    nonlocal kernel, with both Gaussian weights rotated through F2.  At
-    theta = 0 this reproduces assemble_L1 / assemble_H entrywise.
+    The dense expansion of the parts of _mode_parts: the tridiagonal
+    stencil, minus c F2 K_k F2 for |k| >= 2 (both Gaussian weights
+    rotated through F2), plus the diagonal potential.  At theta = 0 this
+    reproduces assemble_L1 / assemble_H entrywise.
     """
-    th = mode.theta
-    rot = cmath.exp(2j * th)
-    r = grid.nodes
-    z = (r ** 2 / 4) * rot
-    k = abs(mode.k)
-    if k == 1:
-        m = (second_derivative_stencil(grid).data * (1 / rot)).astype(complex)
-        diag = (35 / (4 * r ** 2)) / rot + (r ** 2 / 16) * rot - 0.5 \
-            + specfun.F_complex("F4", z) \
-            + 1j * mode.beta_k * specfun.F_complex("F1", z) - 1j * mode.lam
-        np.fill_diagonal(m, m.diagonal() + diag)
-    else:
-        m = ((second_derivative_stencil(grid).data
-              + np.diag((k * k - 0.25) / r ** 2)) * (1 / rot)).astype(complex)
-        f2 = specfun.F_complex("F2", z)
-        kk = assemble_K(k, grid).data
-        m -= 1j * mode.beta_k * rot * (f2[:, None] * kk * f2[None, :])
-        diag = (r ** 2 / 16) * rot - 0.5 \
-            + 1j * mode.beta_k * specfun.F_complex("F1", z) - 1j * mode.lam
-        np.fill_diagonal(m, m.diagonal() + diag)
+    kin, off, pot, coupling = _mode_parts(mode, grid)
+    i = np.arange(grid.n)
+    m = np.zeros((grid.n, grid.n), dtype=complex)
+    m[i, i] = kin
+    m[i[:-1], i[:-1] + 1] = off
+    m[i[1:], i[1:] - 1] = off
+    if coupling is not None:
+        c, f2 = coupling
+        # keep this order: f2 * (kk * f2) moves Sigma by 0.1% at beta_2 = 1e4
+        m -= c * (f2[:, None] * assemble_K(mode.k, grid).data * f2[None, :])
+    np.fill_diagonal(m, m.diagonal() + pot)
     return OperatorMatrix(kind="H_deformed", grid=grid, mode=mode, data=m)
 
 

@@ -107,6 +107,35 @@ def test_psi_past_the_dense_cap():
     assert abs(res.psi_bound - ref) / ref < 1e-2
 
 
+def test_psi_independent_of_r_max():
+    # the default grid keeps r_max = 30 even where the critical radius of
+    # lambda* is 18.4 (beta_1 = 1e5): at the same h, r_max = 65 moves nothing
+    mode = ModeSpec(alpha=EIGHT_PI * 1e5, k=1)
+    near = analysis.pseudospectral_bound(mode, make_grid(600, 30.0))
+    far = analysis.pseudospectral_bound(mode, make_grid(1300, 65.0))
+    assert near.converged and far.converged
+    assert specfun.sigma_inverse(near.lambda_star / mode.beta_k) > 18.0
+    assert abs(near.psi_bound - far.psi_bound) <= 1e-12 * far.psi_bound
+    assert abs(near.lambda_star - far.lambda_star) <= 1e-3 * abs(far.lambda_star)
+
+
+def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
+    # when the 9-point rescan of a refined level finds no interior minimum,
+    # that level runs the first level's scan over beta_k [-0.2, 1.2]
+    scan, calls = analysis._scan_psi, []
+
+    def local_rescan_misses(matrix, beta, lo, hi, npts, reltol=1e-3):
+        calls.append((matrix.grid.n, npts))
+        return None if npts == 9 else scan(matrix, beta, lo, hi, npts, reltol)
+
+    monkeypatch.setattr(analysis, "_scan_psi", local_rescan_misses)
+    res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
+    assert calls[:3] == [(600, 64), (1200, 9), (1200, 64)]
+    assert res.converged and res.grid_n == psi_1e2.grid_n
+    assert abs(res.psi_bound - psi_1e2.psi_bound) <= 1e-6 * psi_1e2.psi_bound
+    assert abs(res.lambda_star - psi_1e2.lambda_star) <= 1e-3 * psi_1e2.lambda_star
+
+
 def test_psi_lambda_star_in_unit_band(psi_1e2):
     # the resolvent peak sits at nu = lambda/beta inside (0, 1)
     assert 0.0 < psi_1e2.lambda_star / 1e2 < 1.0

@@ -149,6 +149,18 @@ def test_sweep_json_document(capsys):
     assert "fit" not in doc
 
 
+def test_psi_meta_reports_the_minimizing_nu(capsys):
+    # nu_k of a psi result is lambda_star / beta_k, inside (0, 1)
+    alpha = EIGHT_PI * 1e2
+    code, out, _ = run_cli(capsys, "pseudo", "--alpha", repr(alpha), "--n", "300",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    meta, row = doc["meta"], doc["rows"][0]
+    assert meta["nu_k"] == row["lambda_star"] / meta["beta_k"]
+    assert 0.0 < meta["nu_k"] < 1.0
+
+
 def test_quasimode_rows(capsys):
     code, out, _ = run_cli(capsys, "quasimode", "--alpha", repr(EIGHT_PI * 1e3))
     assert code == 0

@@ -95,11 +95,6 @@ def test_mode_spec_validation():
 def test_default_grid_policy():
     g = default_grid()
     assert (g.n, g.r_max) == (600, 30.0)
-    # nu_k = 0.02 -> r_k ~ 14.1, so r_max grows to 3 r_k + 10
-    mode = ModeSpec(alpha=8 * math.pi * 1000, k=1, lam=1000 * 0.02)
-    g2 = default_grid(mode)
-    assert g2.r_max > 30.0
-    assert_allclose(g2.r_max, 3 * sf.sigma_inverse(0.02) + 10, rtol=1e-12)
 
 
 def test_grid_equality_by_parameters():

@@ -117,6 +117,16 @@ def test_L1_matrix_free_matches_assembly(grid600):
     assert np.linalg.norm(out.values - ref) / np.linalg.norm(ref) < 1e-12
 
 
+def test_L1_matrix_free_matches_deformed_assembly(grid600):
+    # at a nonzero angle apply_L1 acts as the dilated |k| = 1 operator
+    mode = ModeSpec(alpha=8 * math.pi * 5, k=1, lam=0.3, theta=math.pi / 12)
+    m = operators.assemble_H_deformed(mode, grid600).data
+    v = seeded_field(grid600, 11).values.astype(complex)
+    ref = m @ v
+    out = operators.apply_L1(mode, Field(grid600, v))
+    assert np.linalg.norm(out.values - ref) / np.linalg.norm(ref) < 1e-12
+
+
 def test_deformed_reduces_at_theta_zero(grid600):
     mode2 = ModeSpec(alpha=8 * math.pi * 5, k=2, lam=0.3)
     d2 = operators.assemble_H_deformed(mode2, grid600).data
@@ -161,8 +171,11 @@ def test_banded_L1_is_assembled_L1(grid600):
     mode = ModeSpec(alpha=-8 * math.pi * 5, k=-1, lam=0.3)
     band = operators.assemble_banded(mode, grid600)
     assert band.kind == "L1_band" and band.data.shape == (600, 3)
+    # the band reads F4 and F1 at real z, the oracle f and sigma; the first
+    # node's diagonal (15200, the axis potential ~ 35/(4 r^2) plus 3/h^2)
+    # comes out 2 ulps apart, which the entrywise rtol covers
     assert_allclose(band_to_dense(band), operators.assemble_L1(mode, grid600).data,
-                    rtol=0, atol=1e-15 * 4 / grid600.h ** 2)
+                    rtol=1e-15, atol=1e-15 * 4 / grid600.h ** 2)
 
 
 @pytest.mark.parametrize("k", [2, -3])
@@ -175,8 +188,27 @@ def test_banded_pencil_schur_complement_is_H(grid600, k):
     schur = p[x, x] - p[x, y] @ np.linalg.solve(p[y, y], p[y, x])
     h = operators.assemble_H(mode, grid600).data
     assert np.abs(schur - h).max() < 1e-12 * np.abs(h).max()
-    with pytest.raises(ValueError):
-        operators.assemble_banded(ModeSpec(alpha=1.0, k=2, theta=0.1), grid600)
+    # a nonzero dilation angle gives the dilated pencil, not an error
+    tilted = operators.assemble_banded(ModeSpec(alpha=1.0, k=k, theta=0.1), grid600)
+    assert tilted.kind == "H_band" and np.isfinite(tilted.data).all()
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 24, -math.pi / 24, math.pi / 12])
+@pytest.mark.parametrize("k", [1, -1, 2, -3])
+def test_dilated_band_is_H_deformed(grid600, k, theta):
+    # both forms read one set of coefficient parts: the |k| = 1 band is the
+    # dense matrix itself, the |k| >= 2 pencil's Schur complement is it up
+    # to the closed-form kernel inverse
+    mode = ModeSpec(alpha=8 * math.pi * 50 * math.copysign(1, theta), k=k, lam=0.3,
+                    theta=theta)
+    p = band_to_dense(operators.assemble_banded(mode, grid600))
+    h = operators.assemble_H_deformed(mode, grid600).data
+    if abs(k) == 1:
+        assert np.array_equal(p, h)
+        return
+    x, y = slice(0, None, 2), slice(1, None, 2)
+    schur = p[x, x] - p[x, y] @ np.linalg.solve(p[y, y], p[y, x])
+    assert np.abs(schur - h).max() < 1e-12 * np.abs(h).max()
 
 
 def test_deformed_finite_at_nonzero_theta(grid600):

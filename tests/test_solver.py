@@ -127,6 +127,20 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
 
+@pytest.mark.parametrize("k,sign", [(1, 1.0), (-1, -1.0), (2, 1.0), (-3, 1.0)])
+def test_dilated_banded_smin_matches_dense_svd(k, sign):
+    # the dilated operator at the standard angle, as the Sigma path builds it
+    theta = sign * (math.pi / 12 if abs(k) == 1 else math.pi / 24)
+    mode = ModeSpec(alpha=sign * 8 * math.pi * 1e3 / k, k=k, theta=theta)
+    grid = make_grid(300, 30.0)
+    band = operators.assemble_banded(mode, grid)
+    dense = operators.assemble_H_deformed(mode, grid)
+    for lam in [nu * mode.beta_k for nu in (-0.2, 0.05, 0.25, 0.75, 1.2)]:
+        ref = solver.smallest_singular_value(dense, lam)
+        got = solver.smallest_singular_value(band, lam)
+        assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
+
+
 def test_banded_smin_exact_singularity_raises():
     grid = make_grid(32, 10.0)
     zero = OperatorMatrix(kind="L1_band", grid=grid, mode=None,
