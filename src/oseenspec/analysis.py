@@ -14,10 +14,12 @@ Sigma is computed from the rotated operator rather than the straight one.
 The two have the same point spectrum (rotation moves only the essential
 spectrum), but the bottom eigenvalue of the straight matrix becomes
 catastrophically ill conditioned as beta_k grows: its eigenvector
-condition number passes 1e8 already at beta_k = 1e3, so dense solvers
-return spurious points of the working-precision pseudospectrum near
+condition number passes 1e8 already at beta_k = 1e3, so solvers return
+spurious points of the working-precision pseudospectrum near
 2.8 beta_k^{1/3} instead of the true eigenvalue near 0.71 beta_k^{1/2}.
-The rotated matrix keeps the same eigenvalue well conditioned.
+Near r = 0 the operator is Davies' complex oscillator, normal at theta =
+sgn(beta_k) pi/8; at beta_1 = 1e5 that condition number is 2.8 at the angle
+0.37 used here and 1.9e11 at pi/12.
 
 The minimizing shift for Psi lies at nu = lam/beta_k inside (0, 1): for
 nu outside that range the operator is coercive at the |beta|^{1/2} scale,
@@ -45,6 +47,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # centred window reaches the origin: r1 - width/(2 r1) <= 0 iff r1^2 <= width/2
 _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
+_SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
 
 
 @dataclass
@@ -80,9 +83,9 @@ class SweepPoint:
 def _grid_doubling(grid, step, name, mode):
     """Convergence protocol of sigma, psi and range: runs step(g, prev) on
     n, 2n, 4n points at grid.r_max until two consecutive values agree to
-    relative 1e-2.  step returns a tuple, value first; prev is the previous
-    level's tuple, None on the first level.  Returns (result, n, converged)
-    of the last level run."""
+    relative 1e-2.  step returns a tuple, value first, and gets prev, the
+    previous level's tuple (None on the first), to pass on psi's minimizer or
+    sigma's next shift.  Returns (result, n, converged) of the last level run."""
     prev = None
     for level in range(3):
         g = grid if level == 0 else make_grid(grid.n * 2 ** level, grid.r_max)
@@ -96,7 +99,7 @@ def _grid_doubling(grid, step, name, mode):
 
 
 def _dilation_angle(mode):
-    """Standard rotation angle for the mode: sgn(beta_k) pi/12 for
+    """Rotation angle of the numerical-range bound: sgn(beta_k) pi/12 for
     |k| = 1, sgn(beta_k) pi/24 otherwise; the mode's own nonzero theta
     takes precedence."""
     if mode.theta != 0.0:
@@ -105,18 +108,13 @@ def _dilation_angle(mode):
     return sgn * (math.pi / 12 if abs(mode.k) == 1 else math.pi / 24)
 
 
-def _sigma_matrix(mode, grid):
-    """Matrix whose eigenvalues carry Sigma(alpha, k), at lam = 0.
-
-    For beta_k = 0 the dilated family at theta = 0, which is the straight
-    operator (self-adjoint then).
-    Otherwise the rotated operator at the standard angle: same point
-    spectrum, but the bottom eigenvalue stays well conditioned where the
-    straight matrix loses it to pseudospectral pollution (see the module
-    docstring)."""
-    theta = 0.0 if mode.beta_k == 0.0 else _dilation_angle(mode)
-    return operators.assemble_H_deformed(
-        ModeSpec(alpha=mode.alpha, k=mode.k, theta=theta), grid)
+def _sigma_mode(mode):
+    """(rotated mode, first Arnoldi shift) of the Sigma path: the angle
+    sgn(beta_k) _SIGMA_ANGLE and the asymptote sqrt(|beta_k|/2)
+    (1 + i sgn beta_k); the straight operator and 0 at beta_k = 0."""
+    sgn = math.copysign(1.0, mode.beta_k) if mode.beta_k else 0.0
+    return (ModeSpec(alpha=mode.alpha, k=mode.k, theta=sgn * _SIGMA_ANGLE),
+            math.sqrt(abs(mode.beta_k) / 2) * complex(1.0, sgn))
 
 
 def sigma_grid(mode, n=600):
@@ -127,31 +125,30 @@ def sigma_grid(mode, n=600):
     protocol cannot flag them; instead r_max grows like |beta_k|^{1/4}
     so the wall floor clears the |beta_k|^{1/2} scale of the true bottom
     eigenvalue with room to spare."""
-    base = default_grid(mode, n=n)
-    r_max = 4.4 * abs(mode.beta_k) ** 0.25
-    if r_max > base.r_max:
-        return make_grid(n, r_max)
-    return base
+    return make_grid(n, max(30.0, 4.4 * abs(mode.beta_k) ** 0.25))
 
 
 def spectral_bound(mode, grid=None):
     """Sigma(alpha, k) = min Re spec of the mode operator, at lam = 0.
 
-    The lam component of the mode is ignored: the shift translates only
-    imaginary parts.  Runs the grid-doubling protocol starting from the
-    given grid (default: the mode's default grid at n = 600, with r_max
-    raised to 4.4 |beta_k|^{1/4} to keep wall artifacts above the
-    eigenvalue scale).  For beta_k != 0 Sigma is read from the rotated
-    matrix; its point spectrum matches the straight operator's, but rays
-    of rotated essential spectrum replace the straight ones.
+    The lam and theta components of the mode are ignored: the shift
+    translates only imaginary parts, and _sigma_mode fixes the angle.
+    Runs the grid-doubling protocol from the given grid (default:
+    sigma_grid at n = 600); each level runs shift-invert Arnoldi on the
+    rotated band, whose point spectrum matches the straight operator's,
+    from the asymptote on the first level and the previous eigenvalue on
+    the next.
     """
     if grid is None:
         grid = sigma_grid(mode)
+    rotated, seed = _sigma_mode(mode)
 
     def step(g, prev):
-        return (float(solver.eigenvalues(_sigma_matrix(mode, g)).values.real.min()),)
+        mu = solver.bottom_eigenvalue(operators.assemble_banded(rotated, g),
+                                      seed if prev is None else prev[1])
+        return mu.real, mu
 
-    (sig,), n, converged = _grid_doubling(grid, step, "sigma", mode)
+    (sig, _), n, converged = _grid_doubling(grid, step, "sigma", mode)
     return BoundResult(mode=mode, grid_n=n, converged=converged, sigma_bound=sig)
 
 
@@ -203,7 +200,7 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
     widened once) before the result is flagged as not converged.
     """
     if grid is None:
-        grid = default_grid(mode)
+        grid = default_grid()
     if lambda_points < 8:
         raise ValueError("lambda_points must be >= 8, got %d" % lambda_points)
     beta = mode.beta_k
@@ -357,7 +354,7 @@ def sweep_point(mode, quantity, n=600):
         res = spectral_bound(mode, grid)
         value, converged, grid_n = res.sigma_bound, res.converged, res.grid_n
     elif quantity == "psi":
-        grid = default_grid(mode, n=n)
+        grid = default_grid(n=n)
         res = pseudospectral_bound(mode, grid)
         value, converged, grid_n = res.psi_bound, res.converged, res.grid_n
         lam = res.lambda_star

@@ -115,7 +115,7 @@ def cmd_pseudo(args):
         raise UsageError("refine-tol must be in (0, 1), got %g" % args.refine_tol)
     mode = ModeSpec(alpha=args.alpha, k=args.k)
     grid = (make_grid(args.n, args.rmax) if args.rmax is not None
-            else default_grid(mode, n=args.n))
+            else default_grid(n=args.n))
     t0 = time.perf_counter()
     res = analysis.pseudospectral_bound(mode, grid,
                                         lambda_points=args.lambda_points,

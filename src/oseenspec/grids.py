@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun
-
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -43,7 +41,7 @@ def make_grid(n, r_max):
     return RadialGrid(n=n, r_max=float(r_max), h=h, nodes=nodes)
 
 
-def default_grid(mode=None, n=600):
+def default_grid(n=600):
     """Default resolution policy: n points on r_max = 30 for every mode
     (Psi is the same to 15 digits on r_max = 65 at beta_1 = 1e5)."""
     return make_grid(n, 30.0)
@@ -104,14 +102,6 @@ class ModeSpec:
         if self.beta_k == 0.0:
             return None
         return self.lam / self.beta_k
-
-    @property
-    def r_k(self):
-        """Critical radius sigma^{-1}(nu_k) when nu_k lies in (0, 1), else None."""
-        nu = self.nu_k
-        if nu is None or not (0.0 < nu < 1.0):
-            return None
-        return specfun.sigma_inverse(nu)
 
 
 @dataclass

@@ -210,7 +210,6 @@ def assemble_H_deformed(mode, grid):
     m[i[1:], i[1:] - 1] = off
     if coupling is not None:
         c, f2 = coupling
-        # keep this order: f2 * (kk * f2) moves Sigma by 0.1% at beta_2 = 1e4
         m -= c * (f2[:, None] * assemble_K(mode.k, grid).data * f2[None, :])
     np.fill_diagonal(m, m.diagonal() + pot)
     return OperatorMatrix(kind="H_deformed", grid=grid, mode=mode, data=m)

@@ -1,19 +1,16 @@
 """Linear-algebra layer: eigenvalues, singular values, Hermitian parts.
 
-Everything here is a thin, checked wrapper over LAPACK through scipy: the
-contract is the accuracy bound (backward errors at the eps level, far under
-the 1e-8 norm-relative budget the callers assume), not the algorithm.
+Everything here is a thin, checked wrapper over LAPACK and ARPACK through
+scipy: the contract is the accuracy bound (backward errors at the eps
+level, far under the 1e-8 norm-relative budget the callers assume), not
+the algorithm.
 
-Dense matrices go to the dense drivers (eig, svdvals, eigvalsh), capped at
-n = 4000.  The banded operators of operators.assemble_banded carry the
-Psi path: s_min(M - i shift) comes from one band LU of the shifted matrix
-(gttrf or gbtrf) and the inverse Lanczos iteration on
-((M - i shift)^H (M - i shift))^{-1}, the large-scale pseudospectra method
-of Wright & Trefethen (SIAM J. Sci. Comput. 23, 2001).  The inverse is
-never formed; its largest eigenvalue is 1/s_min^2, so the smallest
-singular value is read off the dominant end of the spectrum, where
-Lanczos converges fastest.  The tests hold this path to 1e-10 relative
-agreement with the dense svdvals, which stays as the oracle.
+Both bounds run on the banded operators of operators.assemble_banded, one
+band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
+shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
+& Trefethen, SIAM J. Sci. Comput. 23, 2001).  The dense drivers (eig,
+svdvals, eigvalsh, n <= 4000) stay as the tests' 1e-10 oracle and as the
+numerical-range bound's solver.
 """
 
 import math
@@ -22,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .grids import OperatorMatrix
 
@@ -36,6 +34,7 @@ class SolverError(RuntimeError):
 BANDED_KINDS = ("L1_band", "H_band")
 # stop once the largest Ritz value moves by less than this, relatively
 _LANCZOS_RTOL = 1e-14
+_ARNOLDI_COUNT = 6      # eigenvalues nearest the shift that ARPACK finds
 
 
 @dataclass
@@ -99,21 +98,19 @@ def smallest_singular_value(m, shift=0.0):
     return float(s[-1])
 
 
-def _band_lu(m, shift):
-    """One LU of the shifted band (gttrf for b = 1, gbtrf for b = 2).
-
-    Returns (b, solve) with solve(rhs, adjoint) applying (M - i shift)^{-1}
-    or its adjoint to a full-length vector.
-    """
+def _band_lu(m, z):
+    """One LU of the band shifted by the complex z (gttrf for b = 1, gbtrf
+    for b = 2); returns solve(v, adjoint), which applies the x-row block of
+    (M - z)^{-1} or of its adjoint to a length-n vector."""
     data, n = m.data, m.grid.n
     b = data.shape[0] // n
     diag = data[:, b].copy()
-    diag[::b] -= 1j * shift
+    diag[::b] -= z
     if b == 1:
         dl, d, du, du2, ipiv, info = lapack.zgttrf(data[1:, 0], diag, data[:-1, 2])
 
-        def solve(rhs, adjoint):
-            return lapack.zgttrs(dl, d, du, du2, ipiv, rhs, trans="C" if adjoint else "N")[0]
+        def solve(v, adjoint):
+            return lapack.zgttrs(dl, d, du, du2, ipiv, v, trans="C" if adjoint else "N")[0]
     else:
         # LAPACK band layout: entry (i, j) at ab[2b + i - j, j] under b spare rows
         size = data.shape[0]
@@ -127,12 +124,14 @@ def _band_lu(m, shift):
                 ab[3 * b - col, :size + off] = src[-off:]
         lu, ipiv, info = lapack.zgbtrf(ab, b, b)
 
-        def solve(rhs, adjoint):
-            return lapack.zgbtrs(lu, b, b, rhs, ipiv, trans=2 if adjoint else 0)[0]
+        def solve(v, adjoint):
+            rhs = np.zeros(size, dtype=complex)
+            rhs[::b] = v
+            return lapack.zgbtrs(lu, b, b, rhs, ipiv, trans=2 if adjoint else 0)[0][::b]
     if info != 0:
-        raise SolverError("band LU failed for %s (n=%d) at shift %g: info = %d"
-                          % (m.kind, n, shift, info))
-    return b, solve
+        raise SolverError("band LU failed for %s (n=%d) at shift %s: info = %d"
+                          % (m.kind, n, z, info))
+    return solve
 
 
 def _top_ritz_value(alpha, beta):
@@ -158,18 +157,15 @@ def _banded_smin(m, shift):
     and in 7 to 10 steps near the resolvent peak.
     """
     n = m.grid.n
-    b, solve = _band_lu(m, shift)
-    rhs = np.zeros(b * n, dtype=complex)
+    solve = _band_lu(m, 1j * shift)
     q = np.random.default_rng(0).standard_normal(n) + 0j
     basis = np.empty((min(n, 32), n), dtype=complex)
     basis[0] = q / np.linalg.norm(q)
     alpha, beta = [], []
     prev = 0.0
     for j in range(n):
-        rhs[::b] = basis[j]
-        x = solve(rhs, False)[::b]
-        rhs[::b] = x
-        z = solve(rhs, True)[::b]
+        x = solve(basis[j], False)
+        z = solve(x, True)
         alpha.append(float(np.vdot(x, x).real))
         theta = alpha[0] if j == 0 else _top_ritz_value(alpha, beta)
         if abs(theta - prev) <= _LANCZOS_RTOL * theta or j == n - 1:
@@ -185,6 +181,24 @@ def _banded_smin(m, shift):
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
         basis[j + 1] = z / beta[-1]
     return 1.0 / math.sqrt(theta)
+
+
+def bottom_eigenvalue(m, shift):
+    """Eigenvalue with the smallest real part among the _ARNOLDI_COUNT
+    eigenvalues of a banded operator nearest the complex shift: ARPACK's
+    dominant eigenvalues mu of (M - shift)^{-1}, applied through one band
+    LU from a fixed start vector, give shift + 1/mu."""
+    if not (isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS):
+        raise ValueError("bottom_eigenvalue needs a banded operator")
+    n = m.grid.n
+    solve = _band_lu(m, shift)
+    inverse = LinearOperator((n, n), matvec=lambda v: solve(v, False), dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n) + 0j
+    try:
+        mu = eigs(inverse, k=_ARNOLDI_COUNT, v0=v0, return_eigenvectors=False)
+    except ArpackError as exc:
+        raise SolverError("Arnoldi failed for %s (n=%d): %s" % (m.kind, n, exc)) from exc
+    return complex(min(shift + 1.0 / mu, key=lambda v: v.real))
 
 
 def hermitian_part_min_eig(m):

@@ -101,10 +101,44 @@ def test_psi_past_the_dense_cap():
     # base grid n = 4800 (levels 4800 and 9600) runs on the banded path,
     # which has no size cap; the dense oracle keeps n <= 4000
     mode = ModeSpec(alpha=EIGHT_PI * 1e2, k=1)
-    res = analysis.pseudospectral_bound(mode, default_grid(mode, n=4800))
+    res = analysis.pseudospectral_bound(mode, default_grid(n=4800))
     ref = golden_value("psi", EIGHT_PI * 1e2, 1)
     assert res.converged and res.grid_n >= 4800
     assert abs(res.psi_bound - ref) / ref < 1e-2
+
+
+def test_sigma_past_the_old_dense_cap():
+    # base grid n = 4800 (levels 4800 and 9600), past the n = 4000 cap of
+    # the dense eigensolver the Sigma path used to run on
+    mode = ModeSpec(alpha=EIGHT_PI * 1e3, k=1)
+    res = analysis.spectral_bound(mode, analysis.sigma_grid(mode, n=4800))
+    ref = golden_value("sigma", EIGHT_PI * 1e3, 1)
+    assert res.converged and res.grid_n >= 4800
+    assert abs(res.sigma_bound - ref) / ref < 1e-2
+
+
+def test_sigma_never_calls_the_dense_eigensolver(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the Sigma path reached the dense oracle")
+
+    monkeypatch.setattr(solver, "eigenvalues", dense)
+    monkeypatch.setattr(operators, "assemble_H_deformed", dense)
+    for k in (1, 2):
+        assert analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e3, k=k)).converged
+
+
+@pytest.mark.parametrize("k,beta_k", [(1, 1e5), (2, 5e4)])
+def test_sigma_is_not_a_wall_mode(k, beta_k):
+    # wall eigenvalues sit near cos(2 theta) r_max^2 / 16 and are stable
+    # under n-doubling; at the same h, an interval 1.5x longer moves them
+    # but must leave Sigma where it is
+    mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
+    grid = analysis.sigma_grid(mode)
+    near = analysis.spectral_bound(mode, grid)
+    far = analysis.spectral_bound(mode, make_grid(grid.n * 3 // 2, 1.5 * grid.r_max))
+    assert near.converged and far.converged
+    assert far.grid_n == near.grid_n * 3 // 2
+    assert abs(near.sigma_bound - far.sigma_bound) < 1e-9 * far.sigma_bound
 
 
 def test_psi_independent_of_r_max():

@@ -75,10 +75,8 @@ def test_mode_spec_derived_quantities():
     m = ModeSpec(alpha=8 * math.pi * 100, k=2)
     assert_allclose(m.beta_k, 200.0)
     assert m.nu_k == 0.0
-    assert m.r_k is None
     m = ModeSpec(alpha=8 * math.pi, k=1, lam=0.5)
     assert_allclose(m.nu_k, 0.5)
-    assert_allclose(sf.sigma(m.r_k), 0.5, atol=1e-12)
     assert ModeSpec(alpha=0.0, k=3).nu_k is None
 
 

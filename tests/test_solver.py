@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from oseenspec import analysis, operators, solver
 from oseenspec.grids import ModeSpec, OperatorMatrix, default_grid, make_grid
@@ -117,7 +118,7 @@ ORACLE_MODES = [(1, 1.0), (1, -1.0), (-1, -1.0), (2, 1.0), (2, -1.0), (3, -1.0)]
 @pytest.mark.parametrize("k,sign", ORACLE_MODES)
 def test_banded_smin_matches_dense_svd(n, k, sign):
     mode = ModeSpec(alpha=sign * 8 * math.pi * 1e3 / abs(k), k=k)
-    grid = default_grid(mode, n=n)
+    grid = default_grid(n=n)
     band = operators.assemble_banded(mode, grid)
     dense = (operators.assemble_L1 if abs(k) == 1 else operators.assemble_H)(mode, grid)
     lam_star = analysis.pseudospectral_bound(mode, grid).lambda_star
@@ -139,6 +140,37 @@ def test_dilated_banded_smin_matches_dense_svd(k, sign):
         ref = solver.smallest_singular_value(dense, lam)
         got = solver.smallest_singular_value(band, lam)
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
+
+
+# Sigma's first level, banded from its seeded shift, against the dense eig
+# of the same rotated operator on the same grid: every oracle mode at n = 300
+# across beta_k = 0..1e5, and the two widest cases at n = 1200
+SIGMA_CASES = [(k, sign, beta, 300) for k, sign in ORACLE_MODES
+               for beta in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5)]
+SIGMA_CASES += [(1, 1.0, 1e5, 1200), (2, -1.0, 1e4, 1200)]
+
+
+@pytest.mark.parametrize("k,sign,beta,n", SIGMA_CASES)
+def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
+    mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
+    rotated, seed = analysis._sigma_mode(mode)
+    grid = analysis.sigma_grid(mode, n=n)
+    got = solver.bottom_eigenvalue(operators.assemble_banded(rotated, grid), seed).real
+    ref = solver.eigenvalues(operators.assemble_H_deformed(rotated, grid)).values
+    assert abs(got - ref.real.min()) <= 1e-10 * ref.real.min(), (got, ref.real.min())
+
+
+def test_bottom_eigenvalue_errors(monkeypatch):
+    with pytest.raises(ValueError):
+        solver.bottom_eigenvalue(np.eye(20, dtype=complex), 0.0)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty(0))
+
+    monkeypatch.setattr(solver, "eigs", no_convergence)
+    band = operators.assemble_banded(ModeSpec(alpha=8 * math.pi, k=1), make_grid(32, 10.0))
+    with pytest.raises(solver.SolverError):
+        solver.bottom_eigenvalue(band, 1.0)
 
 
 def test_banded_smin_exact_singularity_raises():
