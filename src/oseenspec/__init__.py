@@ -13,14 +13,13 @@ from .analysis import (
     spectral_bound,
 )
 from .grids import Field, ModeSpec, RadialGrid, default_grid, make_grid, quadrature
-from .solver import EigenResult, SolverError
+from .solver import SolverError
 from .specfun import PoleError
 from .verify import CheckReport, VerifyConfig, run_all, run_check
 
 __all__ = [
     "BoundResult",
     "CheckReport",
-    "EigenResult",
     "Field",
     "FitResult",
     "ModeSpec",

@@ -118,7 +118,7 @@ def _sigma_mode(mode):
 
 
 def sigma_grid(mode, n=600):
-    """Grid for the spectral-bound and numerical-range paths.
+    """Grid for the banded spectral-bound and numerical-range paths.
 
     Truncating at r_max plants wall eigenvalues with real part near
     cos(2 theta) r_max^2 / 16.  They converge under n-doubling, so the
@@ -262,7 +262,7 @@ def quasimode_shift(beta_1):
     """(r1, lam): the quasimode's centre r1 = |beta_1|^{1/6} and shift
     lam = beta_1 sigma(r1); ValueError below |beta_1| = 27/8."""
     if abs(beta_1) < QUASIMODE_MIN_BETA:
-        raise ValueError("quasimode needs |beta_1| >= 27/8")
+        raise ValueError("quasimode needs |beta_1| = |alpha|/(8 pi) >= 27/8")
     r1 = abs(beta_1) ** (1.0 / 6.0)
     return r1, beta_1 * specfun.sigma(r1)
 
@@ -329,13 +329,14 @@ def numerical_range_bound(mode, grid=None):
     Uses the analytic-dilation angle theta = sgn(beta_k) pi/12 for
     |k| = 1 and sgn(beta_k) pi/24 otherwise (the mode's own theta wins if
     nonzero) and returns the smallest eigenvalue of the Hermitian part,
-    which lower-bounds the numerical range and hence the spectrum.
+    which lower-bounds the numerical range and hence the spectrum, read
+    from the band form of the rotated operator.
     """
     if grid is None:
         grid = sigma_grid(mode)
     tilted = ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0,
                       theta=_dilation_angle(mode))
-    return solver.hermitian_part_min_eig(operators.assemble_H_deformed(tilted, grid))
+    return solver.hermitian_part_min_eig(operators.assemble_banded(tilted, grid))
 
 
 def sweep_point(mode, quantity, n=600):

@@ -15,8 +15,8 @@ not pass, 2 on usage errors.
 """
 
 import argparse
+import contextlib
 import json
-import math
 import sys
 import time
 
@@ -80,24 +80,27 @@ def _meta(**extra):
     return meta
 
 
-def _check_common(args):
-    if not math.isfinite(args.alpha):
-        raise UsageError("alpha must be finite, got %r" % args.alpha)
+@contextlib.contextmanager
+def _inputs(args, *flags):
+    """Around the building of a command's ModeSpecs and grid, before any
+    solve: after the CLI-only k >= 1 check, the ValueError of an
+    inadmissible value (ModeSpec, make_grid, check_fit_alphas) becomes a
+    usage error naming the flags as given."""
     if getattr(args, "k", 1) < 1:
         raise UsageError("k must be >= 1, got %d" % args.k)
-    n = getattr(args, "n", None)
-    if n is not None and n < 16:
-        raise UsageError("n must be >= 16, got %d" % n)
-    rmax = getattr(args, "rmax", None)
-    if rmax is not None and not (math.isfinite(rmax) and rmax >= 10):
-        raise UsageError("rmax must be >= 10, got %r" % rmax)
+    try:
+        yield
+    except ValueError as exc:
+        given = " ".join("--%s %s" % (flag, getattr(args, flag)) for flag in flags
+                         if getattr(args, flag) is not None)
+        raise UsageError("%s: %s" % (given, exc)) from None
 
 
 def cmd_spectrum(args):
-    _check_common(args)
-    mode = ModeSpec(alpha=args.alpha, k=args.k)
-    grid = (make_grid(args.n, args.rmax) if args.rmax is not None
-            else analysis.sigma_grid(mode, n=args.n))
+    with _inputs(args, "alpha", "n", "rmax"):
+        mode = ModeSpec(alpha=args.alpha, k=args.k)
+        grid = (make_grid(args.n, args.rmax) if args.rmax is not None
+                else analysis.sigma_grid(mode, n=args.n))
     t0 = time.perf_counter()
     res = analysis.spectral_bound(mode, grid)
     ms = round(1000 * (time.perf_counter() - t0))
@@ -108,14 +111,14 @@ def cmd_spectrum(args):
 
 
 def cmd_pseudo(args):
-    _check_common(args)
     if args.lambda_points < 8:
         raise UsageError("lambda-points must be >= 8, got %d" % args.lambda_points)
     if not (0 < args.refine_tol < 1):
         raise UsageError("refine-tol must be in (0, 1), got %g" % args.refine_tol)
-    mode = ModeSpec(alpha=args.alpha, k=args.k)
-    grid = (make_grid(args.n, args.rmax) if args.rmax is not None
-            else default_grid(n=args.n))
+    with _inputs(args, "alpha", "n", "rmax"):
+        mode = ModeSpec(alpha=args.alpha, k=args.k)
+        grid = (make_grid(args.n, args.rmax) if args.rmax is not None
+                else default_grid(n=args.n))
     t0 = time.perf_counter()
     res = analysis.pseudospectral_bound(mode, grid,
                                         lambda_points=args.lambda_points,
@@ -134,27 +137,19 @@ def cmd_sweep(args):
         raise UsageError("bad --alphas list: %s" % exc) from None
     if not alphas:
         raise UsageError("--alphas is empty")
-    for alpha in alphas:
-        if not math.isfinite(alpha):
-            raise UsageError("alpha must be finite, got %r" % alpha)
-    if args.k < 1:
-        raise UsageError("k must be >= 1, got %d" % args.k)
-    if args.n < 16:
-        raise UsageError("n must be >= 16, got %d" % args.n)
-    if args.fit:
-        try:
+    with _inputs(args, "alphas", "n"):
+        modes = [ModeSpec(alpha=alpha, k=args.k) for alpha in alphas]
+        default_grid(n=args.n)      # every quantity's grid has n points, r_max >= 30
+        if args.fit:
             analysis.check_fit_alphas(alphas)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     # points run one after another, so each elapsed_ms is the point's own time
     points, rows = [], []
-    for alpha in alphas:
+    for mode in modes:
         t0 = time.perf_counter()
-        pt = analysis.sweep_point(ModeSpec(alpha=alpha, k=args.k),
-                                  args.quantity, n=args.n)
+        pt = analysis.sweep_point(mode, args.quantity, n=args.n)
         ms = round(1000 * (time.perf_counter() - t0))
         points.append(pt)
-        rows.append(_row(alpha, args.k, pt.grid_n, pt.r_max, args.quantity,
+        rows.append(_row(mode.alpha, args.k, pt.grid_n, pt.r_max, args.quantity,
                          pt.value, pt.lambda_star, pt.converged, ms))
     fit = None
     if args.fit:
@@ -169,14 +164,10 @@ def cmd_sweep(args):
 
 
 def cmd_quasimode(args):
-    _check_common(args)
-    beta_1 = args.alpha / (8.0 * math.pi)
-    try:
+    with _inputs(args, "alpha", "n", "rmax"):
+        beta_1 = ModeSpec(alpha=args.alpha, k=1).beta_k
         r1, lam = analysis.quasimode_shift(beta_1)
-    except ValueError:
-        raise UsageError("quasimode needs |alpha| >= (27/8) 8 pi "
-                         "(|beta_1| >= 27/8), got alpha = %g" % args.alpha) from None
-    grid = analysis.quasimode_grid(beta_1, n=args.n, r_max=args.rmax)
+        grid = analysis.quasimode_grid(beta_1, n=args.n, r_max=args.rmax)
     t0 = time.perf_counter()
     v, ratio = analysis.quasimode(beta_1, grid)
     ms = round(1000 * (time.perf_counter() - t0))

@@ -5,12 +5,14 @@ scipy: the contract is the accuracy bound (backward errors at the eps
 level, far under the 1e-8 norm-relative budget the callers assume), not
 the algorithm.
 
-Both bounds run on the banded operators of operators.assemble_banded, one
+Every bound runs on the banded operators of operators.assemble_banded, one
 band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
 shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
-& Trefethen, SIAM J. Sci. Comput. 23, 2001).  The dense drivers (eig,
-svdvals, eigvalsh, n <= 4000) stay as the tests' 1e-10 oracle and as the
-numerical-range bound's solver.
+& Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range
+bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
+|k| >= 2 by the same Arnoldi on a 3n pencil.  The dense routines (eig,
+svdvals, eigvalsh, n <= 4000) stay only as the tests' and the
+benchmark's 1e-10 oracle.
 """
 
 import math
@@ -28,9 +30,9 @@ class SolverError(RuntimeError):
     """An eigenvalue or singular-value iteration or a band factorization failed."""
 
 
-# kinds of operators.assemble_banded: data has b n rows (b = 1 or 2) and
-# 2b + 1 diagonals, and the shift and the singular value act on rows
-# 0, b, 2b, ...
+# kinds of operators.assemble_banded: data has b n rows (b = 1 or 2, and 3
+# for the pencil of _hermitian_pencil) and 2b + 1 diagonals, and the shift
+# and the singular value act on rows 0, b, 2b, ...
 BANDED_KINDS = ("L1_band", "H_band")
 # stop once the largest Ritz value moves by less than this, relatively
 _LANCZOS_RTOL = 1e-14
@@ -100,7 +102,7 @@ def smallest_singular_value(m, shift=0.0):
 
 def _band_lu(m, z):
     """One LU of the band shifted by the complex z (gttrf for b = 1, gbtrf
-    for b = 2); returns solve(v, adjoint), which applies the x-row block of
+    otherwise); returns solve(v, adjoint), which applies the x-row block of
     (M - z)^{-1} or of its adjoint to a length-n vector."""
     data, n = m.data, m.grid.n
     b = data.shape[0] // n
@@ -134,14 +136,14 @@ def _band_lu(m, z):
     return solve
 
 
-def _top_ritz_value(alpha, beta):
-    """Largest eigenvalue of the Lanczos tridiagonal, by LAPACK bisection
-    (stebz, the driver eigvalsh_tridiagonal calls, without its checks)."""
-    j = len(alpha)
-    _, ritz, _, _, info = lapack.dstebz(alpha, beta, 2, 0.0, 0.0, j, j, 0.0, "E")
+def _tridiagonal_eigenvalue(diag, off, index):
+    """The index-th smallest (from 1) eigenvalue of a real symmetric
+    tridiagonal, by LAPACK bisection (stebz, the routine
+    eigvalsh_tridiagonal calls, without its checks)."""
+    _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
     if info != 0:
-        raise SolverError("Ritz value bisection failed: info = %d" % info)
-    return float(ritz[0])
+        raise SolverError("tridiagonal bisection failed: info = %d" % info)
+    return float(vals[0])
 
 
 def _banded_smin(m, shift):
@@ -167,7 +169,7 @@ def _banded_smin(m, shift):
         x = solve(basis[j], False)
         z = solve(x, True)
         alpha.append(float(np.vdot(x, x).real))
-        theta = alpha[0] if j == 0 else _top_ritz_value(alpha, beta)
+        theta = alpha[0] if j == 0 else _tridiagonal_eigenvalue(alpha, beta, j + 1)
         if abs(theta - prev) <= _LANCZOS_RTOL * theta or j == n - 1:
             break
         prev = theta
@@ -201,8 +203,34 @@ def bottom_eigenvalue(m, shift):
     return complex(min(shift + 1.0 / mu, key=lambda v: v.real))
 
 
+def _hermitian_pencil(m):
+    """(M + M^H)/2 of an H_band operator as a 3n pencil of the same kind,
+    rows and columns interleaved (x_i, y_i, w_i), data of shape (3n, 7):
+    x rows hold the tridiagonal (Re diag, Re off) and -c F2/2 to y_i,
+    -conj(c F2)/2 to w_i; y rows are M's y rows [koff, -F2, kdiag, koff],
+    w rows the same with conj(F2).  Eliminating y and w leaves
+    Re(stencil + potential) - (c F2 K F2 + conj(c F2) K conj(F2))/2."""
+    x, y = m.data[0::2], m.data[1::2]
+    data = np.zeros((3 * m.grid.n, 7), dtype=complex)
+    hx, hy, hw = data[0::3], data[1::3], data[2::3]
+    hx[:, 0], hx[:, 3], hx[:, 6] = x[:, 0].real, x[:, 2].real, x[:, 4].real
+    hx[:, 4], hx[:, 5] = x[:, 3] / 2, x[:, 3].conj() / 2
+    hy[:, 0], hy[:, 2], hy[:, 3], hy[:, 6] = y[:, 0], y[:, 1], y[:, 2], y[:, 4]
+    hw[:, 0], hw[:, 1], hw[:, 3], hw[:, 6] = y[:, 0], y[:, 1].conj(), y[:, 2], y[:, 4]
+    return OperatorMatrix(kind=m.kind, grid=m.grid, mode=m.mode, data=data)
+
+
 def hermitian_part_min_eig(m):
-    """Smallest eigenvalue of (M + M^H)/2; a lower bound for min Re spec(M)."""
+    """Smallest eigenvalue of (M + M^H)/2; a lower bound for min Re spec(M).
+
+    A band's stencil is complex symmetric, so its x-row tridiagonal has
+    Hermitian part (Re diag, Re off), whose bottom (by bisection) is the
+    answer for L1_band and seeds bottom_eigenvalue on _hermitian_pencil
+    for H_band.  Dense input, the tests' oracle, goes through eigvalsh."""
+    if isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS:
+        b = m.data.shape[0] // m.grid.n
+        low = _tridiagonal_eigenvalue(m.data[::b, b].real, m.data[:-b:b, 2 * b].real, 1)
+        return low if b == 1 else bottom_eigenvalue(_hermitian_pencil(m), low).real
     a, _ = _as_matrix(m)
     herm = (a + a.conj().T) / 2
     return float(sla.eigvalsh(herm, subset_by_index=(0, 0))[0])

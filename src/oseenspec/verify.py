@@ -381,9 +381,9 @@ def _check_deform_theta_invariance(config):
     for k in (1, 2):
         eigs = []
         for th in (math.pi / 24, math.pi / 16):
-            mode = ModeSpec(alpha=100.0, k=k, theta=math.copysign(th, 1.0))
-            res = solver.eigenvalues(operators.assemble_H_deformed(mode, grid))
-            eigs.append(res.values[np.argmin(res.values.real)])
+            mode = ModeSpec(alpha=100.0, k=k, theta=th)
+            seed = math.sqrt(abs(mode.beta_k) / 2) * (1 + 1j)
+            eigs.append(solver.bottom_eigenvalue(operators.assemble_banded(mode, grid), seed))
         worst = max(worst, abs(eigs[0] - eigs[1]) / abs(eigs[0]))
     return _report("deform.thetaInvariance", worst, 1e-2, 2)
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from oseenspec import analysis, operators, solver, specfun
+from oseenspec import analysis, operators, solver, specfun, verify
 from oseenspec.grids import Field, ModeSpec, default_grid, make_grid, quadrature
 
 EIGHT_PI = 8 * math.pi
@@ -125,6 +125,18 @@ def test_sigma_never_calls_the_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(operators, "assemble_H_deformed", dense)
     for k in (1, 2):
         assert analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e3, k=k)).converged
+
+
+def test_range_and_verify_never_call_the_dense_eigensolver(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the range path or verify reached the dense oracle")
+
+    monkeypatch.setattr(solver, "eigenvalues", dense)
+    monkeypatch.setattr(operators, "assemble_H_deformed", dense)
+    for k in (1, 2):
+        pt = analysis.sweep_point(ModeSpec(alpha=EIGHT_PI * 1e3, k=k), "range", n=300)
+        assert pt.converged and pt.value > 0
+    assert verify.run_check("deform.thetaInvariance").passed
 
 
 @pytest.mark.parametrize("k,beta_k", [(1, 1e5), (2, 5e4)])

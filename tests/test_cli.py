@@ -237,3 +237,18 @@ def test_domain_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "quasimode", "--alpha", repr(EIGHT_PI * 1e3),
                            "--n", "120", "--rmax", "12")
     assert code == 1 and "too coarse" in err
+
+
+def test_inadmissible_inputs_exit_two_before_solving(capsys, monkeypatch):
+    # ModeSpec and make_grid reject these while the command is set up
+    def no_solve(*args, **kwargs):
+        pytest.fail("a solve ran before the inputs were checked")
+
+    monkeypatch.setattr(analysis, "quasimode", no_solve)
+    monkeypatch.setattr(analysis, "sweep_point", no_solve)
+    code, _, err = run_cli(capsys, "quasimode", "--alpha", repr(EIGHT_PI * 1e3),
+                           "--n", "8")
+    assert code == 2 and "--n 8" in err
+    code, _, err = run_cli(capsys, "sweep", "--alphas", "1e3,nan,1e4,1e5",
+                           "--quantity", "range")
+    assert code == 2 and "alpha must be finite" in err

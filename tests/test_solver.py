@@ -160,6 +160,37 @@ def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
     assert abs(got - ref.real.min()) <= 1e-10 * ref.real.min(), (got, ref.real.min())
 
 
+# the numerical-range bound on the band against dense eigvalsh of the same
+# tilted operator on the same grid: the oracle modes and (5, +) across
+# beta_k = 0..1e5 at n = 300, and the widest k = 1, 2 cases at n = 1200
+RANGE_CASES = [(k, sign, beta, 300) for k, sign in ORACLE_MODES + [(5, 1.0)]
+               for beta in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5)]
+RANGE_CASES += [(1, 1.0, 1e5, 1200), (2, 1.0, 1e5, 1200)]
+
+
+@pytest.mark.parametrize("k,sign,beta,n", RANGE_CASES)
+def test_banded_range_matches_dense_eigvalsh(k, sign, beta, n):
+    mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
+    grid = analysis.sigma_grid(mode, n=n)
+    got = analysis.numerical_range_bound(mode, grid)
+    tilted = ModeSpec(alpha=mode.alpha, k=k, theta=analysis._dilation_angle(mode))
+    ref = solver.hermitian_part_min_eig(operators.assemble_H_deformed(tilted, grid))
+    assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("theta", [math.pi / 24, math.pi / 16])
+def test_theta_invariance_eigenvalues_match_dense_eig(k, theta):
+    # the four bottom eigenvalues that verify's deform.thetaInvariance compares
+    mode = ModeSpec(alpha=100.0, k=k, theta=theta)
+    grid = make_grid(600, 30.0)
+    seed = math.sqrt(abs(mode.beta_k) / 2) * (1 + 1j)
+    got = solver.bottom_eigenvalue(operators.assemble_banded(mode, grid), seed)
+    ref = solver.eigenvalues(operators.assemble_H_deformed(mode, grid)).values
+    ref = ref[np.argmin(ref.real)]
+    assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+
 def test_bottom_eigenvalue_errors(monkeypatch):
     with pytest.raises(ValueError):
         solver.bottom_eigenvalue(np.eye(20, dtype=complex), 0.0)
