@@ -28,7 +28,10 @@ beta_k [-0.2, 1.2] covers it with margin on both sides.  Psi is a
 property of the straight operator (rotation does not preserve resolvent
 norms), so that path stays unrotated; it runs on the banded form of the
 straight operator, assembled once per grid level, where each shift costs
-one O(n) band LU.
+one O(n) band LU.  The scan only locates the peak, so its shifts run
+through solver.scan_smin, warm-started and loose; the golden-section
+refinement measures with smallest_singular_value, cold to 1e-14, so the
+reported Psi and lambda* do not depend on the scan's tolerance.
 """
 
 import logging
@@ -171,10 +174,12 @@ def _golden_min(fn, a, b, reltol=1e-3):
 
 
 def _scan_psi(matrix, beta, lo, hi, npts, reltol=1e-3):
-    """Scan s_min(M - i lam) over npts shifts in beta*[lo, hi]; refine the
-    best three interior local minima by golden section."""
+    """Scan s_min(M - i lam) over npts shifts in beta*[lo, hi] with
+    solver.scan_smin; refine the best three interior local minima by
+    golden section on smallest_singular_value.  The scan's values only
+    pick the brackets, so what is returned is measured to 1e-14."""
     lams = beta * np.linspace(lo, hi, npts)
-    vals = np.array([solver.smallest_singular_value(matrix, lam) for lam in lams])
+    vals = solver.scan_smin(matrix, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if inner.size == 0:
         return None
@@ -194,15 +199,19 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
     lam = 0 (distance to the real spectrum).  Otherwise a lambda_points
     scan over beta_k [-0.2, 1.2] locates the resolvent peak and
-    golden-section refines it to relative refine_tol.  Refined levels
-    first rescan 9 shifts around the coarser level's minimizer.  Where a
-    scan finds no interior minimum the next one runs (full window, then
-    widened once) before the result is flagged as not converged.
+    golden-section refines it to relative refine_tol, in (0, 1).  Refined
+    levels first rescan 9 shifts around the coarser level's minimizer.
+    Where a scan finds no interior minimum the next one runs (full
+    window, then widened once) before the result is flagged as not
+    converged.  Scans use solver.scan_smin, which only locates; every
+    value returned is measured by smallest_singular_value.
     """
     if grid is None:
         grid = default_grid()
     if lambda_points < 8:
         raise ValueError("lambda_points must be >= 8, got %d" % lambda_points)
+    if not 0.0 < refine_tol < 1.0:
+        raise ValueError("refine_tol must lie in (0, 1), got %r" % (refine_tol,))
     beta = mode.beta_k
     if beta == 0.0:
         res = spectral_bound(mode, grid)

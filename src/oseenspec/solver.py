@@ -10,9 +10,13 @@ band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
 shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
 & Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range
 bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
-|k| >= 2 by the same Arnoldi on a 3n pencil.  The dense routines (eig,
-svdvals, eigvalsh, n <= 4000) stay only as the tests' and the
-benchmark's 1e-10 oracle.
+|k| >= 2 by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures
+a shift cold, from a fixed start vector, to relative 1e-14; along the
+shifts of a Psi scan, which only locate minima, scan_smin starts each
+shift from the previous one's top Ritz vector and stops at 1e-7 (the
+continuation of Trefethen & Embree, Spectra and Pseudospectra, 2005).
+The dense routines (eig, svdvals, eigvalsh, n <= 4000) stay only as the
+tests' and the benchmark's 1e-10 oracle.
 """
 
 import math
@@ -34,8 +38,13 @@ class SolverError(RuntimeError):
 # for the pencil of _hermitian_pencil) and 2b + 1 diagonals, and the shift
 # and the singular value act on rows 0, b, 2b, ...
 BANDED_KINDS = ("L1_band", "H_band")
-# stop once the largest Ritz value moves by less than this, relatively
+# stop once the largest Ritz value moves by less than this, relatively:
+# measured values, and the warm-started scan's, which only pick the
+# brackets golden section refines.  A warm start stalls in the clustered
+# edge shifts, where the error runs to 50 times the last change (5e-5 at
+# 1e-6); 1e-7 keeps it under 4e-6.
 _LANCZOS_RTOL = 1e-14
+_SCAN_RTOL = 1e-7
 _ARNOLDI_COUNT = 6      # eigenvalues nearest the shift that ARPACK finds
 
 
@@ -146,21 +155,30 @@ def _tridiagonal_eigenvalue(diag, off, index):
     return float(vals[0])
 
 
-def _banded_smin(m, shift):
+def _start_vector(n):
+    """The fixed start vector of the Lanczos and Arnoldi iterations."""
+    return np.random.default_rng(0).standard_normal(n) + 0j
+
+
+def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL):
     """Inverse Lanczos: Hermitian Lanczos with full reorthogonalization on
-    X^H X, X the x-row block of (M - i shift)^{-1}, from a fixed start
-    vector.  Stops when the largest Ritz value theta changes by less than
-    relative 1e-14 (or the Krylov space is exhausted) and returns
-    theta^{-1/2}.
+    X^H X, X the x-row block of (M - i shift)^{-1}, from start (default:
+    the fixed start vector).  Stops when the largest Ritz value theta
+    changes by less than relative rtol (or the Krylov space is exhausted)
+    and returns theta^{-1/2}; given a start, returns (theta^{-1/2}, top
+    Ritz vector), the start for a nearby shift.
 
     Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
     which is 0.998 at the scan's edge shifts, where the bottom singular
-    values cluster; Lanczos reaches 1e-14 there in about 30 to 260 steps,
-    and in 7 to 10 steps near the resolvent peak.
+    values cluster.  From the fixed start, Lanczos reaches the default
+    1e-14 there in about 30 to 260 steps, and in 7 to 10 steps near the
+    resolvent peak; that cold call measures every reported value.  The
+    scan's shifts only locate minima, so scan_smin runs them to 1e-7,
+    each warm-started from the previous shift's Ritz vector.
     """
     n = m.grid.n
     solve = _band_lu(m, 1j * shift)
-    q = np.random.default_rng(0).standard_normal(n) + 0j
+    q = _start_vector(n) if start is None else start
     basis = np.empty((min(n, 32), n), dtype=complex)
     basis[0] = q / np.linalg.norm(q)
     alpha, beta = [], []
@@ -170,7 +188,7 @@ def _banded_smin(m, shift):
         z = solve(x, True)
         alpha.append(float(np.vdot(x, x).real))
         theta = alpha[0] if j == 0 else _tridiagonal_eigenvalue(alpha, beta, j + 1)
-        if abs(theta - prev) <= _LANCZOS_RTOL * theta or j == n - 1:
+        if abs(theta - prev) <= rtol * theta or j == n - 1:
             break
         prev = theta
         q = basis[:j + 1]
@@ -182,7 +200,29 @@ def _banded_smin(m, shift):
         if j + 1 == basis.shape[0]:
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
         basis[j + 1] = z / beta[-1]
-    return 1.0 / math.sqrt(theta)
+    smin = 1.0 / math.sqrt(theta)
+    if start is None:
+        return smin
+    size = len(alpha)
+    _, y = sla.eigh_tridiagonal(alpha, beta[:size - 1], select="i",
+                                select_range=(size - 1, size - 1))
+    return smin, y[:, 0] @ basis[:size]
+
+
+def scan_smin(m, shifts):
+    """s_min(M - i shift) of a banded operator at each shift in turn, to
+    locate minima, not to measure them: the inverse Lanczos of
+    smallest_singular_value stopped at relative change _SCAN_RTOL, each
+    shift started from the previous shift's top Ritz vector and the first
+    from the fixed start vector.  Values lie within about 4e-6 relative
+    of smallest_singular_value's (the tests hold 1e-5)."""
+    if not (isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS):
+        raise ValueError("scan_smin needs a banded operator")
+    start = _start_vector(m.grid.n)
+    vals = np.empty(len(shifts))
+    for i, shift in enumerate(shifts):
+        vals[i], start = _banded_smin(m, shift, start=start, rtol=_SCAN_RTOL)
+    return vals
 
 
 def bottom_eigenvalue(m, shift):
@@ -195,9 +235,8 @@ def bottom_eigenvalue(m, shift):
     n = m.grid.n
     solve = _band_lu(m, shift)
     inverse = LinearOperator((n, n), matvec=lambda v: solve(v, False), dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(n) + 0j
     try:
-        mu = eigs(inverse, k=_ARNOLDI_COUNT, v0=v0, return_eigenvectors=False)
+        mu = eigs(inverse, k=_ARNOLDI_COUNT, v0=_start_vector(n), return_eigenvectors=False)
     except ArpackError as exc:
         raise SolverError("Arnoldi failed for %s (n=%d): %s" % (m.kind, n, exc)) from exc
     return complex(min(shift + 1.0 / mu, key=lambda v: v.real))

@@ -205,6 +205,30 @@ def test_psi_rejects_tiny_scan():
                                       lambda_points=4)
 
 
+@pytest.mark.parametrize("refine_tol", [0.0, -1e-3, 1.0, float("nan")])
+def test_psi_rejects_bad_refine_tol(refine_tol):
+    # golden section on (b - a) > refine_tol * scale never ends at 0 or below
+    with pytest.raises(ValueError):
+        analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 10, k=1),
+                                      refine_tol=refine_tol)
+
+
+@pytest.mark.parametrize("k,beta_k", [(1, 3.0), (1, 1e2), (1, -1e5), (-1, 1e3),
+                                      (2, 1e4), (2, -1e3), (3, 1e5), (-3, -1e2),
+                                      (5, 3e4)])
+def test_psi_reported_values_do_not_depend_on_the_scan(monkeypatch, k, beta_k):
+    # the scan only picks brackets: a scan measured cold at 1e-14, shift by
+    # shift, reports the same Psi, lambda*, n and flag to the last bit
+    mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
+    grid = default_grid(n=300)
+    got = analysis.pseudospectral_bound(mode, grid)
+    monkeypatch.setattr(solver, "scan_smin", lambda m, shifts: np.array(
+        [solver.smallest_singular_value(m, lam) for lam in shifts]))
+    ref = analysis.pseudospectral_bound(mode, grid)
+    assert ((got.psi_bound, got.lambda_star, got.grid_n, got.converged)
+            == (ref.psi_bound, ref.lambda_star, ref.grid_n, ref.converged))
+
+
 def test_combined_bounds_at_zero_alpha():
     # minimum over k sits at k = 2 (value 1.0, against 1.5 at k = 1 and 3);
     # higher k only grow, so k_max = 3 already exhibits the attainment

@@ -128,6 +128,34 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
 
+def _interior_minima(vals):
+    # the scan minima of analysis._scan_psi, best first
+    inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    return inner[np.argsort(vals[inner])].tolist()
+
+
+# the warm-started scan against the cold 1e-14 call at every shift of the
+# first level's full 64-shift window: the oracle modes across beta_k = 1e2..1e5
+SCAN_CASES = [(k, sign, beta, n) for k, sign in ORACLE_MODES
+              for beta in (1e2, 1e3, 1e4, 1e5) for n in (300, 600)]
+
+
+@pytest.mark.parametrize("k,sign,beta,n", SCAN_CASES)
+def test_scan_smin_matches_cold_smin(k, sign, beta, n):
+    mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
+    band = operators.assemble_banded(mode, default_grid(n=n))
+    lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
+    got = solver.scan_smin(band, lams)
+    ref = np.array([solver.smallest_singular_value(band, lam) for lam in lams])
+    assert_allclose(got, ref, rtol=1e-5, atol=0)
+    assert _interior_minima(got) == _interior_minima(ref)
+
+
+def test_scan_smin_needs_a_banded_operator():
+    with pytest.raises(ValueError):
+        solver.scan_smin(np.eye(20, dtype=complex), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("k,sign", [(1, 1.0), (-1, -1.0), (2, 1.0), (-3, 1.0)])
 def test_dilated_banded_smin_matches_dense_svd(k, sign):
     # the dilated operator at the standard angle, as the Sigma path builds it
