@@ -187,7 +187,8 @@ def cmd_verify(args):
     if args.format == "json":
         doc = {"rows": [{"check_id": r.check_id, "passed": r.passed,
                          "measured": r.measured, "tolerance": r.tolerance,
-                         "samples": r.samples} for r in reports],
+                         "samples": r.samples, "elapsed_ms": r.elapsed_ms}
+                        for r in reports],
                "meta": _meta(suite=args.suite, seed=args.seed)}
         print(json.dumps(doc))
     else:

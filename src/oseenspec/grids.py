@@ -128,14 +128,17 @@ class OperatorMatrix:
         return self.grid.n
 
 
+def stencil_bands(grid):
+    """(diag, off) of -d^2/dr^2: (-1, 2, -1)/h^2 with an odd ghost across
+    r = 0 (first diagonal entry 3/h^2) and Dirichlet at r_max."""
+    h = grid.h
+    diag = np.full(grid.n, 2.0 / h ** 2)
+    diag[0] = 3.0 / h ** 2
+    return diag, np.full(grid.n - 1, -1.0 / h ** 2)
+
+
 def second_derivative_stencil(grid):
-    """-d^2/dr^2 as a dense (n, n) matrix: (-1, 2, -1)/h^2 with an odd
-    ghost across r = 0 (first diagonal entry 3/h^2) and Dirichlet at r_max."""
-    n, h = grid.n, grid.h
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = 2.0 / h ** 2
-    m[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
-    m[idx[1:], idx[1:] - 1] = -1.0 / h ** 2
-    m[0, 0] = 3.0 / h ** 2
+    """stencil_bands as a dense (n, n) matrix."""
+    diag, off = stencil_bands(grid)
+    m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return OperatorMatrix(kind="D2", grid=grid, mode=None, data=m)

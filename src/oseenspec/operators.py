@@ -24,20 +24,28 @@ coefficients F1, F2, F4 at z = r^2 e^{2 i theta}/4, written once by
 _mode_parts and read by assemble_H_deformed (dense), assemble_banded
 (band storage: L1 is tridiagonal, and for |k| >= 2 K_k is semiseparable,
 so its inverse is tridiagonal in closed form and H is the Schur
-complement of a pentadiagonal 2n pencil) and apply_L1.  assemble_A, _K,
-_B, _H and _L1 build the straight operator from sigma, g and f instead,
-as the dense test oracle.  Integral parts carry the midpoint quadrature
-weight h so that matrices act on plain node-value vectors.
+complement of a pentadiagonal 2n pencil) and apply_L1.
+
+The same structure gives every product in O(n): apply_A is the
+tridiagonal product with harmonic_bands, apply_K two cumulative sums
+over K_k's semiseparable generators, and apply_B and apply_H are built
+from these two; apply_T and apply_Tstar read a quadrature rule built once
+per grid.  assemble_A, _K, _B, _H, _L1 and _K_truncated build the
+straight operators as dense matrices from sigma, g and f instead, as the
+tests' oracle.  Integral parts carry the midpoint quadrature weight h so
+that matrices act on plain node-value vectors.
 """
 
 import cmath
+import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.special import gammainc
 
 from . import specfun
-from .grids import Field, OperatorMatrix, second_derivative_stencil
+from .grids import Field, OperatorMatrix, make_grid, stencil_bands
 
 
 def _check_k(k):
@@ -46,12 +54,19 @@ def _check_k(k):
     return int(k)
 
 
-def assemble_A(k, grid):
-    """Shifted harmonic radial operator A_k; real symmetric."""
+def harmonic_bands(k, grid):
+    """(diag, off) of the tridiagonal A_k: the stencil plus the potential
+    (k^2 - 1/4)/r^2 + r^2/16 - 1/2 on the diagonal."""
     k = abs(_check_k(k))
     r = grid.nodes
-    m = second_derivative_stencil(grid).data.copy()
-    np.fill_diagonal(m, m.diagonal() + (k * k - 0.25) / r ** 2 + r ** 2 / 16 - 0.5)
+    diag, off = stencil_bands(grid)
+    return diag + (k * k - 0.25) / r ** 2 + r ** 2 / 16 - 0.5, off
+
+
+def assemble_A(k, grid):
+    """Shifted harmonic radial operator A_k; real symmetric."""
+    diag, off = harmonic_bands(k, grid)
+    m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return OperatorMatrix(kind="A_k", grid=grid, mode=None, data=m)
 
 
@@ -128,6 +143,50 @@ def assemble_L1(mode, grid):
     return OperatorMatrix(kind="L1_model", grid=grid, mode=mode, data=m)
 
 
+def _tridiagonal_product(lower, diag, upper, v):
+    out = diag * v
+    out[1:] += lower * v[:-1]
+    out[:-1] += upper * v[1:]
+    return out
+
+
+def apply_A(k, w):
+    """A_k w in O(n): the tridiagonal product with harmonic_bands."""
+    diag, off = harmonic_bands(k, w.grid)
+    return Field(w.grid, _tridiagonal_product(off, diag, off, w.values))
+
+
+def apply_K(k, w):
+    """K_k w in O(n).  K_k has entries u_min(i,j) v_max(i,j) with the
+    generators u = (h/2k) r^{k+1/2}, v = r^{-k+1/2} of kernel_inverse_bands,
+    so (K w)_i = v_i sum_{j <= i} u_j w_j + u_i sum_{j > i} v_j w_j:
+    two cumulative sums."""
+    k = abs(_check_k(k))
+    r, x = w.grid.nodes, w.values
+    u = (w.grid.h / (2 * k)) * r ** (k + 0.5)
+    v = r ** (0.5 - k)
+    vx = v * x
+    above = np.zeros_like(vx)
+    above[:-1] = np.cumsum(vx[:0:-1])[::-1]
+    return Field(w.grid, v * np.cumsum(u * x) + u * above)
+
+
+def apply_B(k, w):
+    """B_k w = sigma w - g K_k (g w) in O(n)."""
+    g = specfun.g(w.grid.nodes)
+    return Field(w.grid, specfun.sigma(w.grid.nodes) * w.values
+                 - g * apply_K(k, Field(w.grid, g * w.values)).values)
+
+
+def apply_H(mode, w):
+    """H w = A_|k| w + i beta_k B_|k| w - i lam w in O(n); theta = 0 only,
+    like assemble_H."""
+    if mode.theta != 0.0:
+        raise ValueError("apply_H requires theta = 0; use assemble_banded")
+    return Field(w.grid, apply_A(mode.k, w).values
+                 + 1j * mode.beta_k * apply_B(mode.k, w).values - 1j * mode.lam * w.values)
+
+
 def apply_L1(mode, w):
     """Action of L1 on a Field: the tridiagonal product with the band
     form of assemble_banded (at the mode's dilation angle)."""
@@ -135,10 +194,7 @@ def apply_L1(mode, w):
         raise ValueError("L1 is defined for |k| = 1 only")
     data = assemble_banded(mode, w.grid).data
     v = np.asarray(w.values, dtype=complex)
-    out = data[:, 1] * v
-    out[1:] += data[1:, 0] * v[:-1]
-    out[:-1] += data[:-1, 2] * v[1:]
-    return Field(w.grid, out)
+    return Field(w.grid, _tridiagonal_product(data[1:, 0], data[:, 1], data[:-1, 2], v))
 
 
 def _mode_parts(mode, grid):
@@ -149,12 +205,11 @@ def _mode_parts(mode, grid):
     c = i beta_k rot (None for |k| = 1, whose F4 form folds the 2/z pole
     of F3 into the centrifugal coefficient 35/4)."""
     rot = cmath.exp(2j * mode.theta)
-    r, h = grid.nodes, grid.h
+    r = grid.nodes
     z = (r ** 2 / 4) * rot
     k = abs(mode.k)
-    kin = np.full(grid.n, 2.0 / h ** 2)
-    kin[0] = 3.0 / h ** 2
-    off = np.full(grid.n - 1, -1.0 / h ** 2) * (1 / rot)
+    kin, off = stencil_bands(grid)
+    off = off * (1 / rot)
     if k == 1:
         pot = (35 / (4 * r ** 2)) / rot + (r ** 2 / 16) * rot - 0.5 \
             + specfun.F_complex("F4", z) \
@@ -254,8 +309,18 @@ def interior_mask(grid, collar=0.3):
     return (r >= collar) & (r <= grid.r_max - collar)
 
 
+_WaveRule = namedtuple("_WaveRule", "h lam lamp chi pref full half")
+
+
 def _wave_rule(grid):
-    """Shared grid quantities for the wave transforms T and T*.
+    """Shared grid quantities for the wave transforms T and T*, built once
+    per (n, r_max) and shared read-only (see _wave_rule_at)."""
+    return _wave_rule_at(grid.n, grid.r_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _wave_rule_at(n, r_max):
+    """The quadrature rule of the wave transforms on make_grid(n, r_max).
 
     Both transforms are integrals against the one positive measure the
     problem carries,
@@ -288,7 +353,13 @@ def _wave_rule(grid):
     with q' = c + b Lam' from the same fit and Lam' = s^3 g^2 / mu closed
     form; Lam vanishes at the far end faster than g^2, so truncation at
     r_max is below rounding for any admissible grid.
+
+    Returns h, Lam, Lam', chi, the prefactor of T and, for the full cells
+    below each node and the left half of the node's own cell, the moment
+    increments (Dmu, Dm4 - r_j Dmu, Dgl - Lam_j Dmu) that weight q, c and b
+    in T's running integral.
     """
+    grid = make_grid(n, r_max)
     r, h = grid.nodes, grid.h
     edges = np.arange(grid.n + 1) * h
     p_node = gammainc(2, r ** 2 / 4)
@@ -306,10 +377,18 @@ def _wave_rule(grid):
     gl_n = mu_n * (lam - 1)
     chi = r ** 1.5 * specfun.g(r)
     pref = specfun.g(r) / (specfun.sigma_prime(r) * r ** 1.5)
-    return r, h, lam, lamp, chi, pref, mu_n, mu_e, m4_n, m4_e, gl_n, gl_e
+
+    def moments(dmu, dm4, dgl):
+        return dmu, dm4 - r * dmu, dgl - lam * dmu
+
+    full = moments(mu_e[1:] - mu_e[:-1], m4_e[1:] - m4_e[:-1], gl_e[1:] - gl_e[:-1])
+    half = moments(mu_n - mu_e[:-1], m4_n - m4_e[:-1], gl_n - gl_e[:-1])
+    for a in (lam, lamp, chi, pref) + full + half:
+        a.setflags(write=False)
+    return _WaveRule(h, lam, lamp, chi, pref, full, half)
 
 
-def _scaled_fit(w, chi, h, lam, lamp):
+def _scaled_fit(w, rule):
     """q = w/(r^{3/2} g) and its local fit on the basis {1, r, Lam}.
 
     Returns (q, c, b) with q(s) ~ q_j + c_j (s - r_j) + b_j (Lam - Lam_j)
@@ -325,6 +404,7 @@ def _scaled_fit(w, chi, h, lam, lamp):
     Nodes where chi has underflowed to zero (possible only past r ~ 77)
     carry no field content and get q = 0 rather than inf.
     """
+    chi, h, lam = rule.chi, rule.h, rule.lam
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(chi > 0, w / chi, 0.0)
     c = np.empty_like(q)
@@ -358,18 +438,11 @@ def apply_T(w):
     q Dmu + c (Dm4 - r_j Dmu) + b (Dgl - Lam_j Dmu) with the closed-form
     moment increments D of _wave_rule, O(n) total.
     """
-    r, h, lam, lamp, chi, pref, mu_n, mu_e, m4_n, m4_e, gl_n, gl_e = _wave_rule(w.grid)
-    q, c, b = _scaled_fit(w.values, chi, h, lam, lamp)
-    dmu_f = mu_e[1:] - mu_e[:-1]
-    dm4_f = m4_e[1:] - m4_e[:-1]
-    dgl_f = gl_e[1:] - gl_e[:-1]
-    dmu_h = mu_n - mu_e[:-1]
-    dm4_h = m4_n - m4_e[:-1]
-    dgl_h = gl_n - gl_e[:-1]
-    full = q * dmu_f + c * (dm4_f - r * dmu_f) + b * (dgl_f - lam * dmu_f)
-    half = q * dmu_h + c * (dm4_h - r * dmu_h) + b * (dgl_h - lam * dmu_h)
+    rule = _wave_rule(w.grid)
+    q, c, b = _scaled_fit(w.values, rule)
+    full, half = (q * m0 + c * m1 + b * m2 for m0, m1, m2 in (rule.full, rule.half))
     i1 = (np.cumsum(full) - full) + half
-    return Field(w.grid, w.values + pref * i1)
+    return Field(w.grid, w.values + rule.pref * i1)
 
 
 def apply_Tstar(omega):
@@ -379,9 +452,10 @@ def apply_Tstar(omega):
     integral int_r^inf Lam q' ds is a cumulative midpoint sum with
     q' = c + b Lam' from the shared fit, O(n) total.
     """
-    r, h, lam, lamp, chi, pref, mu_n, mu_e, m4_n, m4_e, gl_n, gl_e = _wave_rule(omega.grid)
-    q, c, b = _scaled_fit(omega.values, chi, h, lam, lamp)
-    f = lam * (c + b * lamp)
+    rule = _wave_rule(omega.grid)
+    lam, chi = rule.lam, rule.chi
+    q, c, b = _scaled_fit(omega.values, rule)
+    f = lam * (c + b * rule.lamp)
     cum = np.cumsum(f)
-    rev = h * ((cum[-1] - cum) + 0.5 * f)
+    rev = rule.h * ((cum[-1] - cum) + 0.5 * f)
     return Field(omega.grid, omega.values + lam * (chi * q) + chi * rev)

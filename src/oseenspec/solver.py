@@ -15,8 +15,11 @@ a shift cold, from a fixed start vector, to relative 1e-14; along the
 shifts of a Psi scan, which only locate minima, scan_smin starts each
 shift from the previous one's top Ritz vector and stops at 1e-7 (the
 continuation of Trefethen & Embree, Spectra and Pseudospectra, 2005).
-The dense routines (eig, svdvals, eigvalsh, n <= 4000) stay only as the
-tests' and the benchmark's 1e-10 oracle.
+verify reads tridiagonal bottoms by the same bisection and the top of a
+symmetric operator given by its product by ARPACK Lanczos
+(_top_eigenvalue).  The dense routines (eig, svdvals, eigvalsh,
+n <= 4000) stay only as the tests' and the benchmark's 1e-10 oracle; no
+library or verify path calls them.
 """
 
 import math
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
 from .grids import OperatorMatrix
 
@@ -240,6 +243,18 @@ def bottom_eigenvalue(m, shift):
     except ArpackError as exc:
         raise SolverError("Arnoldi failed for %s (n=%d): %s" % (m.kind, n, exc)) from exc
     return complex(min(shift + 1.0 / mu, key=lambda v: v.real))
+
+
+def _top_eigenvalue(matvec, n):
+    """Largest eigenvalue of a real symmetric n x n operator given by its
+    product, by ARPACK's Lanczos (eigsh) from the fixed start vector."""
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        top = eigsh(op, k=1, which="LA", v0=_start_vector(n).real,
+                    return_eigenvectors=False)
+    except ArpackError as exc:
+        raise SolverError("Lanczos failed (n=%d): %s" % (n, exc)) from exc
+    return float(top[0])
 
 
 def _hermitian_pencil(m):

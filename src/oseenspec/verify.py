@@ -7,14 +7,23 @@ checks.  A check passes iff measured <= tolerance, so reports are uniform
 and machine-comparable.  Random test fields are smooth decaying profiles
 r^{k+1/2} e^{-r^2/8} (polynomial) with coefficients drawn from a seeded
 generator, so every report is deterministic given the seed.
+
+Every check runs in O(n) per field: operators applies A_k, K_k, B_k, H
+and the wave transforms through their tridiagonal and semiseparable
+structure, the coercivity checks take the bottom of a weighted
+tridiagonal by bisection, and kernel.bounds reads the top of G K_k G by
+Lanczos on its product and K_k's positivity from its tridiagonal
+inverse.  No check builds a dense matrix; the dense assemblies are the
+tests' oracle for these products.  run_check records each check's wall
+time in CheckReport.elapsed_ms, which equality ignores.
 """
 
 import math
+import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import operators, solver, specfun
 from .grids import Field, ModeSpec, make_grid, quadrature
@@ -27,6 +36,8 @@ class CheckReport:
     measured: float
     tolerance: float
     samples: int
+    # wall time of the check, set by run_check; not part of the verdict
+    elapsed_ms: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -82,13 +93,12 @@ def _check_wave_isometry(config):
 def _check_wave_intertwine(config):
     grid = make_grid(2000, 40.0)
     rng = _rng(config, "wave.intertwine")
-    b1 = operators.assemble_B(1, grid).data
     sig = specfun.sigma(grid.nodes)
     worst = 0.0
     nfields = 10
     for _ in range(nfields):
         w = Field(grid, _seeded_values(grid, rng))
-        lhs = operators.apply_T(Field(grid, b1 @ w.values)).values
+        lhs = operators.apply_T(operators.apply_B(1, w)).values
         rhs = sig * operators.apply_T(w).values
         worst = max(worst, np.abs(lhs - rhs).max() / np.abs(rhs).max())
     return _report("wave.intertwine", worst, 1e-3, nfields)
@@ -97,15 +107,15 @@ def _check_wave_intertwine(config):
 def _check_wave_commutator(config):
     grid = make_grid(2000, 40.0)
     rng = _rng(config, "wave.commutator")
-    a1 = operators.assemble_A(1, grid).data
     fpot = specfun.f(grid.nodes)
     worst = 0.0
     nfields = 10
     for _ in range(nfields):
         w = Field(grid, _seeded_values(grid, rng))
-        tw = operators.apply_T(w).values
-        lhs = operators.apply_T(Field(grid, a1 @ w.values)).values - a1 @ tw
-        worst = max(worst, _interior_rel(grid, lhs, fpot * tw))
+        tw = operators.apply_T(w)
+        lhs = (operators.apply_T(operators.apply_A(1, w)).values
+               - operators.apply_A(1, tw).values)
+        worst = max(worst, _interior_rel(grid, lhs, fpot * tw.values))
     return _report("wave.commutator", worst, 1e-2, nfields)
 
 
@@ -113,13 +123,12 @@ def _check_wave_conjugation(config):
     grid = make_grid(2000, 40.0)
     rng = _rng(config, "wave.conjugation")
     mode = ModeSpec(alpha=8 * math.pi * 10, k=1, lam=0.3)
-    h1 = operators.assemble_H(mode, grid).data
     worst = 0.0
     nfields = 10
     for _ in range(nfields):
         u = Field(grid, _seeded_values(grid, rng))
         v = operators.apply_Tstar(u)
-        lhs = operators.apply_T(Field(grid, h1 @ v.values)).values
+        lhs = operators.apply_T(operators.apply_H(mode, v)).values
         rhs = operators.apply_L1(mode, u).values
         worst = max(worst, _interior_rel(grid, lhs, rhs))
     return _report("wave.conjugation", worst, 1e-2, nfields)
@@ -129,16 +138,17 @@ def _check_wave_conjugation(config):
 
 def _check_coercive_a1(config):
     grid = make_grid(600, 30.0)
-    low = sla.eigvalsh(operators.assemble_A(1, grid).data,
-                       subset_by_index=(0, 0))[0]
+    low = solver._tridiagonal_eigenvalue(*operators.harmonic_bands(1, grid), 1)
     return _report("coercive.A1", abs(low - 0.5), 1e-3, grid.n)
 
 
-def _form_constant(a, weight):
-    """Largest C with a >= C^{-1} diag(weight) in the form sense."""
+def _form_constant(diag, off, weight):
+    """Largest C with A >= C^{-1} diag(weight) in the form sense, for the
+    tridiagonal A = (diag, off): one over the bottom of the tridiagonal
+    D^{-1/2} A D^{-1/2}, D = diag(weight), by bisection."""
     scale = 1.0 / np.sqrt(weight)
-    sym = scale[:, None] * a * scale[None, :]
-    low = sla.eigvalsh(sym, subset_by_index=(0, 0))[0]
+    low = solver._tridiagonal_eigenvalue(scale * diag * scale,
+                                         scale[:-1] * off * scale[1:], 1)
     if low <= 0:
         return math.inf
     return 1.0 / low
@@ -150,8 +160,9 @@ def _check_coercive_a1f(config):
     hmin = specfun.h(np.linspace(0.01, 40.0, 8000)).min()
     if hmin <= 0:
         return _report("coercive.A1f", math.inf, 100.0, grid.n)
-    a = operators.assemble_A(1, grid).data + np.diag(specfun.f(r))
-    return _report("coercive.A1f", _form_constant(a, 1 / r ** 2 + r ** 2),
+    diag, off = operators.harmonic_bands(1, grid)
+    return _report("coercive.A1f",
+                   _form_constant(diag + specfun.f(r), off, 1 / r ** 2 + r ** 2),
                    100.0, grid.n)
 
 
@@ -160,8 +171,8 @@ def _check_coercive_ak(config):
     r = grid.nodes
     worst = 0.0
     for k in (2, 3, 4, 5):
-        a = operators.assemble_A(k, grid).data
-        worst = max(worst, _form_constant(a, k * k / r ** 2 + r ** 2))
+        diag, off = operators.harmonic_bands(k, grid)
+        worst = max(worst, _form_constant(diag, off, k * k / r ** 2 + r ** 2))
     return _report("coercive.Ak", worst, 100.0, 4 * grid.n)
 
 
@@ -190,13 +201,13 @@ def _check_kernel_ode(config):
     grid = make_grid(600, 30.0)
     rng = _rng(config, "kernel.ode")
     r = grid.nodes
-    stencil = operators.second_derivative_stencil(grid).data
     worst = 0.0
     for k in (1, 2, 3, 5):
-        bessel = stencil + np.diag((k * k - 0.25) / r ** 2)
-        kern = operators.assemble_K(k, grid).data
         w = _seeded_values(grid, rng, k=k)
-        worst = max(worst, _interior_rel(grid, bessel @ (kern @ w), w))
+        kw = operators.apply_K(k, Field(grid, w))
+        # -d^2/dr^2 + (k^2 - 1/4)/r^2 is A_k without r^2/16 - 1/2
+        bessel_kw = operators.apply_A(k, kw).values - (r ** 2 / 16 - 0.5) * kw.values
+        worst = max(worst, _interior_rel(grid, bessel_kw, w))
     return _report("kernel.ode", worst, 1e-2, 4)
 
 
@@ -206,10 +217,25 @@ def _check_kernel_bounds(config):
     sig_max = specfun.sigma(grid.nodes).max()
     worst = 0.0
     for k in (1, 2, 3, 5):
-        m = np.outer(gw, gw) * operators.assemble_K(k, grid).data
-        eigs = sla.eigvalsh(m)
-        worst = max(worst, -eigs[0], eigs[-1] - sig_max / k)
+        # G K G is congruent to K, which is positive iff its tridiagonal
+        # inverse is; the top is read by Lanczos on the O(n) product
+        if solver._tridiagonal_eigenvalue(*operators.kernel_inverse_bands(k, grid), 1) <= 0:
+            worst = math.inf
+        top = solver._top_eigenvalue(
+            lambda x: gw * operators.apply_K(k, Field(grid, gw * x)).values, grid.n)
+        worst = max(worst, top - sig_max / k)
     return _report("kernel.bounds", max(worst, 0.0), 1e-6, 4 * grid.n)
+
+
+def _truncated_kernel_form(k, r_k, x):
+    """x . K x for K = assemble_K_truncated(k, r_k, x.grid).data and a real
+    Field x, in O(n): the apply_K form of x on the nodes below r_k minus
+    the rank-one term (h/2k) (sum r^{k+1/2} x)^2 / r_k^{2k}."""
+    grid = x.grid
+    r = grid.nodes
+    inside = Field(grid, np.where(r < r_k, x.values, 0.0))
+    rank_one = (grid.h / (2 * k)) * (np.sum(r ** (k + 0.5) * inside.values) / r_k ** k) ** 2
+    return float(inside.values @ operators.apply_K(k, inside).values) - rank_one
 
 
 def _check_kernel_truncated(config):
@@ -222,12 +248,11 @@ def _check_kernel_truncated(config):
     count = 0
     for k in (2, 3, 5):
         for r_k in (0.5, 1.0, 2.0, 5.0):
-            kern = operators.assemble_K_truncated(k, r_k, grid).data
             nu = specfun.sigma(r_k)
             bump = np.where(r < r_k, (r * (r_k - r)) ** 2, 0.0)
             for _ in range(3):
                 w = _seeded_values(grid, rng, k=k) * bump
-                lhs = grid.h * float((gw * w) @ (kern @ (gw * w)))
+                lhs = grid.h * _truncated_kernel_form(k, r_k, Field(grid, gw * w))
                 rhs = (2.0 / (k + 1)) * grid.h * float(((sig - nu) * w) @ w)
                 worst = max(worst, (lhs - rhs) / rhs)
                 count += 1
@@ -453,7 +478,10 @@ def run_check(check_id, config=None):
     if check_id not in _REGISTRY:
         raise ValueError("unknown check id %r (known: %s)"
                          % (check_id, ", ".join(sorted(_REGISTRY))))
-    return _REGISTRY[check_id](config or VerifyConfig())
+    t0 = time.perf_counter()
+    rep = _REGISTRY[check_id](config or VerifyConfig())
+    rep.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    return rep
 
 
 def run_all(config=None, suite="all"):

@@ -4,10 +4,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from oseenspec import analysis, operators, solver, specfun, verify
+from oseenspec import analysis, grids, operators, solver, specfun, verify
 from oseenspec.grids import Field, ModeSpec, default_grid, make_grid, quadrature
 
 EIGHT_PI = 8 * math.pi
@@ -132,11 +133,17 @@ def test_range_and_verify_never_call_the_dense_eigensolver(monkeypatch):
         raise AssertionError("the range path or verify reached the dense oracle")
 
     monkeypatch.setattr(solver, "eigenvalues", dense)
-    monkeypatch.setattr(operators, "assemble_H_deformed", dense)
+    for name in ("assemble_H_deformed", "assemble_A", "assemble_K", "assemble_B",
+                 "assemble_H", "assemble_L1", "assemble_K_truncated"):
+        monkeypatch.setattr(operators, name, dense)
+    monkeypatch.setattr(grids, "second_derivative_stencil", dense)
+    monkeypatch.setattr(scipy.linalg, "eigh", dense)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", dense)
     for k in (1, 2):
         pt = analysis.sweep_point(ModeSpec(alpha=EIGHT_PI * 1e3, k=k), "range", n=300)
         assert pt.converged and pt.value > 0
-    assert verify.run_check("deform.thetaInvariance").passed
+    reports = verify.run_all()
+    assert len(reports) == 20 and all(rep.passed for rep in reports)
 
 
 @pytest.mark.parametrize("k,beta_k", [(1, 1e5), (2, 5e4)])

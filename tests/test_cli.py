@@ -216,6 +216,7 @@ def test_verify_json_document(capsys):
     assert doc["meta"]["suite"] == "deform"
     assert len(doc["rows"]) == 5
     assert all(row["passed"] for row in doc["rows"])
+    assert all(row["elapsed_ms"] >= 0 for row in doc["rows"])
 
 
 def test_usage_errors_exit_two(capsys):

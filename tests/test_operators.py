@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from oseenspec import operators, specfun
-from oseenspec.grids import Field, ModeSpec, make_grid, quadrature
+from oseenspec.grids import Field, ModeSpec, make_grid, quadrature, second_derivative_stencil
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,39 @@ def test_L1_matrix_free_matches_deformed_assembly(grid600):
     ref = m @ v
     out = operators.apply_L1(mode, Field(grid600, v))
     assert np.linalg.norm(out.values - ref) / np.linalg.norm(ref) < 1e-12
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [600, 1200])
+def test_structured_products_match_assembly(n, k, complex_field):
+    # the O(n) products (tridiagonal A_k, semiseparable K_k, and B_k, H
+    # built from them) against the dense oracle, on rough fields
+    grid = make_grid(n, 30.0)
+    rng = np.random.default_rng([n, k, complex_field])
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_field else 0)
+    w = Field(grid, v)
+    mode = ModeSpec(alpha=8 * math.pi * 1e3, k=-k if complex_field else k, lam=0.3)
+    for fast, dense in ((operators.apply_A(k, w), operators.assemble_A(k, grid)),
+                        (operators.apply_K(k, w), operators.assemble_K(k, grid)),
+                        (operators.apply_B(k, w), operators.assemble_B(k, grid)),
+                        (operators.apply_H(mode, w), operators.assemble_H(mode, grid))):
+        ref = dense.data @ v
+        assert np.linalg.norm(fast.values - ref) <= 1e-12 * np.linalg.norm(ref), dense.kind
+
+
+def test_apply_H_theta_guard(grid600):
+    mode = ModeSpec(alpha=100.0, k=1, theta=0.1)
+    with pytest.raises(ValueError):
+        operators.apply_H(mode, Field(grid600, np.ones(grid600.n)))
+
+
+def test_wave_rule_is_built_once_and_read_only(gridref):
+    rule = operators._wave_rule(gridref)
+    assert operators._wave_rule(make_grid(gridref.n, gridref.r_max)) is rule
+    for a in (rule.lam, rule.chi, rule.pref) + rule.full + rule.half:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_deformed_reduces_at_theta_zero(grid600):
@@ -246,7 +279,7 @@ def test_K_truncated_solves_dirichlet_problem(grid600):
     # reproduces the density on the interior of (0, r_k)
     r = grid600.nodes
     r_k = specfun.sigma_inverse(0.5)
-    stencil = operators.second_derivative_stencil(grid600).data
+    stencil = second_derivative_stencil(grid600).data
     w = np.sin(np.pi * r / r_k) ** 2 * np.exp(-r)
     for k in (1, 2):
         u = operators.assemble_K_truncated(k, r_k, grid600).data @ w

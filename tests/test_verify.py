@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
-from oseenspec import verify
+from oseenspec import operators, specfun, verify
+from oseenspec.grids import Field, make_grid
 
 
 def test_suite_map_covers_registry():
@@ -39,6 +43,31 @@ def test_deterministic_given_seed():
     # a different seed draws different fields but the inequality still holds
     c = verify.run_check("kernel.truncated", verify.VerifyConfig(seed=7))
     assert c.passed
+
+
+def test_elapsed_time_is_reported_but_not_compared():
+    rep = verify.run_check("deform.trig")
+    assert rep.elapsed_ms > 0
+    other = verify.run_check("deform.trig")
+    other.elapsed_ms = rep.elapsed_ms + 1.0
+    assert other == rep
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_truncated_kernel_form_matches_assembly(k):
+    # the O(n) form (apply_K minus the rank-one term) against the dense
+    # Dirichlet-truncated kernel, with the field nonzero past r_k too
+    grid = make_grid(1200, 30.0)
+    r = grid.nodes
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal(grid.n) * specfun.g(r)
+    for r_k in (0.5, 2.0, 5.0, 29.0):
+        dense = operators.assemble_K_truncated(k, r_k, grid).data
+        want = float(x @ dense @ x)
+        got = verify._truncated_kernel_form(k, r_k, Field(grid, x))
+        scale = float(np.abs(x) @ np.abs(dense) @ np.abs(x))
+        assert abs(got - want) <= 1e-12 * scale, (r_k, got, want)
+        assert math.isfinite(got)
 
 
 def test_trig_identity_residual_tiny():
