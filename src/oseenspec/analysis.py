@@ -103,10 +103,7 @@ def _grid_doubling(grid, step, name, mode):
 
 def _dilation_angle(mode):
     """Rotation angle of the numerical-range bound: sgn(beta_k) pi/12 for
-    |k| = 1, sgn(beta_k) pi/24 otherwise; the mode's own nonzero theta
-    takes precedence."""
-    if mode.theta != 0.0:
-        return mode.theta
+    |k| = 1, sgn(beta_k) pi/24 otherwise."""
     sgn = 1.0 if mode.beta_k >= 0 else -1.0
     return sgn * (math.pi / 12 if abs(mode.k) == 1 else math.pi / 24)
 
@@ -173,23 +170,19 @@ def _golden_min(fn, a, b, reltol=1e-3):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _scan_psi(matrix, beta, lo, hi, npts, reltol=1e-3):
-    """Scan s_min(M - i lam) over npts shifts in beta*[lo, hi] with
-    solver.scan_smin; refine the best three interior local minima by
-    golden section on smallest_singular_value.  The scan's values only
-    pick the brackets, so what is returned is measured to 1e-14."""
-    lams = beta * np.linspace(lo, hi, npts)
+def _scan_psi(matrix, lams, reltol=1e-3):
+    """Scan s_min(M - i lam) over the shifts lams with solver.scan_smin and
+    refine the lowest interior minimum by golden section on
+    smallest_singular_value, so what is returned is measured to 1e-14;
+    None if no shift is an interior minimum."""
     vals = solver.scan_smin(matrix, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if inner.size == 0:
         return None
-    best = inner[np.argsort(vals[inner])][:3]
-    cand = []
-    for i in best:
-        a, b = sorted((lams[i - 1], lams[i + 1]))
-        cand.append(_golden_min(lambda lam: solver.smallest_singular_value(matrix, lam),
-                                a, b, reltol=reltol))
-    lam_star, psi = min(cand, key=lambda t: t[1])
+    i = inner[np.argmin(vals[inner])]
+    a, b = sorted((lams[i - 1], lams[i + 1]))
+    lam_star, psi = _golden_min(lambda lam: solver.smallest_singular_value(matrix, lam),
+                                a, b, reltol=reltol)
     return float(psi), float(lam_star)
 
 
@@ -198,11 +191,11 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
 
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
     lam = 0 (distance to the real spectrum).  Otherwise a lambda_points
-    scan over beta_k [-0.2, 1.2] locates the resolvent peak and
-    golden-section refines it to relative refine_tol, in (0, 1).  Refined
-    levels first rescan 9 shifts around the coarser level's minimizer.
-    Where a scan finds no interior minimum the next one runs (full
-    window, then widened once) before the result is flagged as not
+    scan over beta_k [-0.2, 1.2] locates the resolvent peak and golden
+    section refines the lowest interior minimum to relative refine_tol, in
+    (0, 1).  Refined levels rescan 9 shifts around the coarser level's
+    minimizer, and the full window if that finds no interior minimum; a
+    full window without one gives s_min at -0.2 beta_k, flagged as not
     converged.  Scans use solver.scan_smin, which only locates; every
     value returned is measured by smallest_singular_value.
     """
@@ -226,13 +219,10 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
             # refined grids rescan locally around the coarser level's minimizer
             _, lam_prev, scan_ok = prev
             cell = 1.4 * abs(beta) / (lambda_points - 1)
-            hit = _scan_psi(matrix, 1.0, lam_prev - 1.5 * cell, lam_prev + 1.5 * cell, 9,
-                            refine_tol)
+            hit = _scan_psi(matrix, np.linspace(lam_prev - 1.5 * cell,
+                                                lam_prev + 1.5 * cell, 9), refine_tol)
         if hit is None:
-            hit = _scan_psi(matrix, beta, -0.2, 1.2, lambda_points, refine_tol)
-        if hit is None:
-            hit = _scan_psi(matrix, beta, -0.7, 1.7, lambda_points + lambda_points // 2,
-                            refine_tol)
+            hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, lambda_points), refine_tol)
         if hit is None:
             logger.warning("no interior resolvent minimum for alpha=%g k=%d",
                            mode.alpha, mode.k)
@@ -276,16 +266,28 @@ def quasimode_shift(beta_1):
     return r1, beta_1 * specfun.sigma(r1)
 
 
+def _check_quasimode_grid(r1, grid):
+    """ValueError unless the grid covers and resolves the quasimode window."""
+    if grid.r_max < r1 + 2.0 / r1:
+        raise ValueError("grid does not cover the quasimode support: "
+                         "r_max %.3g < %.3g" % (grid.r_max, r1 + 2.0 / r1))
+    if grid.h > 1.0 / (20.0 * r1):
+        raise ValueError("grid too coarse for the quasimode: h %.3g > %.3g"
+                         % (grid.h, 1.0 / (20.0 * r1)))
+
+
 def quasimode_grid(beta_1, n=None, r_max=None):
     """Grid for quasimode(beta_1, grid): n and r_max as given, else
-    r_max = max(12, r1 + 2/r1 + 1) and n = ceil(20 r1 r_max) + 8, which
-    clear the support and resolution checks of quasimode."""
+    r_max = max(12, r1 + 2/r1 + 1) and n = ceil(20 r1 r_max) + 8; the
+    grid must pass the support and resolution checks of quasimode."""
     r1, _ = quasimode_shift(beta_1)
     if r_max is None:
         r_max = max(12.0, r1 + 2.0 / r1 + 1.0)
     if n is None:
         n = int(math.ceil(20.0 * r1 * r_max)) + 8
-    return make_grid(n, r_max)
+    grid = make_grid(n, r_max)
+    _check_quasimode_grid(r1, grid)
+    return grid
 
 
 def quasimode(beta_1, grid):
@@ -307,12 +309,7 @@ def quasimode(beta_1, grid):
     only for |beta_1| > (3/2)^3 = 27/8.
     """
     r1, lam = quasimode_shift(beta_1)
-    if grid.r_max < r1 + 2.0 / r1:
-        raise ValueError("grid does not cover the quasimode support: "
-                         "r_max %.3g < %.3g" % (grid.r_max, r1 + 2.0 / r1))
-    if grid.h > 1.0 / (20.0 * r1):
-        raise ValueError("grid too coarse for the quasimode: h %.3g > %.3g"
-                         % (grid.h, 1.0 / (20.0 * r1)))
+    _check_quasimode_grid(r1, grid)
     r = grid.nodes
     x = r1 * (r - r1) / _QUASIMODE_WIDTH + 0.5
     eta = np.where((x > 0.0) & (x < 1.0), x ** 2 * (x - 1.0) ** 2, 0.0)
@@ -335,11 +332,11 @@ def quasimode(beta_1, grid):
 def numerical_range_bound(mode, grid=None):
     """Certified lower bound for Sigma(alpha, k) from the rotated operator.
 
-    Uses the analytic-dilation angle theta = sgn(beta_k) pi/12 for
-    |k| = 1 and sgn(beta_k) pi/24 otherwise (the mode's own theta wins if
-    nonzero) and returns the smallest eigenvalue of the Hermitian part,
-    which lower-bounds the numerical range and hence the spectrum, read
-    from the band form of the rotated operator.
+    Ignores the mode's lam and theta, as spectral_bound does: uses the
+    analytic-dilation angle sgn(beta_k) pi/12 for |k| = 1 and
+    sgn(beta_k) pi/24 otherwise and returns the smallest eigenvalue of the
+    Hermitian part, which lower-bounds the numerical range and hence the
+    spectrum, read from the band form of the rotated operator.
     """
     if grid is None:
         grid = sigma_grid(mode)

@@ -177,9 +177,9 @@ def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     # that level runs the first level's scan over beta_k [-0.2, 1.2]
     scan, calls = analysis._scan_psi, []
 
-    def local_rescan_misses(matrix, beta, lo, hi, npts, reltol=1e-3):
-        calls.append((matrix.grid.n, npts))
-        return None if npts == 9 else scan(matrix, beta, lo, hi, npts, reltol)
+    def local_rescan_misses(matrix, lams, reltol=1e-3):
+        calls.append((matrix.grid.n, len(lams)))
+        return None if len(lams) == 9 else scan(matrix, lams, reltol)
 
     monkeypatch.setattr(analysis, "_scan_psi", local_rescan_misses)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
@@ -187,6 +187,48 @@ def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     assert res.converged and res.grid_n == psi_1e2.grid_n
     assert abs(res.psi_bound - psi_1e2.psi_bound) <= 1e-6 * psi_1e2.psi_bound
     assert abs(res.lambda_star - psi_1e2.lambda_star) <= 1e-3 * psi_1e2.lambda_star
+
+
+def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
+    # a level whose scans find no interior minimum reports s_min at the
+    # window edge -0.2 beta_k, measured cold, and flags the bound
+    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
+    monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams, reltol=1e-3: None)
+    res = analysis.pseudospectral_bound(mode, grid)
+    assert not res.converged
+    assert res.lambda_star == -0.2 * mode.beta_k
+    band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
+    assert res.psi_bound == solver.smallest_singular_value(band, -0.2 * mode.beta_k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
+    # at beta_k = 1e6 the first level's scan has about 11 interior minima;
+    # refining every one of them finds nothing below the one _scan_psi
+    # refines, the lowest, in its single golden section
+    mode = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k)
+    band = operators.assemble_banded(mode, default_grid(n=300))
+    lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
+    vals = solver.scan_smin(band, lams)
+    inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    assert inner.size >= 10
+
+    def cold(lam):
+        return solver.smallest_singular_value(band, lam)
+
+    golden, brackets = analysis._golden_min, []
+
+    def counted(fn, a, b, reltol=1e-3):
+        brackets.append((a, b))
+        return golden(fn, a, b, reltol)
+
+    monkeypatch.setattr(analysis, "_golden_min", counted)
+    psi, _ = analysis._scan_psi(band, lams)
+    lowest = inner[np.argmin(vals[inner])]
+    assert brackets == [tuple(sorted((lams[lowest - 1], lams[lowest + 1])))]
+    for i in inner:
+        a, b = sorted((lams[i - 1], lams[i + 1]))
+        assert golden(cold, a, b)[1] >= psi
 
 
 def test_psi_lambda_star_in_unit_band(psi_1e2):

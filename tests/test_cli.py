@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oseenspec import analysis, cli
+from oseenspec import analysis, cli, solver
 
 EIGHT_PI = 8 * math.pi
 
@@ -230,26 +230,48 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "k must be >= 1" in err
 
 
-def test_domain_errors_exit_one(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--alpha", "0", "--k", "2",
-                           "--n", "300", "--rmax", "5")
-    assert code == 2 and "rmax" in err
-    # a structurally valid but unresolvable quasimode grid is a computation error
-    code, _, err = run_cli(capsys, "quasimode", "--alpha", repr(EIGHT_PI * 1e3),
-                           "--n", "120", "--rmax", "12")
-    assert code == 1 and "too coarse" in err
+def test_domain_errors_exit_one(capsys, monkeypatch):
+    # admissible inputs whose computation then fails are errors, not usage
+    # errors: a solver failure inside a solve, and a fit left without
+    # enough converged points
+    def failing_solve(*args, **kwargs):
+        raise solver.SolverError("band LU failed")
+
+    monkeypatch.setattr(analysis, "spectral_bound", failing_solve)
+    code, _, err = run_cli(capsys, "spectrum", "--alpha", "1e3")
+    assert code == 1 and err.startswith("error:") and "band LU failed" in err
+
+    def unconverged_point(mode, quantity, n=600):
+        return analysis.SweepPoint(mode=mode, quantity=quantity, value=math.nan,
+                                   converged=False, grid_n=n, r_max=30.0,
+                                   lambda_star=None)
+
+    monkeypatch.setattr(analysis, "sweep_point", unconverged_point)
+    code, _, err = run_cli(capsys, "sweep", "--alphas", "1e3,1e4,1e5,1e6",
+                           "--quantity", "sigma", "--fit")
+    assert code == 1 and "not enough converged sweep points" in err
 
 
 def test_inadmissible_inputs_exit_two_before_solving(capsys, monkeypatch):
-    # ModeSpec and make_grid reject these while the command is set up
+    # ModeSpec, make_grid and the quasimode grid's support and resolution
+    # checks reject these while the command is set up
     def no_solve(*args, **kwargs):
         pytest.fail("a solve ran before the inputs were checked")
 
-    monkeypatch.setattr(analysis, "quasimode", no_solve)
-    monkeypatch.setattr(analysis, "sweep_point", no_solve)
+    for name in ("spectral_bound", "quasimode", "sweep_point"):
+        monkeypatch.setattr(analysis, name, no_solve)
+    code, _, err = run_cli(capsys, "spectrum", "--alpha", "0", "--k", "2",
+                           "--n", "300", "--rmax", "5")
+    assert code == 2 and "rmax" in err
     code, _, err = run_cli(capsys, "quasimode", "--alpha", repr(EIGHT_PI * 1e3),
                            "--n", "8")
     assert code == 2 and "--n 8" in err
+    for argv, flag, why in ((("--alpha", "2.5e7", "--rmax", "10"), "--rmax", "support"),
+                            (("--alpha", "2.5e4", "--n", "100"), "--n", "too coarse"),
+                            (("--alpha", repr(EIGHT_PI * 1e3), "--n", "120", "--rmax", "12"),
+                             "--n", "too coarse")):
+        code, _, err = run_cli(capsys, "quasimode", *argv)
+        assert code == 2 and flag in err and why in err, (argv, err)
     code, _, err = run_cli(capsys, "sweep", "--alphas", "1e3,nan,1e4,1e5",
                            "--quantity", "range")
     assert code == 2 and "alpha must be finite" in err

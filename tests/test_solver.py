@@ -129,7 +129,7 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
 
 
 def _interior_minima(vals):
-    # the scan minima of analysis._scan_psi, best first
+    # the scan minima of analysis._scan_psi; the first is the one refined
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     return inner[np.argsort(vals[inner])].tolist()
 
