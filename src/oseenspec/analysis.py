@@ -186,6 +186,15 @@ def _scan_psi(matrix, lams, reltol=1e-3):
     return float(psi), float(lam_star)
 
 
+def check_psi_options(lambda_points, refine_tol):
+    """Reject, before any solve, a scan of fewer than 8 shifts or a
+    refine_tol outside (0, 1), on which golden section never ends."""
+    if lambda_points < 8:
+        raise ValueError("lambda_points must be >= 8, got %d" % lambda_points)
+    if not 0.0 < refine_tol < 1.0:
+        raise ValueError("refine_tol must lie in (0, 1), got %r" % (refine_tol,))
+
+
 def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
     """Psi(alpha, k) = min over real lam of s_min(H - i lam), with lam*.
 
@@ -201,10 +210,7 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
     """
     if grid is None:
         grid = default_grid()
-    if lambda_points < 8:
-        raise ValueError("lambda_points must be >= 8, got %d" % lambda_points)
-    if not 0.0 < refine_tol < 1.0:
-        raise ValueError("refine_tol must lie in (0, 1), got %r" % (refine_tol,))
+    check_psi_options(lambda_points, refine_tol)
     beta = mode.beta_k
     if beta == 0.0:
         res = spectral_bound(mode, grid)
@@ -315,7 +321,7 @@ def quasimode(beta_1, grid):
     eta = np.where((x > 0.0) & (x < 1.0), x ** 2 * (x - 1.0) ** 2, 0.0)
     u = Field(grid, eta.astype(complex))
     mode = ModeSpec(alpha=8.0 * math.pi * beta_1, k=1, lam=lam)
-    ratio = operators.apply_L1(mode, u).norm() / u.norm()
+    ratio = operators.apply_L1(operators.assemble_banded(mode, grid), u).norm() / u.norm()
     v = operators.apply_Tstar(u)
     # the continuum transform lands exactly in the orthogonal complement of
     # r^{3/2} g; the discrete rule leaks a quadrature-level component along

@@ -84,15 +84,15 @@ def _meta(**extra):
 def _inputs(args, *flags):
     """Around the building of a command's ModeSpecs and grid, before any
     solve: after the CLI-only k >= 1 check, the ValueError of an
-    inadmissible value (ModeSpec, make_grid, check_fit_alphas) becomes a
-    usage error naming the flags as given."""
+    inadmissible value (ModeSpec, make_grid, check_fit_alphas,
+    check_psi_options) becomes a usage error naming the flags as typed."""
     if getattr(args, "k", 1) < 1:
         raise UsageError("k must be >= 1, got %d" % args.k)
     try:
         yield
     except ValueError as exc:
-        given = " ".join("--%s %s" % (flag, getattr(args, flag)) for flag in flags
-                         if getattr(args, flag) is not None)
+        given = " ".join("--%s %s" % (flag.replace("_", "-"), getattr(args, flag))
+                         for flag in flags if getattr(args, flag) is not None)
         raise UsageError("%s: %s" % (given, exc)) from None
 
 
@@ -111,11 +111,8 @@ def cmd_spectrum(args):
 
 
 def cmd_pseudo(args):
-    if args.lambda_points < 8:
-        raise UsageError("lambda-points must be >= 8, got %d" % args.lambda_points)
-    if not (0 < args.refine_tol < 1):
-        raise UsageError("refine-tol must be in (0, 1), got %g" % args.refine_tol)
-    with _inputs(args, "alpha", "n", "rmax"):
+    with _inputs(args, "alpha", "n", "rmax", "lambda_points", "refine_tol"):
+        analysis.check_psi_options(args.lambda_points, args.refine_tol)
         mode = ModeSpec(alpha=args.alpha, k=args.k)
         grid = (make_grid(args.n, args.rmax) if args.rmax is not None
                 else default_grid(n=args.n))

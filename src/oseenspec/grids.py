@@ -108,15 +108,15 @@ class ModeSpec:
 class OperatorMatrix:
     """Matrix representation of one assembled operator.
 
-    kind is one of {"A_k", "K_k", "B_k", "H_full", "L1_model", "H_deformed",
-    "K_truncated", "D2"} for dense (n, n) data; the first three and the
-    last two are real, the rest complex symmetric (equal to their
-    transpose, not their adjoint).  The band kinds of
-    operators.assemble_banded, at any dilation angle, are "L1_band" (the
-    tridiagonal L1, data of shape (n, 3)) and "H_band" (the interleaved
-    2n pencil whose Schur complement is H_deformed, which is H_full at
-    theta = 0, data of shape (2n, 5)); row i of their data holds the
-    matrix entries of row i from column i - b to i + b.
+    The band kinds of operators.assemble_banded, at any dilation angle,
+    are what every bound runs on: "L1_band" (the tridiagonal L1, data of
+    shape (n, 3)) and "H_band" (the interleaved 2n pencil whose Schur
+    complement is H_deformed, which is H_full at theta = 0, data of shape
+    (2n, 5)); row i of their data holds the matrix entries of row i from
+    column i - b to i + b.  The dense kinds, (n, n) data, are the
+    benchmark's oracle: "A_k", "K_k", "B_k" (real) and "H_full",
+    "L1_model", "H_deformed" (complex symmetric, equal to their
+    transpose, not their adjoint).
     """
     kind: str
     grid: RadialGrid
@@ -136,9 +136,3 @@ def stencil_bands(grid):
     diag[0] = 3.0 / h ** 2
     return diag, np.full(grid.n - 1, -1.0 / h ** 2)
 
-
-def second_derivative_stencil(grid):
-    """stencil_bands as a dense (n, n) matrix."""
-    diag, off = stencil_bands(grid)
-    m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return OperatorMatrix(kind="D2", grid=grid, mode=None, data=m)

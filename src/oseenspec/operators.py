@@ -21,19 +21,21 @@ conjugates H at |k| = 1 to the diagonal-potential model
 which is what the k = +-1 bounds are computed from.  The analytic
 dilation r -> r e^{i theta} (theta = 0 is the straight operator) has
 coefficients F1, F2, F4 at z = r^2 e^{2 i theta}/4, written once by
-_mode_parts and read by assemble_H_deformed (dense), assemble_banded
-(band storage: L1 is tridiagonal, and for |k| >= 2 K_k is semiseparable,
-so its inverse is tridiagonal in closed form and H is the Schur
-complement of a pentadiagonal 2n pencil) and apply_L1.
+_mode_parts and read by assemble_banded (band storage: L1 is
+tridiagonal, and for |k| >= 2 K_k is semiseparable, so its inverse is
+tridiagonal in closed form and H is the Schur complement of a
+pentadiagonal 2n pencil), whose L1 band apply_L1 applies, and by
+assemble_H_deformed (dense).
 
 The same structure gives every product in O(n): apply_A is the
 tridiagonal product with harmonic_bands, apply_K two cumulative sums
 over K_k's semiseparable generators, and apply_B and apply_H are built
 from these two; apply_T and apply_Tstar read a quadrature rule built once
-per grid.  assemble_A, _K, _B, _H, _L1 and _K_truncated build the
-straight operators as dense matrices from sigma, g and f instead, as the
-tests' oracle.  Integral parts carry the midpoint quadrature weight h so
-that matrices act on plain node-value vectors.
+per grid.  The dense assemblies, assemble_A, _K, _B, _H, _L1 and
+_H_deformed, build the operators as (n, n) matrices from sigma, g and f
+instead; they are the benchmark's oracle (and the tests'), and no
+library path calls them.  Integral parts carry the midpoint quadrature
+weight h so that matrices act on plain node-value vectors.
 """
 
 import cmath
@@ -187,14 +189,15 @@ def apply_H(mode, w):
                  + 1j * mode.beta_k * apply_B(mode.k, w).values - 1j * mode.lam * w.values)
 
 
-def apply_L1(mode, w):
-    """Action of L1 on a Field: the tridiagonal product with the band
-    form of assemble_banded (at the mode's dilation angle)."""
-    if abs(mode.k) != 1:
-        raise ValueError("L1 is defined for |k| = 1 only")
-    data = assemble_banded(mode, w.grid).data
-    v = np.asarray(w.values, dtype=complex)
-    return Field(w.grid, _tridiagonal_product(data[1:, 0], data[:, 1], data[:-1, 2], v))
+def apply_L1(band, w):
+    """Action of L1 on a Field: the tridiagonal product with band, the
+    "L1_band" of assemble_banded at the mode's dilation angle, so one
+    assembly serves every field."""
+    if band.kind != "L1_band" or band.grid != w.grid:
+        raise ValueError("apply_L1 needs the L1_band of the field's grid")
+    lower, diag, upper = band.data[1:, 0], band.data[:, 1], band.data[:-1, 2]
+    return Field(w.grid, _tridiagonal_product(lower, diag, upper,
+                                              np.asarray(w.values, dtype=complex)))
 
 
 def _mode_parts(mode, grid):
@@ -268,27 +271,6 @@ def assemble_H_deformed(mode, grid):
         m -= c * (f2[:, None] * assemble_K(mode.k, grid).data * f2[None, :])
     np.fill_diagonal(m, m.diagonal() + pot)
     return OperatorMatrix(kind="H_deformed", grid=grid, mode=mode, data=m)
-
-
-def assemble_K_truncated(k, r_k, grid):
-    """Dirichlet-truncated kernel on (0, r_k):
-
-        (1/2|k|) [min(r/s, s/r)^{|k|} - (rs/r_k^2)^{|k|}] (rs)^{1/2}
-
-    supported on nodes < r_k (zero rows/columns outside); entrywise >= 0.
-    """
-    k = abs(_check_k(k))
-    if not (r_k > 0 and math.isfinite(r_k)):
-        raise ValueError("r_k must be positive and finite")
-    r = grid.nodes
-    inside = r < r_k
-    m = np.zeros((grid.n, grid.n))
-    ri = r[inside]
-    ratio = np.minimum.outer(ri, ri) / np.maximum.outer(ri, ri)
-    block = (grid.h / (2 * k)) * (ratio ** k - np.outer(ri, ri) ** k / r_k ** (2 * k)) \
-        * np.sqrt(np.outer(ri, ri))
-    m[np.ix_(inside, inside)] = block
-    return OperatorMatrix(kind="K_truncated", grid=grid, mode=None, data=m)
 
 
 def interior_mask(grid, collar=0.3):

@@ -15,11 +15,13 @@ a shift cold, from a fixed start vector, to relative 1e-14; along the
 shifts of a Psi scan, which only locate minima, scan_smin starts each
 shift from the previous one's top Ritz vector and stops at 1e-7 (the
 continuation of Trefethen & Embree, Spectra and Pseudospectra, 2005).
-verify reads tridiagonal bottoms by the same bisection and the top of a
-symmetric operator given by its product by ARPACK Lanczos
-(_top_eigenvalue).  The dense routines (eig, svdvals, eigvalsh,
-n <= 4000) stay only as the tests' and the benchmark's 1e-10 oracle; no
-library or verify path calls them.
+bottom_eigenvalue, smallest_singular_value, scan_smin and
+hermitian_part_min_eig take band operators only and raise ValueError on
+anything else.  verify reads tridiagonal bottoms by the same bisection
+and the top of a symmetric operator given by its product by ARPACK
+Lanczos (_top_eigenvalue).  The one dense routine left, eigenvalues
+(n <= 4000), is the benchmark's oracle; no library or verify path calls
+it.
 """
 
 import math
@@ -57,21 +59,16 @@ class EigenResult:
     backward_error: float
 
 
-def _as_matrix(m):
-    if isinstance(m, OperatorMatrix):
-        return m.data, m.kind
-    return np.asarray(m), "matrix"
-
-
 def eigenvalues(m):
-    """All eigenvalues of a dense operator, sorted by (Re, Im).
+    """All eigenvalues of a dense operator, sorted by (Re, Im): the
+    benchmark's oracle for Sigma, which no library path calls.
 
     The reported backward_error is the largest eigenpair residual
     ||M v - mu v|| over unit right eigenvectors, which bounds the size of
     the perturbation E needed for (M+E) to have the returned spectrum
     exactly.
     """
-    a, kind = _as_matrix(m)
+    a, kind = (m.data, m.kind) if isinstance(m, OperatorMatrix) else (np.asarray(m), "matrix")
     n = a.shape[0]
     if n > 4000:
         raise ValueError("dense eigensolve capped at n = 4000, got %d" % n)
@@ -88,28 +85,18 @@ def eigenvalues(m):
     return EigenResult(values=vals, backward_error=err)
 
 
-def smallest_singular_value(m, shift=0.0):
-    """s_min(M - i shift I) = 1/||(M - i shift)^{-1}||.
+def _check_band(m, routine):
+    if not (isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS):
+        raise ValueError("%s needs a banded operator (kind in %s)" % (routine, BANDED_KINDS))
 
-    A banded operator (kinds in BANDED_KINDS) goes through one band LU
-    and the inverse Lanczos iteration, with no size cap; for the pencil
-    kind this is s_min of its Schur complement H - i shift.  Anything else
-    goes through the dense SVD (n <= 4000), which returns 0 for an exactly
-    singular matrix where the band LU raises SolverError.
-    """
-    if isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS:
-        return _banded_smin(m, shift)
-    a, kind = _as_matrix(m)
-    n = a.shape[0]
-    if n > 4000:
-        raise ValueError("dense svd capped at n = 4000, got %d" % n)
-    if shift != 0.0:
-        a = a - 1j * shift * np.eye(n)
-    try:
-        s = sla.svdvals(a)
-    except sla.LinAlgError as exc:
-        raise SolverError("svd failed for %s (n=%d): %s" % (kind, n, exc)) from exc
-    return float(s[-1])
+
+def smallest_singular_value(m, shift=0.0):
+    """s_min(M - i shift I) = 1/||(M - i shift)^{-1}|| of a banded operator,
+    through one band LU and the inverse Lanczos iteration, with no size
+    cap; for the pencil kind this is s_min of its Schur complement
+    H - i shift.  An exactly singular M - i shift raises SolverError."""
+    _check_band(m, "smallest_singular_value")
+    return _banded_smin(m, shift)
 
 
 def _band_lu(m, z):
@@ -150,8 +137,8 @@ def _band_lu(m, z):
 
 def _tridiagonal_eigenvalue(diag, off, index):
     """The index-th smallest (from 1) eigenvalue of a real symmetric
-    tridiagonal, by LAPACK bisection (stebz, the routine
-    eigvalsh_tridiagonal calls, without its checks)."""
+    tridiagonal, by LAPACK bisection (stebz, the routine behind scipy's
+    tridiagonal eigenvalue solver, without its checks)."""
     _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
     if info != 0:
         raise SolverError("tridiagonal bisection failed: info = %d" % info)
@@ -219,8 +206,7 @@ def scan_smin(m, shifts):
     shift started from the previous shift's top Ritz vector and the first
     from the fixed start vector.  Values lie within about 4e-6 relative
     of smallest_singular_value's (the tests hold 1e-5)."""
-    if not (isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS):
-        raise ValueError("scan_smin needs a banded operator")
+    _check_band(m, "scan_smin")
     start = _start_vector(m.grid.n)
     vals = np.empty(len(shifts))
     for i, shift in enumerate(shifts):
@@ -233,8 +219,7 @@ def bottom_eigenvalue(m, shift):
     eigenvalues of a banded operator nearest the complex shift: ARPACK's
     dominant eigenvalues mu of (M - shift)^{-1}, applied through one band
     LU from a fixed start vector, give shift + 1/mu."""
-    if not (isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS):
-        raise ValueError("bottom_eigenvalue needs a banded operator")
+    _check_band(m, "bottom_eigenvalue")
     n = m.grid.n
     solve = _band_lu(m, shift)
     inverse = LinearOperator((n, n), matvec=lambda v: solve(v, False), dtype=complex)
@@ -275,16 +260,14 @@ def _hermitian_pencil(m):
 
 
 def hermitian_part_min_eig(m):
-    """Smallest eigenvalue of (M + M^H)/2; a lower bound for min Re spec(M).
+    """Smallest eigenvalue of (M + M^H)/2 of a banded operator; a lower
+    bound for min Re spec(M).
 
     A band's stencil is complex symmetric, so its x-row tridiagonal has
     Hermitian part (Re diag, Re off), whose bottom (by bisection) is the
     answer for L1_band and seeds bottom_eigenvalue on _hermitian_pencil
-    for H_band.  Dense input, the tests' oracle, goes through eigvalsh."""
-    if isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS:
-        b = m.data.shape[0] // m.grid.n
-        low = _tridiagonal_eigenvalue(m.data[::b, b].real, m.data[:-b:b, 2 * b].real, 1)
-        return low if b == 1 else bottom_eigenvalue(_hermitian_pencil(m), low).real
-    a, _ = _as_matrix(m)
-    herm = (a + a.conj().T) / 2
-    return float(sla.eigvalsh(herm, subset_by_index=(0, 0))[0])
+    for H_band."""
+    _check_band(m, "hermitian_part_min_eig")
+    b = m.data.shape[0] // m.grid.n
+    low = _tridiagonal_eigenvalue(m.data[::b, b].real, m.data[:-b:b, 2 * b].real, 1)
+    return low if b == 1 else bottom_eigenvalue(_hermitian_pencil(m), low).real

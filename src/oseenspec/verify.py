@@ -13,9 +13,10 @@ and the wave transforms through their tridiagonal and semiseparable
 structure, the coercivity checks take the bottom of a weighted
 tridiagonal by bisection, and kernel.bounds reads the top of G K_k G by
 Lanczos on its product and K_k's positivity from its tridiagonal
-inverse.  No check builds a dense matrix; the dense assemblies are the
-tests' oracle for these products.  run_check records each check's wall
-time in CheckReport.elapsed_ms, which equality ignores.
+inverse.  No check builds a dense matrix or calls a dense solver; the
+tests hold these products to dense assemblies of their own oracle.
+run_check records each check's wall time in CheckReport.elapsed_ms,
+which equality ignores.
 """
 
 import math
@@ -123,13 +124,14 @@ def _check_wave_conjugation(config):
     grid = make_grid(2000, 40.0)
     rng = _rng(config, "wave.conjugation")
     mode = ModeSpec(alpha=8 * math.pi * 10, k=1, lam=0.3)
+    band = operators.assemble_banded(mode, grid)
     worst = 0.0
     nfields = 10
     for _ in range(nfields):
         u = Field(grid, _seeded_values(grid, rng))
         v = operators.apply_Tstar(u)
         lhs = operators.apply_T(operators.apply_H(mode, v)).values
-        rhs = operators.apply_L1(mode, u).values
+        rhs = operators.apply_L1(band, u).values
         worst = max(worst, _interior_rel(grid, lhs, rhs))
     return _report("wave.conjugation", worst, 1e-2, nfields)
 
@@ -228,9 +230,15 @@ def _check_kernel_bounds(config):
 
 
 def _truncated_kernel_form(k, r_k, x):
-    """x . K x for K = assemble_K_truncated(k, r_k, x.grid).data and a real
-    Field x, in O(n): the apply_K form of x on the nodes below r_k minus
-    the rank-one term (h/2k) (sum r^{k+1/2} x)^2 / r_k^{2k}."""
+    """x . K x for K the Nystrom matrix of the Dirichlet-truncated kernel
+    on (0, r_k),
+
+        (1/2|k|) [min(r/s, s/r)^{|k|} - (rs/r_k^2)^{|k|}] (rs)^{1/2}
+
+    on the nodes below r_k, and a real Field x, in O(n): the apply_K form
+    of x on the nodes below r_k minus the rank-one term
+    (h/2k) (sum r^{k+1/2} x)^2 / r_k^{2k}.  No dense form of K is built
+    here; the tests hold this to one."""
     grid = x.grid
     r = grid.nodes
     inside = Field(grid, np.where(r < r_k, x.values, 0.0))
@@ -308,14 +316,31 @@ def _check_sigma_comparability(config):
 
 def _search_constants(term1, term2, rhs):
     """Smallest max(c1, c2) with min(c1 term1 + c2 term2 - rhs) >= 0 over the
-    sample grid, both constants searched over a log grid capped at 100."""
+    sample grid, both constants searched over a log grid capped at 100.
+
+    term1 > 0, so feasibility is monotone in c1: for each c2 in turn,
+    upward until c2 reaches the best found, bisection finds the least
+    feasible c1 of the grid below the best."""
+    consts = np.geomspace(0.01, 100.0, 25)
+
+    def feasible(c1, c2):
+        return np.all(c1 * term1 + c2 * term2 >= rhs)
+
     best = math.inf
-    for c1 in np.geomspace(0.01, 100.0, 25):
-        for c2 in np.geomspace(0.01, 100.0, 25):
-            if max(c1, c2) >= best:
-                continue
-            if np.all(c1 * term1 + c2 * term2 >= rhs):
-                best = max(c1, c2)
+    for c2 in consts:
+        if c2 >= best:
+            break
+        lo, hi = 0, int(np.searchsorted(consts, best))
+        if hi == 0 or not feasible(consts[hi - 1], c2):
+            continue
+        hi -= 1
+        while lo < hi:      # consts[hi] is feasible
+            mid = (lo + hi) // 2
+            if feasible(consts[mid], c2):
+                hi = mid
+            else:
+                lo = mid + 1
+        best = max(consts[hi], c2)
     return best
 
 

@@ -1,0 +1,87 @@
+"""Dense and exhaustive references the tests hold the library to.
+
+The library computes every bound on band operators and every verify
+check in O(n); nothing in it calls the routines below.  They are the
+plain dense LAPACK calls and full searches the O(n) paths replace, kept
+here so the 1e-10 gates compare against the same call on the same
+array as before:
+
+- smallest_singular_value: s_min(M - i shift) by the dense SVD
+  (svdvals) of an assembled matrix;
+- hermitian_part_min_eig: the bottom of (M + M^H)/2 by dense eigvalsh;
+- assemble_K_truncated and second_derivative_stencil: the dense
+  Dirichlet-truncated kernel (kind "K_truncated") and -d^2/dr^2 (kind
+  "D2"), against which verify's O(n) kernel form and the stencil bands
+  are checked;
+- search_constants: verify's constant search over the full 25 x 25 grid.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg as sla
+
+from oseenspec import operators
+from oseenspec.grids import OperatorMatrix, stencil_bands
+
+
+def _as_matrix(m):
+    return m.data if isinstance(m, OperatorMatrix) else np.asarray(m)
+
+
+def smallest_singular_value(m, shift=0.0):
+    """s_min(M - i shift I) of a dense matrix or OperatorMatrix, by svdvals."""
+    a = _as_matrix(m)
+    n = a.shape[0]
+    if shift != 0.0:
+        a = a - 1j * shift * np.eye(n)
+    s = sla.svdvals(a)
+    return float(s[-1])
+
+
+def hermitian_part_min_eig(m):
+    """Smallest eigenvalue of (M + M^H)/2 of a dense matrix, by eigvalsh."""
+    a = _as_matrix(m)
+    herm = (a + a.conj().T) / 2
+    return float(sla.eigvalsh(herm, subset_by_index=(0, 0))[0])
+
+
+def assemble_K_truncated(k, r_k, grid):
+    """Dirichlet-truncated kernel on (0, r_k):
+
+        (1/2|k|) [min(r/s, s/r)^{|k|} - (rs/r_k^2)^{|k|}] (rs)^{1/2}
+
+    supported on nodes < r_k (zero rows/columns outside); entrywise >= 0.
+    """
+    k = abs(operators._check_k(k))
+    if not (r_k > 0 and math.isfinite(r_k)):
+        raise ValueError("r_k must be positive and finite")
+    r = grid.nodes
+    inside = r < r_k
+    m = np.zeros((grid.n, grid.n))
+    ri = r[inside]
+    ratio = np.minimum.outer(ri, ri) / np.maximum.outer(ri, ri)
+    block = (grid.h / (2 * k)) * (ratio ** k - np.outer(ri, ri) ** k / r_k ** (2 * k)) \
+        * np.sqrt(np.outer(ri, ri))
+    m[np.ix_(inside, inside)] = block
+    return OperatorMatrix(kind="K_truncated", grid=grid, mode=None, data=m)
+
+
+def second_derivative_stencil(grid):
+    """stencil_bands as a dense (n, n) matrix."""
+    diag, off = stencil_bands(grid)
+    m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return OperatorMatrix(kind="D2", grid=grid, mode=None, data=m)
+
+
+def search_constants(term1, term2, rhs):
+    """verify._search_constants by exhaustion: every pair of the 25 x 25
+    log grid that could lower the best max(c1, c2) is tried."""
+    best = math.inf
+    for c1 in np.geomspace(0.01, 100.0, 25):
+        for c2 in np.geomspace(0.01, 100.0, 25):
+            if max(c1, c2) >= best:
+                continue
+            if np.all(c1 * term1 + c2 * term2 >= rhs):
+                best = max(c1, c2)
+    return best

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import oracle
 from oseenspec import analysis, cli, operators, solver, specfun, verify
 from oseenspec.grids import ModeSpec, make_grid
 
@@ -132,7 +133,7 @@ def test_criterion_07_quasimode_sharpness():
         s_min = solver.smallest_singular_value(operators.assemble_banded(mode, grid), lam_q)
         if grid.n <= 1200:
             # the dense oracle where it is cheap: levels 767 and 1122
-            dense = solver.smallest_singular_value(operators.assemble_L1(mode, grid), lam_q)
+            dense = oracle.smallest_singular_value(operators.assemble_L1(mode, grid), lam_q)
             assert abs(s_min - dense) <= 1e-10 * dense, (
                 "banded s_min %.15g against dense %.15g at n = %d" % (s_min, dense, grid.n))
         link_ok &= s_min <= ratio
@@ -170,7 +171,7 @@ def test_criterion_08_ordering_invariants():
                 ModeSpec(alpha=EIGHT_PI * 1e3, k=2, theta=math.pi / 24), grid)]
     for m in mats:
         low = solver.eigenvalues(m).values.real.min()
-        herm = solver.hermitian_part_min_eig(m)
+        herm = oracle.hermitian_part_min_eig(m)
         assert low >= herm - 1e-8, "%s: min Re eig %.6g under Hermitian floor %.6g" % (
             m.kind, low, herm)
     print("criterion 8: worst psi - sigma = %.3g, %d matrices checked"

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import oracle
 from oseenspec import analysis, operators, solver
 from oseenspec.grids import ModeSpec, OperatorMatrix, default_grid, make_grid
 
@@ -53,14 +54,22 @@ def test_mode_conjugation_symmetry(grid600):
     assert np.abs(np.sort_complex(np.conj(eneg)) - np.sort_complex(epos)).max() < 1e-8
 
 
+def _tridiagonal_band(grid, diag, off):
+    data = np.zeros((grid.n, 3), dtype=complex)
+    data[1:, 0], data[:, 1], data[:-1, 2] = off, diag, off
+    return OperatorMatrix(kind="L1_band", grid=grid, mode=None, data=data)
+
+
 def test_smallest_singular_value_identity():
-    assert solver.smallest_singular_value(np.eye(40), 0.0) == pytest.approx(1.0, abs=1e-12)
+    grid = make_grid(40, 10.0)
+    eye = _tridiagonal_band(grid, np.ones(40), np.zeros(39))
+    assert solver.smallest_singular_value(eye, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_smallest_singular_value_hermitian(grid600):
-    a = operators.assemble_A(1, grid600)
-    smin = solver.smallest_singular_value(a, 0.0)
-    lo = sla.eigvalsh(a.data, subset_by_index=(0, 0))[0]
+    band = _tridiagonal_band(grid600, *operators.harmonic_bands(1, grid600))
+    smin = solver.smallest_singular_value(band, 0.0)
+    lo = sla.eigvalsh(operators.assemble_A(1, grid600).data, subset_by_index=(0, 0))[0]
     assert abs(smin - lo) < 1e-10
 
 
@@ -68,7 +77,8 @@ def test_resolvent_distance_at_zero_rotation(grid600):
     # with beta = 0 the model operator is self-adjoint with spectrum
     # {3/2, 5/2, ...}; the resolvent-norm minimum over shifts sits at 0
     mode = ModeSpec(alpha=0.0, k=1, lam=0.0)
-    l1 = operators.assemble_L1(mode, grid600)
+    l1 = operators.assemble_banded(mode, grid600)
+    assert l1.kind == "L1_band"
     s0 = solver.smallest_singular_value(l1, 0.0)
     assert abs(s0 - 1.5) < 1e-3
     assert solver.smallest_singular_value(l1, 0.4) > s0
@@ -76,37 +86,50 @@ def test_resolvent_distance_at_zero_rotation(grid600):
 
 
 def test_smallest_singular_value_lipschitz_in_shift():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
-    lams = (-1.0, -0.3, 0.2, 1.7)
-    vals = [solver.smallest_singular_value(a, lam) for lam in lams]
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            assert abs(vals[i] - vals[j]) <= abs(lams[i] - lams[j]) + 1e-10
+    lams = (-3.0, -0.3, 0.2, 1.7, 4.0, 11.0)
+    for k, kind in ((1, "L1_band"), (2, "H_band")):
+        band = operators.assemble_banded(ModeSpec(alpha=8 * math.pi * 10 / k, k=k),
+                                         make_grid(300, 30.0))
+        assert band.kind == kind
+        vals = [solver.smallest_singular_value(band, lam) for lam in lams]
+        for i in range(len(lams)):
+            for j in range(i + 1, len(lams)):
+                assert abs(vals[i] - vals[j]) <= abs(lams[i] - lams[j]) + 1e-10
 
 
 def test_hermitian_part_of_full_mode_operator(grid600):
-    # i beta B is skew-Hermitian, so the Hermitian part of H is A_k
+    # i beta B is skew-Hermitian, so the Hermitian part of H at theta = 0
+    # is A_k: the bottom of the 3n pencil of the straight H_band
     mode = ModeSpec(alpha=8 * math.pi * 3, k=2, lam=0.9)
-    hp = solver.hermitian_part_min_eig(operators.assemble_H(mode, grid600))
+    band = operators.assemble_banded(mode, grid600)
+    assert band.kind == "H_band"
+    hp = solver.hermitian_part_min_eig(band)
     lo = sla.eigvalsh(operators.assemble_A(2, grid600).data, subset_by_index=(0, 0))[0]
     assert abs(hp - lo) < 1e-9
 
 
 def test_hermitian_part_bounds_spectrum():
+    # the dense oracle's Hermitian part against the dense spectrum
     rng = np.random.default_rng(7)
     a = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
-    hp = solver.hermitian_part_min_eig(a)
+    hp = oracle.hermitian_part_min_eig(a)
     re_min = solver.eigenvalues(a).values.real.min()
     assert re_min >= hp - 1e-8
+
+
+@pytest.mark.parametrize("routine", [solver.smallest_singular_value,
+                                     solver.hermitian_part_min_eig])
+def test_band_only_routines_reject_dense_input(routine, grid600):
+    dense = operators.assemble_L1(ModeSpec(alpha=8 * math.pi * 10, k=1), grid600)
+    for m in (np.eye(20, dtype=complex), dense):
+        with pytest.raises(ValueError, match="banded operator"):
+            routine(m)
 
 
 def test_size_cap():
     big = np.zeros((4001, 4001), dtype=np.float32)
     with pytest.raises(ValueError):
         solver.eigenvalues(big)
-    with pytest.raises(ValueError):
-        solver.smallest_singular_value(big, 0.0)
 
 
 # banded s_min against the dense oracle: (k, alpha) with |beta_k| = 1e3,
@@ -123,7 +146,7 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
     dense = (operators.assemble_L1 if abs(k) == 1 else operators.assemble_H)(mode, grid)
     lam_star = analysis.pseudospectral_bound(mode, grid).lambda_star
     for lam in [nu * mode.beta_k for nu in (-0.2, 0.25, 0.75, 1.2)] + [lam_star]:
-        ref = solver.smallest_singular_value(dense, lam)
+        ref = oracle.smallest_singular_value(dense, lam)
         got = solver.smallest_singular_value(band, lam)
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
@@ -165,7 +188,7 @@ def test_dilated_banded_smin_matches_dense_svd(k, sign):
     band = operators.assemble_banded(mode, grid)
     dense = operators.assemble_H_deformed(mode, grid)
     for lam in [nu * mode.beta_k for nu in (-0.2, 0.05, 0.25, 0.75, 1.2)]:
-        ref = solver.smallest_singular_value(dense, lam)
+        ref = oracle.smallest_singular_value(dense, lam)
         got = solver.smallest_singular_value(band, lam)
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
@@ -202,7 +225,7 @@ def test_banded_range_matches_dense_eigvalsh(k, sign, beta, n):
     grid = analysis.sigma_grid(mode, n=n)
     got = analysis.numerical_range_bound(mode, grid)
     tilted = ModeSpec(alpha=mode.alpha, k=k, theta=analysis._dilation_angle(mode))
-    ref = solver.hermitian_part_min_eig(operators.assemble_H_deformed(tilted, grid))
+    ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(tilted, grid))
     assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
 
 

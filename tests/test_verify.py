@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oseenspec import operators, specfun, verify
+import oracle
+from oseenspec import specfun, verify
 from oseenspec.grids import Field, make_grid
 
 
@@ -62,7 +63,7 @@ def test_truncated_kernel_form_matches_assembly(k):
     rng = np.random.default_rng(k)
     x = rng.standard_normal(grid.n) * specfun.g(r)
     for r_k in (0.5, 2.0, 5.0, 29.0):
-        dense = operators.assemble_K_truncated(k, r_k, grid).data
+        dense = oracle.assemble_K_truncated(k, r_k, grid).data
         want = float(x @ dense @ x)
         got = verify._truncated_kernel_form(k, r_k, Field(grid, x))
         scale = float(np.abs(x) @ np.abs(dense) @ np.abs(x))
@@ -88,6 +89,32 @@ def test_constant_searches_stay_moderate():
         rep = verify.run_check(check_id)
         assert rep.passed
         assert rep.measured <= cap
+
+
+def test_constant_search_matches_the_exhaustive_scan(monkeypatch):
+    # the 21 searches of the two envelope checks, and random ones with
+    # term2 of either sign and some with no feasible pair, against the
+    # full 25 x 25 scan, to the bit
+    search, calls = verify._search_constants, []
+
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(verify, "_search_constants", recorded)
+    verify.run_check("envelope.betaMed")
+    verify.run_check("envelope.betaHigh")
+    assert len(calls) == 21
+    r = np.geomspace(1e-3, 80.0, 4000)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        a, b = 10.0 ** rng.uniform(-2, 3, 2)
+        term1 = 1 / r ** 2 if rng.random() < 0.5 else 1 + r ** 2
+        term2 = rng.choice([-1, 1]) * a * (specfun.sigma(r) - rng.uniform(0, 0.5))
+        calls.append((term1, term2, b * np.ones_like(r)))
+    found = [search(*args) for args in calls]
+    assert found == [oracle.search_constants(*args) for args in calls]
+    assert math.inf in found and min(found) < 1
 
 
 def test_full_registry_passes():
