@@ -15,7 +15,7 @@ from .analysis import (
 from .grids import Field, ModeSpec, RadialGrid, default_grid, make_grid, quadrature
 from .solver import SolverError
 from .specfun import PoleError
-from .verify import CheckReport, VerifyConfig, run_all, run_check
+from .verify import CheckReport, run_all, run_check
 
 __all__ = [
     "BoundResult",
@@ -26,7 +26,6 @@ __all__ = [
     "PoleError",
     "RadialGrid",
     "SolverError",
-    "VerifyConfig",
     "__version__",
     "combined_bounds",
     "default_grid",

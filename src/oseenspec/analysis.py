@@ -31,7 +31,12 @@ straight operator, assembled once per grid level, where each shift costs
 one O(n) band LU.  The scan only locates the peak, so its shifts run
 through solver.scan_smin, warm-started and loose; the golden-section
 refinement measures with smallest_singular_value, cold to 1e-14, so the
-reported Psi and lambda* do not depend on the scan's tolerance.
+reported Psi and lambda* do not depend on the scan's tolerance.  The
+scan's 64 shifts and the refinement's relative width 1e-3 are fixed.
+
+bound_grid is the one grid policy of the three quantities, for the
+bound functions' defaults and for the command line alike, and
+sweep_point is the one row every bound command prints.
 """
 
 import logging
@@ -51,6 +56,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
 _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
+_LAMBDA_POINTS = 64     # shifts in Psi's first scan over beta_k [-0.2, 1.2]
+_REFINE_TOL = 1e-3      # relative bracket width that ends Psi's golden section
+QUANTITIES = ("sigma", "psi", "range")
+GRID_POLICY = "r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}"
 
 
 @dataclass
@@ -128,19 +137,31 @@ def sigma_grid(mode, n=600):
     return make_grid(n, max(30.0, 4.4 * abs(mode.beta_k) ** 0.25))
 
 
+def bound_grid(mode, quantity, n=600, r_max=None):
+    """First grid of the convergence protocol for one quantity of QUANTITIES
+    (GRID_POLICY): n points on r_max if given, else default_grid for psi
+    (its resolvent peak sits at the critical radius of lambda*, inside
+    r_max = 30) and sigma_grid for sigma and range."""
+    if quantity not in QUANTITIES:
+        raise ValueError("unknown quantity %r" % (quantity,))
+    if r_max is not None:
+        return make_grid(n, r_max)
+    return default_grid(n) if quantity == "psi" else sigma_grid(mode, n)
+
+
 def spectral_bound(mode, grid=None):
     """Sigma(alpha, k) = min Re spec of the mode operator, at lam = 0.
 
     The lam and theta components of the mode are ignored: the shift
     translates only imaginary parts, and _sigma_mode fixes the angle.
     Runs the grid-doubling protocol from the given grid (default:
-    sigma_grid at n = 600); each level runs shift-invert Arnoldi on the
-    rotated band, whose point spectrum matches the straight operator's,
-    from the asymptote on the first level and the previous eigenvalue on
-    the next.
+    bound_grid, sigma_grid at n = 600); each level runs shift-invert
+    Arnoldi on the rotated band, whose point spectrum matches the straight
+    operator's, from the asymptote on the first level and the previous
+    eigenvalue on the next.
     """
     if grid is None:
-        grid = sigma_grid(mode)
+        grid = bound_grid(mode, "sigma")
     rotated, seed = _sigma_mode(mode)
 
     def step(g, prev):
@@ -152,13 +173,14 @@ def spectral_bound(mode, grid=None):
     return BoundResult(mode=mode, grid_n=n, converged=converged, sigma_bound=sig)
 
 
-def _golden_min(fn, a, b, reltol=1e-3):
-    """Golden-section minimum of a scalar function on [a, b]."""
+def _golden_min(fn, a, b):
+    """Golden-section minimum of a scalar function on [a, b], to relative
+    bracket width _REFINE_TOL."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
     scale = max(abs(a), abs(b), 1.0)
-    while (b - a) > reltol * scale:
+    while (b - a) > _REFINE_TOL * scale:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -170,7 +192,7 @@ def _golden_min(fn, a, b, reltol=1e-3):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _scan_psi(matrix, lams, reltol=1e-3):
+def _scan_psi(matrix, lams):
     """Scan s_min(M - i lam) over the shifts lams with solver.scan_smin and
     refine the lowest interior minimum by golden section on
     smallest_singular_value, so what is returned is measured to 1e-14;
@@ -182,35 +204,26 @@ def _scan_psi(matrix, lams, reltol=1e-3):
     i = inner[np.argmin(vals[inner])]
     a, b = sorted((lams[i - 1], lams[i + 1]))
     lam_star, psi = _golden_min(lambda lam: solver.smallest_singular_value(matrix, lam),
-                                a, b, reltol=reltol)
+                                a, b)
     return float(psi), float(lam_star)
 
 
-def check_psi_options(lambda_points, refine_tol):
-    """Reject, before any solve, a scan of fewer than 8 shifts or a
-    refine_tol outside (0, 1), on which golden section never ends."""
-    if lambda_points < 8:
-        raise ValueError("lambda_points must be >= 8, got %d" % lambda_points)
-    if not 0.0 < refine_tol < 1.0:
-        raise ValueError("refine_tol must lie in (0, 1), got %r" % (refine_tol,))
-
-
-def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
+def pseudospectral_bound(mode, grid=None):
     """Psi(alpha, k) = min over real lam of s_min(H - i lam), with lam*.
 
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
-    lam = 0 (distance to the real spectrum).  Otherwise a lambda_points
-    scan over beta_k [-0.2, 1.2] locates the resolvent peak and golden
-    section refines the lowest interior minimum to relative refine_tol, in
-    (0, 1).  Refined levels rescan 9 shifts around the coarser level's
-    minimizer, and the full window if that finds no interior minimum; a
-    full window without one gives s_min at -0.2 beta_k, flagged as not
-    converged.  Scans use solver.scan_smin, which only locates; every
-    value returned is measured by smallest_singular_value.
+    lam = 0 (distance to the real spectrum).  Otherwise a 64-shift scan
+    over beta_k [-0.2, 1.2] locates the resolvent peak and golden section
+    refines the lowest interior minimum to relative width 1e-3.  Refined
+    levels rescan 9 shifts around the coarser level's minimizer, and the
+    full window if that finds no interior minimum; a full window without
+    one gives s_min at -0.2 beta_k, flagged as not converged.  Scans use
+    solver.scan_smin, which only locates; every value returned is
+    measured by smallest_singular_value.  The grid defaults to bound_grid
+    (default_grid at n = 600).
     """
     if grid is None:
-        grid = default_grid()
-    check_psi_options(lambda_points, refine_tol)
+        grid = bound_grid(mode, "psi")
     beta = mode.beta_k
     if beta == 0.0:
         res = spectral_bound(mode, grid)
@@ -224,11 +237,11 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
         if prev is not None:
             # refined grids rescan locally around the coarser level's minimizer
             _, lam_prev, scan_ok = prev
-            cell = 1.4 * abs(beta) / (lambda_points - 1)
+            cell = 1.4 * abs(beta) / (_LAMBDA_POINTS - 1)
             hit = _scan_psi(matrix, np.linspace(lam_prev - 1.5 * cell,
-                                                lam_prev + 1.5 * cell, 9), refine_tol)
+                                                lam_prev + 1.5 * cell, 9))
         if hit is None:
-            hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, lambda_points), refine_tol)
+            hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, _LAMBDA_POINTS))
         if hit is None:
             logger.warning("no interior resolvent minimum for alpha=%g k=%d",
                            mode.alpha, mode.k)
@@ -242,25 +255,16 @@ def pseudospectral_bound(mode, grid=None, lambda_points=64, refine_tol=1e-3):
 
 def combined_bounds(alpha, k_max=8, grid=None):
     """Sigma(alpha) and Psi(alpha): minima of the k-mode bounds over
-    1 <= k <= k_max (negative k covered by conjugation symmetry)."""
+    1 <= k <= k_max (negative k covered by conjugation symmetry), as the
+    pair (spectral_bound result, pseudospectral_bound result) of the
+    minimizing modes, which may differ."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    best_sig = None
-    best_psi = None
-    for k in range(1, k_max + 1):
-        mode = ModeSpec(alpha=alpha, k=k)
-        s = spectral_bound(mode, grid)
-        if best_sig is None or s.sigma_bound < best_sig.sigma_bound:
-            best_sig = s
-        p = pseudospectral_bound(mode, grid)
-        if best_psi is None or p.psi_bound < best_psi.psi_bound:
-            best_psi = p
-    return BoundResult(mode=best_sig.mode,
-                       grid_n=best_sig.grid_n,
-                       converged=best_sig.converged and best_psi.converged,
-                       sigma_bound=best_sig.sigma_bound,
-                       psi_bound=best_psi.psi_bound,
-                       lambda_star=best_psi.lambda_star)
+    modes = [ModeSpec(alpha=alpha, k=k) for k in range(1, k_max + 1)]
+    return (min((spectral_bound(mode, grid) for mode in modes),
+                key=lambda res: res.sigma_bound),
+            min((pseudospectral_bound(mode, grid) for mode in modes),
+                key=lambda res: res.psi_bound))
 
 
 def quasimode_shift(beta_1):
@@ -342,37 +346,32 @@ def numerical_range_bound(mode, grid=None):
     analytic-dilation angle sgn(beta_k) pi/12 for |k| = 1 and
     sgn(beta_k) pi/24 otherwise and returns the smallest eigenvalue of the
     Hermitian part, which lower-bounds the numerical range and hence the
-    spectrum, read from the band form of the rotated operator.
+    spectrum, read from the band form of the rotated operator.  The grid
+    defaults to bound_grid (sigma_grid at n = 600).
     """
     if grid is None:
-        grid = sigma_grid(mode)
+        grid = bound_grid(mode, "range")
     tilted = ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0,
                       theta=_dilation_angle(mode))
     return solver.hermitian_part_min_eig(operators.assemble_banded(tilted, grid))
 
 
-def sweep_point(mode, quantity, n=600):
-    """One sweep entry for the given quantity: value, convergence flag,
-    and the grid actually used.  This is the row form the command-line
-    front end consumes.
-
-    sigma and range run on the wall-aware grid of the spectral path;
-    psi runs on the default grid, r_max = 30 (its resolvent peak sits at
-    the critical radius of lambda*, inside that window).  All three run
-    the grid-doubling protocol from base resolution n.
-    """
+def sweep_point(mode, quantity, grid=None):
+    """One row for the given quantity of QUANTITIES: value, convergence
+    flag, the finest grid the protocol ran and, for psi, lambda*.  Every
+    bound command of the command line prints this row.  The protocol
+    starts from grid (default: bound_grid at n = 600)."""
+    if grid is None:
+        grid = bound_grid(mode, quantity)
     lam = None
     if quantity == "sigma":
-        grid = sigma_grid(mode, n=n)
         res = spectral_bound(mode, grid)
         value, converged, grid_n = res.sigma_bound, res.converged, res.grid_n
     elif quantity == "psi":
-        grid = default_grid(n=n)
         res = pseudospectral_bound(mode, grid)
         value, converged, grid_n = res.psi_bound, res.converged, res.grid_n
         lam = res.lambda_star
     elif quantity == "range":
-        grid = sigma_grid(mode, n=n)
         (value,), grid_n, converged = _grid_doubling(
             grid, lambda g, prev: (float(numerical_range_bound(mode, g)),), "range", mode)
     else:
@@ -411,11 +410,12 @@ def fit_sweep(points):
 
 def scaling_sweep(alphas, k, quantity, n=600):
     """Least-squares slope of log(quantity) against log|alpha|, quantity
-    one of sigma, psi, range: check_fit_alphas, then sweep_point on each
-    alpha in turn at base resolution n, then fit_sweep."""
+    one of QUANTITIES: check_fit_alphas, then sweep_point on each alpha in
+    turn from bound_grid at base resolution n, then fit_sweep."""
     check_fit_alphas(alphas)
-    return fit_sweep([sweep_point(ModeSpec(alpha=alpha, k=k), quantity, n=n)
-                      for alpha in alphas])
+    modes = [ModeSpec(alpha=alpha, k=k) for alpha in alphas]
+    return fit_sweep([sweep_point(mode, quantity, bound_grid(mode, quantity, n))
+                      for mode in modes])
 
 
 def fit_loglog(points, excluded_alphas=()):

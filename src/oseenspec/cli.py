@@ -5,6 +5,9 @@ Result rows go to standard output, as CSV under the header
     alpha,k,n,r_max,quantity,value,lambda_star,converged,elapsed_ms
 
 or as a single JSON document {"rows": [...], "fit": {...}?, "meta": {...}}.
+spectrum (sigma), pseudo (psi) and sweep (any quantity) print one row
+form: analysis.sweep_point on the grid analysis.bound_grid gives for the
+mode, quantity, --n and --rmax.
 Real values carry 9 significant digits, randomness is seeded, and rows
 are emitted in input order, so identical invocations print identical
 values (elapsed_ms is wall time and is the one column that varies).
@@ -21,11 +24,9 @@ import sys
 import time
 
 from . import __version__, analysis, solver, verify
-from .grids import ModeSpec, default_grid, make_grid
+from .grids import ModeSpec
 
 CSV_HEADER = "alpha,k,n,r_max,quantity,value,lambda_star,converged,elapsed_ms"
-
-_GRID_POLICY = "r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}"
 
 
 class UsageError(Exception):
@@ -75,17 +76,17 @@ def _mode_meta(mode, lambda_star=None):
 
 
 def _meta(**extra):
-    meta = {"version": __version__, "grid_policy": _GRID_POLICY}
+    meta = {"version": __version__, "grid_policy": analysis.GRID_POLICY}
     meta.update(extra)
     return meta
 
 
 @contextlib.contextmanager
 def _inputs(args, *flags):
-    """Around the building of a command's ModeSpecs and grid, before any
+    """Around the building of a command's ModeSpecs and grids, before any
     solve: after the CLI-only k >= 1 check, the ValueError of an
-    inadmissible value (ModeSpec, make_grid, check_fit_alphas,
-    check_psi_options) becomes a usage error naming the flags as typed."""
+    inadmissible value (ModeSpec, bound_grid, check_fit_alphas,
+    quasimode_grid) becomes a usage error naming the flags as typed."""
     if getattr(args, "k", 1) < 1:
         raise UsageError("k must be >= 1, got %d" % args.k)
     try:
@@ -96,34 +97,26 @@ def _inputs(args, *flags):
         raise UsageError("%s: %s" % (given, exc)) from None
 
 
-def cmd_spectrum(args):
+def _points(quantity, modes, grids):
+    """sweep_point of each mode from its grid, with its rows.  Points run
+    one after another, so each elapsed_ms is the point's own time."""
+    points, rows = [], []
+    for mode, grid in zip(modes, grids):
+        t0 = time.perf_counter()
+        pt = analysis.sweep_point(mode, quantity, grid)
+        ms = round(1000 * (time.perf_counter() - t0))
+        points.append(pt)
+        rows.append(_row(mode.alpha, mode.k, pt.grid_n, pt.r_max, quantity,
+                         pt.value, pt.lambda_star, pt.converged, ms))
+    return points, rows
+
+
+def cmd_bound(args):
     with _inputs(args, "alpha", "n", "rmax"):
         mode = ModeSpec(alpha=args.alpha, k=args.k)
-        grid = (make_grid(args.n, args.rmax) if args.rmax is not None
-                else analysis.sigma_grid(mode, n=args.n))
-    t0 = time.perf_counter()
-    res = analysis.spectral_bound(mode, grid)
-    ms = round(1000 * (time.perf_counter() - t0))
-    rows = [_row(args.alpha, args.k, res.grid_n, grid.r_max, "sigma",
-                 res.sigma_bound, None, res.converged, ms)]
-    _emit(rows, args.format, _meta(**_mode_meta(mode)))
-    return 0
-
-
-def cmd_pseudo(args):
-    with _inputs(args, "alpha", "n", "rmax", "lambda_points", "refine_tol"):
-        analysis.check_psi_options(args.lambda_points, args.refine_tol)
-        mode = ModeSpec(alpha=args.alpha, k=args.k)
-        grid = (make_grid(args.n, args.rmax) if args.rmax is not None
-                else default_grid(n=args.n))
-    t0 = time.perf_counter()
-    res = analysis.pseudospectral_bound(mode, grid,
-                                        lambda_points=args.lambda_points,
-                                        refine_tol=args.refine_tol)
-    ms = round(1000 * (time.perf_counter() - t0))
-    rows = [_row(args.alpha, args.k, res.grid_n, grid.r_max, "psi",
-                 res.psi_bound, res.lambda_star, res.converged, ms)]
-    _emit(rows, args.format, _meta(**_mode_meta(mode, res.lambda_star)))
+        grid = analysis.bound_grid(mode, args.quantity, args.n, args.rmax)
+    (pt,), rows = _points(args.quantity, [mode], [grid])
+    _emit(rows, args.format, _meta(**_mode_meta(mode, pt.lambda_star)))
     return 0
 
 
@@ -136,18 +129,10 @@ def cmd_sweep(args):
         raise UsageError("--alphas is empty")
     with _inputs(args, "alphas", "n"):
         modes = [ModeSpec(alpha=alpha, k=args.k) for alpha in alphas]
-        default_grid(n=args.n)      # every quantity's grid has n points, r_max >= 30
+        grids = [analysis.bound_grid(mode, args.quantity, args.n) for mode in modes]
         if args.fit:
             analysis.check_fit_alphas(alphas)
-    # points run one after another, so each elapsed_ms is the point's own time
-    points, rows = [], []
-    for mode in modes:
-        t0 = time.perf_counter()
-        pt = analysis.sweep_point(mode, args.quantity, n=args.n)
-        ms = round(1000 * (time.perf_counter() - t0))
-        points.append(pt)
-        rows.append(_row(mode.alpha, args.k, pt.grid_n, pt.r_max, args.quantity,
-                         pt.value, pt.lambda_star, pt.converged, ms))
+    points, rows = _points(args.quantity, modes, grids)
     fit = None
     if args.fit:
         res = analysis.fit_sweep(points)
@@ -178,8 +163,7 @@ def cmd_quasimode(args):
 
 
 def cmd_verify(args):
-    config = verify.VerifyConfig(seed=args.seed)
-    reports = verify.run_all(config, suite=args.suite)
+    reports = verify.run_all(args.seed, suite=args.suite)
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
         doc = {"rows": [{"check_id": r.check_id, "passed": r.passed,
@@ -216,21 +200,14 @@ def _build_parser():
                            help="angular mode number, k >= 1 (default 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("spectrum", help="smallest real part of the mode spectrum")
-    add_common(p)
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--rmax", type=float, default=None)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("pseudo", help="pseudospectral bound min_lam s_min(H - i lam)")
-    add_common(p)
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--lambda-points", type=int, default=64,
-                   help="shifts in the coarse scan window (default 64)")
-    p.add_argument("--refine-tol", type=float, default=1e-3,
-                   help="relative width target of the golden refinement")
-    p.set_defaults(func=cmd_pseudo)
+    for name, quantity, about in (
+            ("spectrum", "sigma", "smallest real part of the mode spectrum"),
+            ("pseudo", "psi", "pseudospectral bound min_lam s_min(H - i lam)")):
+        p = sub.add_parser(name, help=about)
+        add_common(p)
+        p.add_argument("--n", type=int, default=600)
+        p.add_argument("--rmax", type=float, default=None)
+        p.set_defaults(func=cmd_bound, quantity=quantity)
 
     p = sub.add_parser("sweep", help="bounds across alphas, optionally with a log-log fit")
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")

@@ -59,10 +59,6 @@ class Field:
             raise ValueError(f"field has {v.shape} values on an n = {self.grid.n} grid")
         self.values = v
 
-    @classmethod
-    def from_callable(cls, grid, fun):
-        return cls(grid, np.asarray(fun(grid.nodes)))
-
     def norm(self):
         return math.sqrt(self.grid.h) * float(np.linalg.norm(self.values))
 

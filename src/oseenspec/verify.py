@@ -6,7 +6,8 @@ constant for inequalities stated up to constants, a drift for invariance
 checks.  A check passes iff measured <= tolerance, so reports are uniform
 and machine-comparable.  Random test fields are smooth decaying profiles
 r^{k+1/2} e^{-r^2/8} (polynomial) with coefficients drawn from a seeded
-generator, so every report is deterministic given the seed.
+generator, so every report is deterministic given the seed that
+run_check and run_all take (default 2024).
 
 Every check runs in O(n) per field: operators applies A_k, K_k, B_k, H
 and the wave transforms through their tridiagonal and semiseparable
@@ -41,13 +42,8 @@ class CheckReport:
     elapsed_ms: float = field(default=0.0, compare=False)
 
 
-@dataclass
-class VerifyConfig:
-    seed: int = 2024
-
-
-def _rng(config, check_id):
-    return np.random.default_rng([config.seed, zlib.crc32(check_id.encode())])
+def _rng(seed, check_id):
+    return np.random.default_rng([seed, zlib.crc32(check_id.encode())])
 
 
 def _report(check_id, measured, tolerance, samples):
@@ -73,9 +69,9 @@ def _interior_rel(grid, lhs, rhs):
 
 # ---------------------------------------------------------------- wave
 
-def _check_wave_isometry(config):
+def _check_wave_isometry(seed):
     grid = make_grid(2000, 40.0)
-    rng = _rng(config, "wave.isometry")
+    rng = _rng(seed, "wave.isometry")
     chi = Field(grid, grid.nodes ** 1.5 * specfun.g(grid.nodes))
     worst = operators.apply_T(chi).norm() / chi.norm()
     nfields = 10
@@ -91,9 +87,9 @@ def _check_wave_isometry(config):
     return _report("wave.isometry", worst, 1e-4, nfields + 1)
 
 
-def _check_wave_intertwine(config):
+def _check_wave_intertwine(seed):
     grid = make_grid(2000, 40.0)
-    rng = _rng(config, "wave.intertwine")
+    rng = _rng(seed, "wave.intertwine")
     sig = specfun.sigma(grid.nodes)
     worst = 0.0
     nfields = 10
@@ -105,9 +101,9 @@ def _check_wave_intertwine(config):
     return _report("wave.intertwine", worst, 1e-3, nfields)
 
 
-def _check_wave_commutator(config):
+def _check_wave_commutator(seed):
     grid = make_grid(2000, 40.0)
-    rng = _rng(config, "wave.commutator")
+    rng = _rng(seed, "wave.commutator")
     fpot = specfun.f(grid.nodes)
     worst = 0.0
     nfields = 10
@@ -120,9 +116,9 @@ def _check_wave_commutator(config):
     return _report("wave.commutator", worst, 1e-2, nfields)
 
 
-def _check_wave_conjugation(config):
+def _check_wave_conjugation(seed):
     grid = make_grid(2000, 40.0)
-    rng = _rng(config, "wave.conjugation")
+    rng = _rng(seed, "wave.conjugation")
     mode = ModeSpec(alpha=8 * math.pi * 10, k=1, lam=0.3)
     band = operators.assemble_banded(mode, grid)
     worst = 0.0
@@ -138,7 +134,7 @@ def _check_wave_conjugation(config):
 
 # ------------------------------------------------------------ coercive
 
-def _check_coercive_a1(config):
+def _check_coercive_a1(seed):
     grid = make_grid(600, 30.0)
     low = solver._tridiagonal_eigenvalue(*operators.harmonic_bands(1, grid), 1)
     return _report("coercive.A1", abs(low - 0.5), 1e-3, grid.n)
@@ -156,7 +152,7 @@ def _form_constant(diag, off, weight):
     return 1.0 / low
 
 
-def _check_coercive_a1f(config):
+def _check_coercive_a1f(seed):
     grid = make_grid(600, 30.0)
     r = grid.nodes
     hmin = specfun.h(np.linspace(0.01, 40.0, 8000)).min()
@@ -168,7 +164,7 @@ def _check_coercive_a1f(config):
                    100.0, grid.n)
 
 
-def _check_coercive_ak(config):
+def _check_coercive_ak(seed):
     grid = make_grid(600, 30.0)
     r = grid.nodes
     worst = 0.0
@@ -178,7 +174,7 @@ def _check_coercive_ak(config):
     return _report("coercive.Ak", worst, 100.0, 4 * grid.n)
 
 
-def _check_taylor_h(config):
+def _check_taylor_h(seed):
     exact = {2: 35 / 32, 3: -7 / 32, 4: 19 / 384}
     worst = 0.0
     for n, want in exact.items():
@@ -199,9 +195,9 @@ def _check_taylor_h(config):
 
 # -------------------------------------------------------------- kernel
 
-def _check_kernel_ode(config):
+def _check_kernel_ode(seed):
     grid = make_grid(600, 30.0)
-    rng = _rng(config, "kernel.ode")
+    rng = _rng(seed, "kernel.ode")
     r = grid.nodes
     worst = 0.0
     for k in (1, 2, 3, 5):
@@ -213,7 +209,7 @@ def _check_kernel_ode(config):
     return _report("kernel.ode", worst, 1e-2, 4)
 
 
-def _check_kernel_bounds(config):
+def _check_kernel_bounds(seed):
     grid = make_grid(600, 30.0)
     gw = specfun.g(grid.nodes)
     sig_max = specfun.sigma(grid.nodes).max()
@@ -246,9 +242,9 @@ def _truncated_kernel_form(k, r_k, x):
     return float(inside.values @ operators.apply_K(k, inside).values) - rank_one
 
 
-def _check_kernel_truncated(config):
+def _check_kernel_truncated(seed):
     grid = make_grid(2000, 30.0)
-    rng = _rng(config, "kernel.truncated")
+    rng = _rng(seed, "kernel.truncated")
     r = grid.nodes
     sig = specfun.sigma(r)
     gw = specfun.g(r)
@@ -269,7 +265,7 @@ def _check_kernel_truncated(config):
 
 # --------------------------------------------------------------- sigma
 
-def _check_sigma_identity(config):
+def _check_sigma_identity(seed):
     r = np.linspace(0.05, 6.0, 400)
     delta = 1e-5
     phi = lambda x: x ** 3 * specfun.sigma_prime(x)
@@ -279,7 +275,7 @@ def _check_sigma_identity(config):
     return _report("sigma.identity", worst, 1e-6, r.size)
 
 
-def _check_sigma_comparability(config):
+def _check_sigma_comparability(seed):
     worst = 0.0
     count = 0
     for r0 in np.geomspace(0.01, 20.0, 35):
@@ -344,7 +340,7 @@ def _search_constants(term1, term2, rhs):
     return best
 
 
-def _check_envelope_beta_med(config):
+def _check_envelope_beta_med(seed):
     r = np.geomspace(1e-3, 80.0, 4000)
     sig = specfun.sigma(r)
     worst = 0.0
@@ -370,7 +366,7 @@ def _check_envelope_beta_med(config):
     return _report("envelope.betaMed", worst, 100.0, count * r.size)
 
 
-def _check_envelope_beta_high(config):
+def _check_envelope_beta_high(seed):
     r = np.geomspace(1e-3, 80.0, 4000)
     sig = specfun.sigma(r)
     worst = 0.0
@@ -399,7 +395,7 @@ def _check_envelope_beta_high(config):
 
 # -------------------------------------------------------------- deform
 
-def _check_deform_f1(config):
+def _check_deform_f1(seed):
     r = np.geomspace(1e-2, 50.0, 400)
     worst = 0.0
     thetas = np.linspace(0.03, math.pi / 4 * 0.99, 12)
@@ -413,7 +409,7 @@ def _check_deform_f1(config):
     return _report("deform.F1", worst, 100.0, r.size * thetas.size)
 
 
-def _check_deform_f5(config):
+def _check_deform_f5(seed):
     r = np.geomspace(1e-3, 100.0, 2000)
     worst = -math.inf
     thetas = np.linspace(0.02, math.pi / 4 * 0.99, 12)
@@ -425,7 +421,7 @@ def _check_deform_f5(config):
     return _report("deform.F5", max(worst, 0.0), 1e-12, r.size * thetas.size)
 
 
-def _check_deform_theta_invariance(config):
+def _check_deform_theta_invariance(seed):
     grid = make_grid(600, 30.0)
     worst = 0.0
     for k in (1, 2):
@@ -438,7 +434,7 @@ def _check_deform_theta_invariance(config):
     return _report("deform.thetaInvariance", worst, 1e-2, 2)
 
 
-def _check_deform_moment_bound(config):
+def _check_deform_moment_bound(seed):
     s = np.linspace(0.002, 16.0, 4000)
     ds = s[1] - s[0]
     r = np.geomspace(0.05, 12.0, 60)
@@ -455,8 +451,8 @@ def _check_deform_moment_bound(config):
     return _report("deform.momentBound", max(worst, 0.0), 1e-6, 3 * r.size)
 
 
-def _check_deform_trig(config):
-    rng = _rng(config, "deform.trig")
+def _check_deform_trig(seed):
+    rng = _rng(seed, "deform.trig")
     n = 1000
     a, b, c = rng.uniform(-10, 10, (3, n))
     lhs = np.sin(a - b - c) * np.sin(a)
@@ -499,19 +495,18 @@ SUITES = {
 SUITES["all"] = sorted(_REGISTRY)
 
 
-def run_check(check_id, config=None):
+def run_check(check_id, seed=2024):
     if check_id not in _REGISTRY:
         raise ValueError("unknown check id %r (known: %s)"
                          % (check_id, ", ".join(sorted(_REGISTRY))))
     t0 = time.perf_counter()
-    rep = _REGISTRY[check_id](config or VerifyConfig())
+    rep = _REGISTRY[check_id](seed)
     rep.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return rep
 
 
-def run_all(config=None, suite="all"):
+def run_all(seed=2024, suite="all"):
     if suite not in SUITES:
         raise ValueError("unknown suite %r (known: %s)"
                          % (suite, ", ".join(sorted(SUITES))))
-    config = config or VerifyConfig()
-    return [run_check(c, config) for c in sorted(SUITES[suite])]
+    return [run_check(c, seed) for c in sorted(SUITES[suite])]

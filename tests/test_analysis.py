@@ -139,7 +139,8 @@ def test_range_and_verify_never_call_the_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", dense)
     monkeypatch.setattr(scipy.linalg, "eigvalsh", dense)
     for k in (1, 2):
-        pt = analysis.sweep_point(ModeSpec(alpha=EIGHT_PI * 1e3, k=k), "range", n=300)
+        mode = ModeSpec(alpha=EIGHT_PI * 1e3, k=k)
+        pt = analysis.sweep_point(mode, "range", analysis.sigma_grid(mode, n=300))
         assert pt.converged and pt.value > 0
     reports = verify.run_all()
     assert len(reports) == 20 and all(rep.passed for rep in reports)
@@ -176,9 +177,9 @@ def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     # that level runs the first level's scan over beta_k [-0.2, 1.2]
     scan, calls = analysis._scan_psi, []
 
-    def local_rescan_misses(matrix, lams, reltol=1e-3):
+    def local_rescan_misses(matrix, lams):
         calls.append((matrix.grid.n, len(lams)))
-        return None if len(lams) == 9 else scan(matrix, lams, reltol)
+        return None if len(lams) == 9 else scan(matrix, lams)
 
     monkeypatch.setattr(analysis, "_scan_psi", local_rescan_misses)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
@@ -192,7 +193,7 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
     # a level whose scans find no interior minimum reports s_min at the
     # window edge -0.2 beta_k, measured cold, and flags the bound
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
-    monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams, reltol=1e-3: None)
+    monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams: None)
     res = analysis.pseudospectral_bound(mode, grid)
     assert not res.converged
     assert res.lambda_star == -0.2 * mode.beta_k
@@ -217,9 +218,9 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
 
     golden, brackets = analysis._golden_min, []
 
-    def counted(fn, a, b, reltol=1e-3):
+    def counted(fn, a, b):
         brackets.append((a, b))
-        return golden(fn, a, b, reltol)
+        return golden(fn, a, b)
 
     monkeypatch.setattr(analysis, "_golden_min", counted)
     psi, _ = analysis._scan_psi(band, lams)
@@ -247,20 +248,6 @@ def test_psi_below_sigma(sigma_ladder, psi_1e2):
     assert psi_1e2.psi_bound <= sigma_ladder[1e2].sigma_bound + 1e-6
 
 
-def test_psi_rejects_tiny_scan():
-    with pytest.raises(ValueError):
-        analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 10, k=1),
-                                      lambda_points=4)
-
-
-@pytest.mark.parametrize("refine_tol", [0.0, -1e-3, 1.0, float("nan")])
-def test_psi_rejects_bad_refine_tol(refine_tol):
-    # golden section on (b - a) > refine_tol * scale never ends at 0 or below
-    with pytest.raises(ValueError):
-        analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 10, k=1),
-                                      refine_tol=refine_tol)
-
-
 @pytest.mark.parametrize("k,beta_k", [(1, 3.0), (1, 1e2), (1, -1e5), (-1, 1e3),
                                       (2, 1e4), (2, -1e3), (3, 1e5), (-3, -1e2),
                                       (5, 3e4)])
@@ -280,11 +267,25 @@ def test_psi_reported_values_do_not_depend_on_the_scan(monkeypatch, k, beta_k):
 def test_combined_bounds_at_zero_alpha():
     # minimum over k sits at k = 2 (value 1.0, against 1.5 at k = 1 and 3);
     # higher k only grow, so k_max = 3 already exhibits the attainment
-    res = analysis.combined_bounds(0.0, k_max=3)
+    sig, res = analysis.combined_bounds(0.0, k_max=3)
     assert res.mode.k == 2
-    assert abs(res.sigma_bound - 1.0) < 2e-3
-    assert res.psi_bound == res.sigma_bound
+    assert abs(sig.sigma_bound - 1.0) < 2e-3
+    assert res.psi_bound == sig.sigma_bound
     assert res.lambda_star == 0.0
+
+
+def test_combined_bounds_label_each_bound_with_its_own_mode():
+    # at alpha = 8 pi 20 Sigma is least at k = 1 and Psi at k = 2; each
+    # result carries its own mode, grid and lambda*, so lambda*/beta_k is
+    # the minimizing mode's nu (0.219 at k = 2, against 0.187 at k = 1)
+    alpha, grid = EIGHT_PI * 20, default_grid(n=300)
+    sig, psi = analysis.combined_bounds(alpha, k_max=3, grid=grid)
+    assert (sig.mode.k, psi.mode.k) == (1, 2)
+    assert sig == analysis.spectral_bound(ModeSpec(alpha=alpha, k=1), grid)
+    assert psi == analysis.pseudospectral_bound(ModeSpec(alpha=alpha, k=2), grid)
+    for k in (1, 3):
+        other = analysis.pseudospectral_bound(ModeSpec(alpha=alpha, k=k), grid)
+        assert psi.psi_bound < other.psi_bound
 
 
 def test_combined_attainment_moves_to_k1():
@@ -447,9 +448,26 @@ def test_grid_doubling_protocol(values, grid_n, converged, steps):
 
 
 def test_sweep_point_psi_row():
-    pt = analysis.sweep_point(ModeSpec(alpha=0.0, k=1), "psi", n=300)
+    pt = analysis.sweep_point(ModeSpec(alpha=0.0, k=1), "psi", default_grid(n=300))
     assert pt.quantity == "psi"
     assert pt.lambda_star == 0.0
     assert abs(pt.value - 1.5) < 2e-3
     with pytest.raises(ValueError):
         analysis.sweep_point(ModeSpec(alpha=0.0, k=1), "spectrum")
+    with pytest.raises(ValueError):
+        analysis.sweep_point(ModeSpec(alpha=0.0, k=1), "spectrum", default_grid(n=300))
+
+
+def test_bound_grid_policy():
+    # psi on r_max = 30, sigma and range on the wall-aware r_max (here
+    # above 30), n = 600 by default, and an explicit r_max for every quantity
+    mode = ModeSpec(alpha=EIGHT_PI * 1e5, k=1)
+    assert analysis.bound_grid(mode, "psi", 300) == default_grid(n=300)
+    for quantity in ("sigma", "range"):
+        assert analysis.bound_grid(mode, quantity, 300) == analysis.sigma_grid(mode, n=300)
+        assert analysis.bound_grid(mode, quantity) == analysis.sigma_grid(mode)
+    assert analysis.sigma_grid(mode).r_max > 30.0
+    for quantity in analysis.QUANTITIES:
+        assert analysis.bound_grid(mode, quantity, 64, 12.0) == make_grid(64, 12.0)
+    with pytest.raises(ValueError):
+        analysis.bound_grid(mode, "spectrum")

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from oseenspec import analysis, cli, solver
+from oseenspec.grids import ModeSpec
 
 EIGHT_PI = 8 * math.pi
 
@@ -62,12 +63,44 @@ def test_pseudo_selfadjoint_row(capsys):
 
 
 def test_pseudo_flag_validation(capsys):
-    code, _, err = run_cli(capsys, "pseudo", "--alpha", "10", "--k", "1",
-                           "--lambda-points", "4")
-    assert code == 2 and "lambda-points" in err
-    code, _, err = run_cli(capsys, "pseudo", "--alpha", "10", "--k", "1",
-                           "--refine-tol", "2.0")
-    assert code == 2 and "refine-tol" in err
+    # Psi's search has no flags: its 64 shifts and its 1e-3 refinement are
+    # constants, so argparse rejects these as unrecognized arguments
+    for flag, value in (("--lambda-points", "64"), ("--refine-tol", "1e-3")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pseudo", "--alpha", "10", "--k", "1", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,quantity,r_max", [
+    pytest.param(("spectrum", "--alpha", repr(EIGHT_PI * 1e4), "--k", "2"), "sigma", None,
+                 id="spectrum"),
+    pytest.param(("spectrum", "--alpha", "-1e4", "--rmax", "35"), "sigma", 35.0,
+                 id="spectrum-rmax"),
+    pytest.param(("pseudo", "--alpha", "0", "--k", "1"), "psi", None, id="pseudo-k1-beta0"),
+    pytest.param(("pseudo", "--alpha", repr(EIGHT_PI * 1e4), "--k", "2"), "psi", None,
+                 id="pseudo-k2"),
+    pytest.param(("sweep", "--alphas", "0,1e5", "--k", "2", "--quantity", "sigma"), "sigma",
+                 None, id="sweep-sigma"),
+    pytest.param(("sweep", "--alphas", "1e3,-1e5", "--quantity", "psi"), "psi", None,
+                 id="sweep-psi"),
+    pytest.param(("sweep", "--alphas", "1e3,1e5", "--k", "3", "--quantity", "range"), "range",
+                 None, id="sweep-range"),
+])
+def test_bound_rows_are_sweep_points(capsys, argv, quantity, r_max):
+    # spectrum, pseudo and sweep print sweep_point on the bound_grid grid
+    code, out, _ = run_cli(capsys, *argv, "--n", "200", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for row in doc["rows"]:
+        del row["elapsed_ms"]
+        mode = ModeSpec(alpha=row["alpha"], k=row["k"])
+        pt = analysis.sweep_point(mode, quantity,
+                                  analysis.bound_grid(mode, quantity, 200, r_max))
+        assert row == {"alpha": pt.mode.alpha, "k": pt.mode.k, "n": pt.grid_n,
+                       "r_max": pt.r_max, "quantity": pt.quantity, "value": pt.value,
+                       "lambda_star": pt.lambda_star, "converged": pt.converged}
+    assert len(doc["rows"]) == (1 if argv[0] != "sweep" else 2)
 
 
 def test_sweep_rows_deterministic(capsys):
@@ -241,9 +274,9 @@ def test_domain_errors_exit_one(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "spectrum", "--alpha", "1e3")
     assert code == 1 and err.startswith("error:") and "band LU failed" in err
 
-    def unconverged_point(mode, quantity, n=600):
+    def unconverged_point(mode, quantity, grid=None):
         return analysis.SweepPoint(mode=mode, quantity=quantity, value=math.nan,
-                                   converged=False, grid_n=n, r_max=30.0,
+                                   converged=False, grid_n=grid.n, r_max=30.0,
                                    lambda_star=None)
 
     monkeypatch.setattr(analysis, "sweep_point", unconverged_point)

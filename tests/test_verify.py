@@ -38,11 +38,11 @@ def test_report_shape_and_pass_rule():
 
 
 def test_deterministic_given_seed():
-    a = verify.run_check("kernel.truncated", verify.VerifyConfig(seed=2024))
-    b = verify.run_check("kernel.truncated", verify.VerifyConfig(seed=2024))
+    a = verify.run_check("kernel.truncated", seed=2024)
+    b = verify.run_check("kernel.truncated", seed=2024)
     assert a == b
     # a different seed draws different fields but the inequality still holds
-    c = verify.run_check("kernel.truncated", verify.VerifyConfig(seed=7))
+    c = verify.run_check("kernel.truncated", seed=7)
     assert c.passed
 
 
