@@ -23,16 +23,20 @@ sgn(beta_k) pi/8; at beta_1 = 1e5 that condition number is 2.8 at the angle
 
 The minimizing shift for Psi lies at nu = lam/beta_k inside (0, 1): for
 nu outside that range the operator is coercive at the |beta|^{1/2} scale,
-so the resolvent peak sits where sigma(r) crosses nu.  The scan window
-beta_k [-0.2, 1.2] covers it with margin on both sides.  Psi is a
-property of the straight operator (rotation does not preserve resolvent
-norms), so that path stays unrotated; it runs on the banded form of the
-straight operator, assembled once per grid level, where each shift costs
-one O(n) band LU.  The scan only locates the peak, so its shifts run
-through solver.scan_smin, warm-started and loose; the golden-section
-refinement measures with smallest_singular_value, cold to 1e-14, so the
-reported Psi and lambda* do not depend on the scan's tolerance.  The
-scan's 64 shifts and the refinement's relative width 1e-3 are fixed.
+so the resolvent peak sits where sigma(r) crosses nu.  It follows the law
+lambda* ~ 0.55 sgn(beta_k) |beta_k|^{2/3} (0.545 to 0.550 at |beta_k| =
+1e3 to 1e6), so the first level scans 16 shifts over that asymptote times
+[0.5, 1.5]; where the law drifts (small |beta_k|, or beta_2 = 100, where
+the ratio is 0.95) that scan has no interior minimum and the 64-shift
+window beta_k [-0.2, 1.2], which covers (0, 1) with margin on both sides,
+takes over.  Psi is a property of the straight operator (rotation does
+not preserve resolvent norms), so that path stays unrotated; it runs on
+the banded form of the straight operator, assembled once per grid level,
+where each shift costs one O(n) band LU.  The scan only locates the peak,
+so its shifts run through solver.scan_smin, warm-started and loose; the
+Brent refinement measures with smallest_singular_value, cold to 1e-14,
+so the reported Psi and lambda* do not depend on the scan's tolerance.
+The scans' shifts and the refinement's relative width 1e-3 are fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
 bound functions' defaults and for the command line alike, and
@@ -56,8 +60,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
 _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
-_LAMBDA_POINTS = 64     # shifts in Psi's first scan over beta_k [-0.2, 1.2]
-_REFINE_TOL = 1e-3      # relative bracket width that ends Psi's golden section
+# Psi's first scan: _SHORT_POINTS shifts on the asymptote of the minimizer,
+# lambda* ~ _ASYMPTOTE sgn(beta_k) |beta_k|^{2/3}, times [0.5, 1.5]; where
+# that finds no interior minimum, _LAMBDA_POINTS shifts over beta_k [-0.2, 1.2]
+_SHORT_POINTS = 16
+_ASYMPTOTE = 0.55
+_LAMBDA_POINTS = 64
+_REFINE_TOL = 1e-3      # relative bracket width that ends Psi's Brent refinement
 QUANTITIES = ("sigma", "psi", "range")
 GRID_POLICY = "r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}"
 
@@ -173,38 +182,64 @@ def spectral_bound(mode, grid=None):
     return BoundResult(mode=mode, grid_n=n, converged=converged, sigma_bound=sig)
 
 
-def _golden_min(fn, a, b):
-    """Golden-section minimum of a scalar function on [a, b], to relative
-    bracket width _REFINE_TOL."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    scale = max(abs(a), abs(b), 1.0)
-    while (b - a) > _REFINE_TOL * scale:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
+def _brent_min(fn, a, b, x):
+    """Brent's minimum of a scalar function on [a, b] from the interior
+    point x (Algorithms for Minimization without Derivatives, 1973, ch. 5):
+    a parabola through the three best points so far, and a golden-section
+    step whenever that parabola's minimum leaves the bracket or fails to
+    halve the step before last.  No two evaluations lie closer than a
+    quarter of the final width.  Stops at relative bracket width
+    _REFINE_TOL and returns the lowest (x, fn(x)) evaluated."""
+    tol = _REFINE_TOL * max(abs(a), abs(b), 1.0)
+    step = tol / 4.0
+    fx = fn(x)
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        p = q = 0.0
+        if abs(e) > step:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q = abs(q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * step:
+                d = math.copysign(step, m - x)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            e = (a if x >= m else b) - x
+            d = (1.0 - _GOLDEN) * e
+        u = x + (d if abs(d) >= step else math.copysign(step, d))
+        fu = fn(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _scan_psi(matrix, lams):
     """Scan s_min(M - i lam) over the shifts lams with solver.scan_smin and
-    refine the lowest interior minimum by golden section on
-    smallest_singular_value, so what is returned is measured to 1e-14;
-    None if no shift is an interior minimum."""
+    refine the lowest interior minimum by Brent on smallest_singular_value,
+    from that shift within its two neighbours, so what is returned is
+    measured to 1e-14; None if no shift is an interior minimum."""
     vals = solver.scan_smin(matrix, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if inner.size == 0:
         return None
     i = inner[np.argmin(vals[inner])]
     a, b = sorted((lams[i - 1], lams[i + 1]))
-    lam_star, psi = _golden_min(lambda lam: solver.smallest_singular_value(matrix, lam),
-                                a, b)
+    lam_star, psi = _brent_min(lambda lam: solver.smallest_singular_value(matrix, lam),
+                               a, b, lams[i])
     return float(psi), float(lam_star)
 
 
@@ -212,15 +247,17 @@ def pseudospectral_bound(mode, grid=None):
     """Psi(alpha, k) = min over real lam of s_min(H - i lam), with lam*.
 
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
-    lam = 0 (distance to the real spectrum).  Otherwise a 64-shift scan
-    over beta_k [-0.2, 1.2] locates the resolvent peak and golden section
-    refines the lowest interior minimum to relative width 1e-3.  Refined
-    levels rescan 9 shifts around the coarser level's minimizer, and the
-    full window if that finds no interior minimum; a full window without
-    one gives s_min at -0.2 beta_k, flagged as not converged.  Scans use
-    solver.scan_smin, which only locates; every value returned is
-    measured by smallest_singular_value.  The grid defaults to bound_grid
-    (default_grid at n = 600).
+    lam = 0 (distance to the real spectrum).  Otherwise a 16-shift scan
+    over 0.55 sgn(beta_k) |beta_k|^{2/3} [0.5, 1.5], around the asymptote
+    of lambda*, locates the resolvent peak, the 64-shift scan over
+    beta_k [-0.2, 1.2] takes over if that finds no interior minimum, and
+    Brent refines the lowest interior minimum to relative width 1e-3.
+    Refined levels rescan 9 shifts around the coarser level's minimizer,
+    and the full window if that finds no interior minimum; a full window
+    without one gives s_min at -0.2 beta_k, flagged as not converged.
+    Scans use solver.scan_smin, which only locates; every value returned
+    is measured by smallest_singular_value.  The grid defaults to
+    bound_grid (default_grid at n = 600).
     """
     if grid is None:
         grid = bound_grid(mode, "psi")
@@ -230,16 +267,19 @@ def pseudospectral_bound(mode, grid=None):
         return BoundResult(mode=mode, grid_n=res.grid_n, converged=res.converged,
                            sigma_bound=res.sigma_bound, psi_bound=res.sigma_bound,
                            lambda_star=0.0)
+    asymptote = _ASYMPTOTE * math.copysign(abs(beta) ** (2.0 / 3.0), beta)
 
     def step(g, prev):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
-        hit, scan_ok = None, True
-        if prev is not None:
+        if prev is None:
+            scan_ok = True
+            lams = asymptote * np.linspace(0.5, 1.5, _SHORT_POINTS)
+        else:
             # refined grids rescan locally around the coarser level's minimizer
             _, lam_prev, scan_ok = prev
             cell = 1.4 * abs(beta) / (_LAMBDA_POINTS - 1)
-            hit = _scan_psi(matrix, np.linspace(lam_prev - 1.5 * cell,
-                                                lam_prev + 1.5 * cell, 9))
+            lams = np.linspace(lam_prev - 1.5 * cell, lam_prev + 1.5 * cell, 9)
+        hit = _scan_psi(matrix, lams)
         if hit is None:
             hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, _LAMBDA_POINTS))
         if hit is None:

@@ -11,10 +11,12 @@ shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
 & Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range
 bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
 |k| >= 2 by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures
-a shift cold, from a fixed start vector, to relative 1e-14; along the
-shifts of a Psi scan, which only locate minima, scan_smin starts each
-shift from the previous one's top Ritz vector and stops at 1e-7 (the
-continuation of Trefethen & Embree, Spectra and Pseudospectra, 2005).
+a shift cold, from a fixed start vector, to relative 1e-14, and so
+measures every shift of Psi's Brent refinement and every value a Psi
+bound reports; along the shifts of a Psi scan, which only pick that
+refinement's bracket and start, scan_smin starts each shift from the
+previous one's top Ritz vector and stops at 1e-7 (the continuation of
+Trefethen & Embree, Spectra and Pseudospectra, 2005).
 bottom_eigenvalue, smallest_singular_value, scan_smin and
 hermitian_part_min_eig take band operators only and raise ValueError on
 anything else.  verify reads tridiagonal bottoms by the same bisection
@@ -45,9 +47,9 @@ class SolverError(RuntimeError):
 BANDED_KINDS = ("L1_band", "H_band")
 # stop once the largest Ritz value moves by less than this, relatively:
 # measured values, and the warm-started scan's, which only pick the
-# brackets golden section refines.  A warm start stalls in the clustered
-# edge shifts, where the error runs to 50 times the last change (5e-5 at
-# 1e-6); 1e-7 keeps it under 4e-6.
+# brackets and start points Brent refines.  A warm start stalls in the
+# clustered edge shifts, where the error runs to 50 times the last change
+# (5e-5 at 1e-6); 1e-7 keeps it under 4e-6.
 _LANCZOS_RTOL = 1e-14
 _SCAN_RTOL = 1e-7
 _ARNOLDI_COUNT = 6      # eigenvalues nearest the shift that ARPACK finds

@@ -174,7 +174,8 @@ def test_psi_independent_of_r_max():
 
 def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     # when the 9-point rescan of a refined level finds no interior minimum,
-    # that level runs the first level's scan over beta_k [-0.2, 1.2]
+    # that level runs the full window over beta_k [-0.2, 1.2]; the first
+    # level's short scan around the asymptote finds one at beta_1 = 1e2
     scan, calls = analysis._scan_psi, []
 
     def local_rescan_misses(matrix, lams):
@@ -183,7 +184,7 @@ def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
 
     monkeypatch.setattr(analysis, "_scan_psi", local_rescan_misses)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
-    assert calls[:3] == [(600, 64), (1200, 9), (1200, 64)]
+    assert calls[:3] == [(600, 16), (1200, 9), (1200, 64)]
     assert res.converged and res.grid_n == psi_1e2.grid_n
     assert abs(res.psi_bound - psi_1e2.psi_bound) <= 1e-6 * psi_1e2.psi_bound
     assert abs(res.lambda_star - psi_1e2.lambda_star) <= 1e-3 * psi_1e2.lambda_star
@@ -203,9 +204,9 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
-    # at beta_k = 1e6 the first level's scan has about 11 interior minima;
+    # at beta_k = 1e6 the full window's scan has about 11 interior minima;
     # refining every one of them finds nothing below the one _scan_psi
-    # refines, the lowest, in its single golden section
+    # refines, the lowest, in its single Brent refinement
     mode = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k)
     band = operators.assemble_banded(mode, default_grid(n=300))
     lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
@@ -216,19 +217,102 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
     def cold(lam):
         return solver.smallest_singular_value(band, lam)
 
-    golden, brackets = analysis._golden_min, []
+    brent, brackets = analysis._brent_min, []
 
-    def counted(fn, a, b):
+    def counted(fn, a, b, x):
         brackets.append((a, b))
-        return golden(fn, a, b)
+        return brent(fn, a, b, x)
 
-    monkeypatch.setattr(analysis, "_golden_min", counted)
+    monkeypatch.setattr(analysis, "_brent_min", counted)
     psi, _ = analysis._scan_psi(band, lams)
     lowest = inner[np.argmin(vals[inner])]
     assert brackets == [tuple(sorted((lams[lowest - 1], lams[lowest + 1])))]
     for i in inner:
         a, b = sorted((lams[i - 1], lams[i + 1]))
-        assert golden(cold, a, b)[1] >= psi
+        assert brent(cold, a, b, lams[i])[1] >= psi
+
+
+@pytest.mark.parametrize("k,beta_k,fallback", [(1, 1e6, False), (2, 1e6, False),
+                                               (5, 1e6, False), (3, -1e4, False),
+                                               (2, 1e2, True)])
+def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, fallback):
+    # the first level's 16 shifts around the asymptote 0.55 sgn(beta_k)
+    # |beta_k|^{2/3} refine to the minimum the 64-shift window over
+    # beta_k [-0.2, 1.2] refines on the same band, also at beta_k = 1e6,
+    # where that window has 10 or more interior minima; at beta_2 = 1e2,
+    # where lambda* sits at 0.95 beta_2^{2/3}, the short scan has no
+    # interior minimum and the full window runs instead
+    mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k), default_grid(n=300)
+    scan, first = analysis._scan_psi, []
+
+    def recorded(matrix, lams):
+        hit = scan(matrix, lams)
+        if matrix.grid.n == grid.n:
+            first.append((len(lams), hit))
+        return hit
+
+    monkeypatch.setattr(analysis, "_scan_psi", recorded)
+    analysis.pseudospectral_bound(mode, grid)
+    band = operators.assemble_banded(mode, grid)
+    full = scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))
+    if fallback:
+        assert first == [(16, None), (64, full)]
+        return
+    [(points, (psi, lam))] = first
+    assert points == 16
+    assert abs(psi - full[0]) <= 1e-6 * full[0]
+    assert abs(lam - full[1]) <= analysis._REFINE_TOL * max(abs(full[1]), 1.0)
+
+
+def _golden_evaluations(a, b):
+    # golden section on [a, b]: two points, then one per shrink by _GOLDEN
+    # until the width reaches _REFINE_TOL max(|a|, |b|, 1)
+    tol = analysis._REFINE_TOL * max(abs(a), abs(b), 1.0)
+    return 2 + math.ceil(math.log(tol / (b - a)) / math.log(analysis._GOLDEN))
+
+
+@pytest.mark.parametrize("fn,a,b,x,argmin", [
+    (lambda t: (t - 0.3) ** 2 + 1.0, -1.0, 2.0, 0.5, 0.3),
+    (lambda t: math.exp(t) - 2.0 * t, -1.0, 2.0, 0.5, math.log(2.0)),
+    (lambda t: math.exp(10.0 * (t - 19.5)) - 10.0 * (t - 19.5), 10.0, 20.0, 15.0, 19.5),
+    (lambda t: math.cosh(t - 50.2), 49.0, 51.0, 50.0, 50.2),
+])
+def test_brent_min_reaches_the_refine_width_in_fewer_calls_than_golden(fn, a, b, x, argmin):
+    # a quadratic, an asymmetric smooth minimum, a minimum next to the
+    # bracket's end, and one off the centre of a bracket away from the
+    # origin, each started as _scan_psi starts it, from a point no higher
+    # than the bracket's ends: Brent stops within _REFINE_TOL
+    # max(|a|, |b|, 1) of the minimizer, returns its lowest evaluation, and
+    # evaluates less often than golden section on the same bracket
+    assert fn(x) <= min(fn(a), fn(b))
+    calls = []
+
+    def counted(t):
+        calls.append((t, fn(t)))
+        return calls[-1][1]
+
+    lam, val = analysis._brent_min(counted, a, b, x)
+    assert calls[0][0] == x
+    assert all(a <= t <= b for t, _ in calls)
+    assert (lam, val) == min(calls, key=lambda c: c[1])
+    assert abs(lam - argmin) <= analysis._REFINE_TOL * max(abs(a), abs(b), 1.0)
+    assert len(calls) < _golden_evaluations(a, b)
+
+
+def test_psi_cold_calls_per_bound(monkeypatch):
+    # one bound at beta_1 = 1e2 (two levels, n = 600 and 1200): the Brent
+    # refinements measure at most 18 shifts cold in all, where golden
+    # section took about 28
+    cold, calls = solver.smallest_singular_value, []
+
+    def counted(matrix, lam):
+        calls.append(lam)
+        return cold(matrix, lam)
+
+    monkeypatch.setattr(solver, "smallest_singular_value", counted)
+    res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
+    assert res.converged and res.grid_n == 1200
+    assert len(calls) <= 18
 
 
 def test_psi_lambda_star_in_unit_band(psi_1e2):

@@ -63,7 +63,7 @@ def test_pseudo_selfadjoint_row(capsys):
 
 
 def test_pseudo_flag_validation(capsys):
-    # Psi's search has no flags: its 64 shifts and its 1e-3 refinement are
+    # Psi's search has no flags: its scan shifts and its 1e-3 refinement are
     # constants, so argparse rejects these as unrecognized arguments
     for flag, value in (("--lambda-points", "64"), ("--refine-tol", "1e-3")):
         with pytest.raises(SystemExit) as exc:

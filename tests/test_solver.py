@@ -158,7 +158,8 @@ def _interior_minima(vals):
 
 
 # the warm-started scan against the cold 1e-14 call at every shift of the
-# first level's full 64-shift window: the oracle modes across beta_k = 1e2..1e5
+# full 64-shift window, the first level's fallback: the oracle modes across
+# beta_k = 1e2..1e5
 SCAN_CASES = [(k, sign, beta, n) for k, sign in ORACLE_MODES
               for beta in (1e2, 1e3, 1e4, 1e5) for n in (300, 600)]
 
