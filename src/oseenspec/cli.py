@@ -19,6 +19,7 @@ not pass, 2 on usage errors.
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -184,7 +185,12 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process.  Each subcommand names
+    its cmd_* function in args.run, looked up when main runs it, so a
+    wrapper installed over a cmd_* function after the first call is the
+    one called."""
     parser = argparse.ArgumentParser(
         prog="oseenspec",
         description="Spectral and pseudospectral bounds for the radial "
@@ -207,7 +213,7 @@ def _build_parser():
         add_common(p)
         p.add_argument("--n", type=int, default=600)
         p.add_argument("--rmax", type=float, default=None)
-        p.set_defaults(func=cmd_bound, quantity=quantity)
+        p.set_defaults(run="cmd_bound", quantity=quantity)
 
     p = sub.add_parser("sweep", help="bounds across alphas, optionally with a log-log fit")
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")
@@ -217,20 +223,20 @@ def _build_parser():
     p.add_argument("--fit", action="store_true",
                    help="append the fitted slope as a JSON line")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(run="cmd_sweep")
 
     p = sub.add_parser("quasimode", help="localized test field and its residual ratio")
     add_common(p, with_k=False)
     p.add_argument("--n", type=int, default=None,
                    help="grid size (default: resolves the support)")
     p.add_argument("--rmax", type=float, default=None)
-    p.set_defaults(func=cmd_quasimode)
+    p.set_defaults(run="cmd_quasimode")
 
     p = sub.add_parser("verify", help="run the identity and inequality registry")
     p.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(run="cmd_verify")
     return parser
 
 
@@ -261,7 +267,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return globals()[args.run](args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

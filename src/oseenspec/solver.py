@@ -1,9 +1,9 @@
 """Linear-algebra layer: eigenvalues, singular values, Hermitian parts.
 
-Everything here is a thin, checked wrapper over LAPACK and ARPACK through
-scipy: the contract is the accuracy bound (backward errors at the eps
-level, far under the 1e-8 norm-relative budget the callers assume), not
-the algorithm.
+Everything here is a checked wrapper over LAPACK through scipy.linalg,
+with the Krylov loops written here on top of it: the contract is the
+accuracy bound (backward errors at the eps level, far under the 1e-8
+norm-relative budget the callers assume), not the algorithm.
 
 Every bound runs on the banded operators of operators.assemble_banded, one
 band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
@@ -20,19 +20,19 @@ Trefethen & Embree, Spectra and Pseudospectra, 2005).
 bottom_eigenvalue, smallest_singular_value, scan_smin and
 hermitian_part_min_eig take band operators only and raise ValueError on
 anything else.  verify reads tridiagonal bottoms by the same bisection
-and the top of a symmetric operator given by its product by ARPACK
-Lanczos (_top_eigenvalue).  The one dense routine left, eigenvalues
-(n <= 4000), is the benchmark's oracle; no library or verify path calls
-it.
+and the top of a symmetric operator given by its product by inverse
+Lanczos's own loop (_lanczos, through _top_eigenvalue).  The one dense
+routine left, eigenvalues (n <= 4000), is the benchmark's oracle; no
+library or verify path calls it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
 from .grids import OperatorMatrix
 
@@ -52,7 +52,17 @@ BANDED_KINDS = ("L1_band", "H_band")
 # (5e-5 at 1e-6); 1e-7 keeps it under 4e-6.
 _LANCZOS_RTOL = 1e-14
 _SCAN_RTOL = 1e-7
-_ARNOLDI_COUNT = 6      # eigenvalues nearest the shift that ARPACK finds
+_ARNOLDI_COUNT = 6      # eigenvalues nearest the shift, among which the bottom is chosen
+# Arnoldi computes Ritz pairs (an eig of its Hessenberg, which costs as much
+# as a few band solves) after 2 _ARNOLDI_COUNT steps, then every _RITZ_EVERY
+# steps.  The chosen pair stops at relative residual _LANCZOS_RTOL once every
+# pair nearest the shift is under _RITZ_GUARD: an eigenvalue the start vector
+# barely sees is still missing from the nearest Ritz pairs while they are
+# unconverged, and could take the least real part (the tests build one).
+# Past _ARNOLDI_MAX steps it fails; Sigma and range bounds take 16 to 24.
+_RITZ_EVERY = 4
+_RITZ_GUARD = 1e-4
+_ARNOLDI_MAX = 200
 
 
 @dataclass
@@ -147,18 +157,55 @@ def _tridiagonal_eigenvalue(diag, off, index):
     return float(vals[0])
 
 
+@functools.lru_cache(maxsize=None)
 def _start_vector(n):
-    """The fixed start vector of the Lanczos and Arnoldi iterations."""
-    return np.random.default_rng(0).standard_normal(n) + 0j
+    """The fixed start vector of the Lanczos and Arnoldi iterations, built
+    once per n and read-only."""
+    v = np.random.default_rng(0).standard_normal(n) + 0j
+    v.flags.writeable = False
+    return v
+
+
+def _lanczos(apply, start, rtol, vector=False):
+    """Hermitian Lanczos with full reorthogonalization (twice is enough) on
+    the operator apply, from start.  Stops when the largest Ritz value
+    theta changes by less than relative rtol, or the Krylov space is
+    exhausted, and returns theta, or (theta, its Ritz vector) if vector."""
+    n = len(start)
+    basis = np.empty((min(n, 32), n), dtype=start.dtype)
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    prev = 0.0
+    for j in range(n):
+        z = apply(basis[j])
+        alpha.append(float(np.vdot(basis[j], z).real))
+        theta = alpha[0] if j == 0 else _tridiagonal_eigenvalue(alpha, beta, j + 1)
+        if abs(theta - prev) <= rtol * abs(theta) or j == n - 1:
+            break
+        prev = theta
+        q = basis[:j + 1]
+        for _ in range(2):
+            z = z - (q @ z.conj()).conj() @ q
+        beta.append(float(np.linalg.norm(z)))
+        if beta[-1] <= _LANCZOS_RTOL * abs(theta):
+            break               # invariant subspace: theta is exact
+        if j + 1 == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis)])[:n]
+        basis[j + 1] = z / beta[-1]
+    if not vector:
+        return theta
+    size = len(alpha)
+    _, y = sla.eigh_tridiagonal(alpha, beta[:size - 1], select="i",
+                                select_range=(size - 1, size - 1))
+    return theta, y[:, 0] @ basis[:size]
 
 
 def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL):
-    """Inverse Lanczos: Hermitian Lanczos with full reorthogonalization on
-    X^H X, X the x-row block of (M - i shift)^{-1}, from start (default:
-    the fixed start vector).  Stops when the largest Ritz value theta
-    changes by less than relative rtol (or the Krylov space is exhausted)
-    and returns theta^{-1/2}; given a start, returns (theta^{-1/2}, top
-    Ritz vector), the start for a nearby shift.
+    """Inverse Lanczos: _lanczos on X^H X, X the x-row block of
+    (M - i shift)^{-1}, from start (default: the fixed start vector), to
+    relative change rtol; returns theta^{-1/2} for the top Ritz value
+    theta, and given a start, (theta^{-1/2}, top Ritz vector), the start
+    for a nearby shift.
 
     Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
     which is 0.998 at the scan's edge shifts, where the bottom singular
@@ -168,37 +215,12 @@ def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL):
     scan's shifts only locate minima, so scan_smin runs them to 1e-7,
     each warm-started from the previous shift's Ritz vector.
     """
-    n = m.grid.n
     solve = _band_lu(m, 1j * shift)
-    q = _start_vector(n) if start is None else start
-    basis = np.empty((min(n, 32), n), dtype=complex)
-    basis[0] = q / np.linalg.norm(q)
-    alpha, beta = [], []
-    prev = 0.0
-    for j in range(n):
-        x = solve(basis[j], False)
-        z = solve(x, True)
-        alpha.append(float(np.vdot(x, x).real))
-        theta = alpha[0] if j == 0 else _tridiagonal_eigenvalue(alpha, beta, j + 1)
-        if abs(theta - prev) <= rtol * theta or j == n - 1:
-            break
-        prev = theta
-        q = basis[:j + 1]
-        for _ in range(2):      # twice is enough
-            z = z - (q @ z.conj()).conj() @ q
-        beta.append(float(np.linalg.norm(z)))
-        if beta[-1] <= _LANCZOS_RTOL * theta:
-            break               # invariant subspace: theta is exact
-        if j + 1 == basis.shape[0]:
-            basis = np.concatenate([basis, np.empty_like(basis)])[:n]
-        basis[j + 1] = z / beta[-1]
-    smin = 1.0 / math.sqrt(theta)
+    q = _start_vector(m.grid.n) if start is None else start
+    out = _lanczos(lambda v: solve(solve(v, False), True), q, rtol, vector=start is not None)
     if start is None:
-        return smin
-    size = len(alpha)
-    _, y = sla.eigh_tridiagonal(alpha, beta[:size - 1], select="i",
-                                select_range=(size - 1, size - 1))
-    return smin, y[:, 0] @ basis[:size]
+        return 1.0 / math.sqrt(out)
+    return 1.0 / math.sqrt(out[0]), out[1]
 
 
 def scan_smin(m, shifts):
@@ -218,30 +240,52 @@ def scan_smin(m, shifts):
 
 def bottom_eigenvalue(m, shift):
     """Eigenvalue with the smallest real part among the _ARNOLDI_COUNT
-    eigenvalues of a banded operator nearest the complex shift: ARPACK's
-    dominant eigenvalues mu of (M - shift)^{-1}, applied through one band
-    LU from a fixed start vector, give shift + 1/mu."""
+    eigenvalues of a banded operator nearest the complex shift, by
+    shift-invert Arnoldi (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2nd ed., 2011, ch. 6): the Ritz values mu of largest modulus
+    of (M - shift)^{-1}, applied through one band LU from the fixed start
+    vector, give shift + 1/mu.  The basis grows without restarts and is
+    reorthogonalized twice per step.  Stops when the chosen pair's
+    residual |h_{j+1,j} y_j| is at most _LANCZOS_RTOL |mu| and every
+    pair nearest the shift is under _RITZ_GUARD |mu|, or when the Krylov
+    space is exhausted; past _ARNOLDI_MAX steps raises SolverError."""
     _check_band(m, "bottom_eigenvalue")
     n = m.grid.n
     solve = _band_lu(m, shift)
-    inverse = LinearOperator((n, n), matvec=lambda v: solve(v, False), dtype=complex)
-    try:
-        mu = eigs(inverse, k=_ARNOLDI_COUNT, v0=_start_vector(n), return_eigenvectors=False)
-    except ArpackError as exc:
-        raise SolverError("Arnoldi failed for %s (n=%d): %s" % (m.kind, n, exc)) from exc
-    return complex(min(shift + 1.0 / mu, key=lambda v: v.real))
+    steps = min(n, _ARNOLDI_MAX)
+    basis = np.empty((min(steps, 32), n), dtype=complex)
+    hess = np.zeros((steps + 1, steps), dtype=complex)
+    start = _start_vector(n)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = solve(basis[j], False)
+        q = basis[:j + 1]
+        for _ in range(2):
+            c = (q @ w.conj()).conj()
+            w = w - c @ q
+            hess[:j + 1, j] += c
+        size = j + 1
+        hess[size, j] = np.linalg.norm(w)
+        exhausted = size == n or hess[size, j] <= _LANCZOS_RTOL * np.abs(hess[:size, j]).max()
+        if exhausted or (size >= 2 * _ARNOLDI_COUNT and size % _RITZ_EVERY == 0):
+            mu, y = sla.eig(hess[:size, :size], check_finite=False)
+            resid = abs(hess[size, j]) * np.abs(y[-1]) / np.abs(mu)
+            near = np.argsort(-np.abs(mu))[:_ARNOLDI_COUNT]
+            pick = near[np.argmin((1.0 / mu[near]).real)]
+            if exhausted or (resid[pick] <= _LANCZOS_RTOL
+                             and resid[near].max() <= _RITZ_GUARD):
+                return complex(shift + 1.0 / mu[pick])
+        if size == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[size] = w / hess[size, j]
+    raise SolverError("Arnoldi did not converge for %s (n=%d) in %d steps"
+                      % (m.kind, n, steps))
 
 
 def _top_eigenvalue(matvec, n):
     """Largest eigenvalue of a real symmetric n x n operator given by its
-    product, by ARPACK's Lanczos (eigsh) from the fixed start vector."""
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        top = eigsh(op, k=1, which="LA", v0=_start_vector(n).real,
-                    return_eigenvectors=False)
-    except ArpackError as exc:
-        raise SolverError("Lanczos failed (n=%d): %s" % (n, exc)) from exc
-    return float(top[0])
+    product, by _lanczos from the fixed start vector."""
+    return _lanczos(matvec, _start_vector(n).real, _LANCZOS_RTOL)
 
 
 def _hermitian_pencil(m):

@@ -9,6 +9,9 @@ array as before:
 - smallest_singular_value: s_min(M - i shift) by the dense SVD
   (svdvals) of an assembled matrix;
 - hermitian_part_min_eig: the bottom of (M + M^H)/2 by dense eigvalsh;
+- bottom_eigenvalue: the bottom among the eigenvalues of a band nearest
+  a shift by ARPACK's shift-invert Arnoldi, the call the library's own
+  Arnoldi loop replaces;
 - assemble_K_truncated and second_derivative_stencil: the dense
   Dirichlet-truncated kernel (kind "K_truncated") and -d^2/dr^2 (kind
   "D2"), against which verify's O(n) kernel form and the stencil bands
@@ -20,8 +23,9 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.linalg import LinearOperator, eigs
 
-from oseenspec import operators
+from oseenspec import operators, solver
 from oseenspec.grids import OperatorMatrix, stencil_bands
 
 
@@ -44,6 +48,20 @@ def hermitian_part_min_eig(m):
     a = _as_matrix(m)
     herm = (a + a.conj().T) / 2
     return float(sla.eigvalsh(herm, subset_by_index=(0, 0))[0])
+
+
+def bottom_eigenvalue(m, shift):
+    """The eigenvalue with the smallest real part among the
+    solver._ARNOLDI_COUNT eigenvalues of a banded operator nearest the
+    complex shift: ARPACK's (eigs) dominant eigenvalues mu of
+    (M - shift)^{-1}, applied through the band LU from the fixed start
+    vector, give shift + 1/mu."""
+    n = m.grid.n
+    solve = solver._band_lu(m, shift)
+    inverse = LinearOperator((n, n), matvec=lambda v: solve(v, False), dtype=complex)
+    mu = eigs(inverse, k=solver._ARNOLDI_COUNT, v0=solver._start_vector(n),
+              return_eigenvectors=False)
+    return complex(min(shift + 1.0 / mu, key=lambda v: v.real))
 
 
 def assemble_K_truncated(k, r_k, grid):

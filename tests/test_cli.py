@@ -252,6 +252,35 @@ def test_verify_json_document(capsys):
     assert all(row["elapsed_ms"] >= 0 for row in doc["rows"])
 
 
+def test_parser_is_built_once_and_dispatches_at_call_time(capsys, monkeypatch):
+    # two subcommands through one parser print what each prints with a
+    # parser of its own; a cmd_* replaced after the parser was built (as a
+    # tracer replaces it) is the one that runs
+    spectrum = ("spectrum", "--alpha", "0", "--k", "2", "--n", "300")
+    verify = ("verify", "--suite", "wave")
+    fresh = []
+    for argv in (spectrum, verify):
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[1])
+    cli._build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv)[1] for argv in (spectrum, verify)]
+    assert cli._build_parser.cache_info().misses == 1
+    assert strip_elapsed(reused[0]) == strip_elapsed(fresh[0])
+    assert reused[1] == fresh[1]
+
+    calls = []
+    original = cli.cmd_bound
+
+    def traced(args):
+        calls.append(args.quantity)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_bound", traced)
+    assert run_cli(capsys, *spectrum)[0] == 0
+    assert calls == ["sigma"]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
