@@ -33,10 +33,16 @@ takes over.  Psi is a property of the straight operator (rotation does
 not preserve resolvent norms), so that path stays unrotated; it runs on
 the banded form of the straight operator, assembled once per grid level,
 where each shift costs one O(n) band LU.  The scan only locates the peak,
-so its shifts run through solver.scan_smin, warm-started and loose; the
-Brent refinement measures with smallest_singular_value, cold to 1e-14,
-so the reported Psi and lambda* do not depend on the scan's tolerance.
-The scans' shifts and the refinement's relative width 1e-3 are fixed.
+so its shifts run through solver.scan_smin, warm-started and loose, and
+the refinement reads only its bracket and start shift.  The refinement is
+a safeguarded secant on s'(lam) = 0: smallest_singular_value measures s
+cold to 1e-14 together with its slope, read from the top singular vector
+the inverse Lanczos already holds, so the reported Psi and lambda* do not
+depend on the scan's tolerance.  A refined grid level scans nothing: it
+starts the secant from the coarser level's lambda* and curvature, and
+rescans only if the slopes find no minimum inside the old rescan window.
+The scans' shifts and the refinement's width, 1e-3 max(|lambda*|, 1), are
+fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
 bound functions' defaults and for the command line alike, and
@@ -54,7 +60,6 @@ from .grids import Field, ModeSpec, default_grid, make_grid, quadrature
 
 logger = logging.getLogger(__name__)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # quasimode window width in units of 1/r1, and the |beta_1| below which the
 # centred window reaches the origin: r1 - width/(2 r1) <= 0 iff r1^2 <= width/2
 _QUASIMODE_WIDTH = 3.0
@@ -66,7 +71,7 @@ _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
 _SHORT_POINTS = 16
 _ASYMPTOTE = 0.55
 _LAMBDA_POINTS = 64
-_REFINE_TOL = 1e-3      # relative bracket width that ends Psi's Brent refinement
+_REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 QUANTITIES = ("sigma", "psi", "range")
 GRID_POLICY = "r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}"
 
@@ -182,65 +187,71 @@ def spectral_bound(mode, grid=None):
     return BoundResult(mode=mode, grid_n=n, converged=converged, sigma_bound=sig)
 
 
-def _brent_min(fn, a, b, x):
-    """Brent's minimum of a scalar function on [a, b] from the interior
-    point x (Algorithms for Minimization without Derivatives, 1973, ch. 5):
-    a parabola through the three best points so far, and a golden-section
-    step whenever that parabola's minimum leaves the bracket or fails to
-    halve the step before last.  No two evaluations lie closer than a
-    quarter of the final width.  Stops at relative bracket width
-    _REFINE_TOL and returns the lowest (x, fn(x)) evaluated."""
-    tol = _REFINE_TOL * max(abs(a), abs(b), 1.0)
-    step = tol / 4.0
-    fx = fn(x)
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        p = q = 0.0
-        if abs(e) > step:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p = -p if q > 0.0 else p
-            q = abs(q)
-        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if min(x + d - a, b - x - d) < 2.0 * step:
-                d = math.copysign(step, m - x)
-        else:
-            e = (a if x >= m else b) - x
-            d = (1.0 - _GOLDEN) * e
-        u = x + (d if abs(d) >= step else math.copysign(step, d))
-        fu = fn(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
+def _slope_min(fn, a, b, x, curvature=None):
+    """Minimum of s on [a, b] from the interior point x by a safeguarded
+    secant on s'(lam) = 0 (the derivative step of Freitag & Spence, Linear
+    Algebra Appl. 435, 2011), where fn(lam) returns (s, s').  Each slope's
+    sign moves the bracket's end on its side to lam, so the bracket keeps
+    the side where s descends.  The step is -s'/c, c the curvature of the
+    last two slopes, or the given curvature until there are two; without
+    one, the first step bisects the descending side.  A step that leaves
+    the bracket, or is not under half the step before last, becomes a
+    bisection.  Stops after a step under tol/2, measured, or once the
+    bracket is narrower than tol, tol = _REFINE_TOL max(|lam|, 1): the
+    width is relative to lambda*, not to the bracket's ends.  Returns
+    (s, lam, c) at the lowest s evaluated, c the curvature the next grid
+    level starts from; None if the bracket closes on a or b with the
+    slopes still pointing out, so that s' has no zero inside."""
+    lo, hi = a, b
+    x = float(x)
+    best = None
+    last = before = b - a
+    old = None
+    done = False
+    while True:
+        s, ds = fn(x)
+        if best is None or s < best[0]:
+            best = (s, x)
+        if done or ds == 0.0:
+            break
+        lo, hi = (x, hi) if ds < 0.0 else (lo, x)
+        if old is not None:
+            curvature = (ds - old[1]) / (x - old[0])
+        old = (x, ds)
+        tol = _REFINE_TOL * max(abs(x), 1.0)
+        if hi - lo < tol:
+            if lo == a or hi == b:
+                return None
+            break
+        step = -ds / curvature if curvature is not None and curvature > 0.0 else math.inf
+        if not lo < x + step < hi or abs(step) > 0.5 * abs(before):
+            step = 0.5 * (lo + hi) - x
+        done = abs(step) < 0.5 * tol
+        before, last = last, step
+        x += step
+    return best + (curvature,)
 
 
 def _scan_psi(matrix, lams):
     """Scan s_min(M - i lam) over the shifts lams with solver.scan_smin and
-    refine the lowest interior minimum by Brent on smallest_singular_value,
-    from that shift within its two neighbours, so what is returned is
-    measured to 1e-14; None if no shift is an interior minimum."""
+    refine the lowest interior minimum by _slope_min on
+    smallest_singular_value with its slope, from that shift within its two
+    neighbours; the refinement reads the scan's bracket and start shift,
+    never its values, so what is returned, (Psi, lambda*, curvature), is
+    measured to 1e-14.  None if no shift is an interior minimum, or if the
+    slopes find no minimum inside the bracket."""
     vals = solver.scan_smin(matrix, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if inner.size == 0:
         return None
     i = inner[np.argmin(vals[inner])]
     a, b = sorted((lams[i - 1], lams[i + 1]))
-    lam_star, psi = _brent_min(lambda lam: solver.smallest_singular_value(matrix, lam),
-                               a, b, lams[i])
-    return float(psi), float(lam_star)
+    return _slope_min(_cold_slope(matrix), a, b, lams[i])
+
+
+def _cold_slope(matrix):
+    """lam -> (s_min, its slope), each call a cold smallest_singular_value."""
+    return lambda lam: solver.smallest_singular_value(matrix, lam, slope=True)
 
 
 def pseudospectral_bound(mode, grid=None):
@@ -251,13 +262,17 @@ def pseudospectral_bound(mode, grid=None):
     over 0.55 sgn(beta_k) |beta_k|^{2/3} [0.5, 1.5], around the asymptote
     of lambda*, locates the resolvent peak, the 64-shift scan over
     beta_k [-0.2, 1.2] takes over if that finds no interior minimum, and
-    Brent refines the lowest interior minimum to relative width 1e-3.
-    Refined levels rescan 9 shifts around the coarser level's minimizer,
-    and the full window if that finds no interior minimum; a full window
-    without one gives s_min at -0.2 beta_k, flagged as not converged.
-    Scans use solver.scan_smin, which only locates; every value returned
-    is measured by smallest_singular_value.  The grid defaults to
-    bound_grid (default_grid at n = 600).
+    _slope_min refines the lowest interior minimum by a secant on the
+    slope of s_min, to within 1e-3 max(|lambda*|, 1).  Refined levels
+    scan nothing while the secant succeeds: it starts from the coarser
+    level's lambda* and curvature, inside the old rescan window of 3 cells
+    of the full window's spacing around it.  Where the slopes find no
+    minimum inside that window, the level rescans 9 shifts across it, and
+    then the full window; a full window without an interior minimum gives
+    s_min at -0.2 beta_k, flagged as not converged.  Scans use
+    solver.scan_smin, which only locates; every value returned is
+    measured by smallest_singular_value.  The grid defaults to bound_grid
+    (default_grid at n = 600).
     """
     if grid is None:
         grid = bound_grid(mode, "psi")
@@ -273,22 +288,27 @@ def pseudospectral_bound(mode, grid=None):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
         if prev is None:
             scan_ok = True
-            lams = asymptote * np.linspace(0.5, 1.5, _SHORT_POINTS)
+            hit = _scan_psi(matrix, asymptote * np.linspace(0.5, 1.5, _SHORT_POINTS))
         else:
-            # refined grids rescan locally around the coarser level's minimizer
-            _, lam_prev, scan_ok = prev
+            # refined grids start from the coarser level's minimizer and
+            # curvature, and rescan locally only if the slopes find no
+            # minimum inside the old rescan window
+            _, lam_prev, curvature, scan_ok = prev
             cell = 1.4 * abs(beta) / (_LAMBDA_POINTS - 1)
-            lams = np.linspace(lam_prev - 1.5 * cell, lam_prev + 1.5 * cell, 9)
-        hit = _scan_psi(matrix, lams)
+            window = (lam_prev - 1.5 * cell, lam_prev + 1.5 * cell)
+            hit = _slope_min(_cold_slope(matrix), *window, lam_prev, curvature)
+            if hit is None:
+                hit = _scan_psi(matrix, np.linspace(*window, 9))
         if hit is None:
             hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, _LAMBDA_POINTS))
         if hit is None:
             logger.warning("no interior resolvent minimum for alpha=%g k=%d",
                            mode.alpha, mode.k)
-            return solver.smallest_singular_value(matrix, -0.2 * beta), -0.2 * beta, False
+            return (solver.smallest_singular_value(matrix, -0.2 * beta), -0.2 * beta,
+                    None, False)
         return hit + (scan_ok,)
 
-    (psi, lam_star, scan_ok), n, converged = _grid_doubling(grid, step, "psi", mode)
+    (psi, lam_star, _, scan_ok), n, converged = _grid_doubling(grid, step, "psi", mode)
     return BoundResult(mode=mode, grid_n=n, converged=converged and scan_ok,
                        psi_bound=psi, lambda_star=lam_star)
 

@@ -12,11 +12,13 @@ shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
 bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
 |k| >= 2 by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures
 a shift cold, from a fixed start vector, to relative 1e-14, and so
-measures every shift of Psi's Brent refinement and every value a Psi
-bound reports; along the shifts of a Psi scan, which only pick that
-refinement's bracket and start, scan_smin starts each shift from the
-previous one's top Ritz vector and stops at 1e-7 (the continuation of
-Trefethen & Embree, Spectra and Pseudospectra, 2005).
+measures every shift of Psi's refinement and every value a Psi bound
+reports, with the slope ds/dshift that the refinement's secant runs on,
+read from the top Ritz vector at the cost of one more band solve; along
+the shifts of a Psi scan, which only pick that refinement's bracket and
+start, scan_smin starts each shift from the previous one's top Ritz
+vector and stops at 1e-7 (the continuation of Trefethen & Embree,
+Spectra and Pseudospectra, 2005).
 bottom_eigenvalue, smallest_singular_value, scan_smin and
 hermitian_part_min_eig take band operators only and raise ValueError on
 anything else.  verify reads tridiagonal bottoms by the same bisection
@@ -47,7 +49,7 @@ class SolverError(RuntimeError):
 BANDED_KINDS = ("L1_band", "H_band")
 # stop once the largest Ritz value moves by less than this, relatively:
 # measured values, and the warm-started scan's, which only pick the
-# brackets and start points Brent refines.  A warm start stalls in the
+# bracket and start of Psi's refinement.  A warm start stalls in the
 # clustered edge shifts, where the error runs to 50 times the last change
 # (5e-5 at 1e-6); 1e-7 keeps it under 4e-6.
 _LANCZOS_RTOL = 1e-14
@@ -102,13 +104,19 @@ def _check_band(m, routine):
         raise ValueError("%s needs a banded operator (kind in %s)" % (routine, BANDED_KINDS))
 
 
-def smallest_singular_value(m, shift=0.0):
+def smallest_singular_value(m, shift=0.0, slope=False):
     """s_min(M - i shift I) = 1/||(M - i shift)^{-1}|| of a banded operator,
     through one band LU and the inverse Lanczos iteration, with no size
     cap; for the pencil kind this is s_min of its Schur complement
-    H - i shift.  An exactly singular M - i shift raises SolverError."""
+    H - i shift.  With slope, returns (s_min, ds_min/dshift), the slope
+    from the top Ritz vector y of X^H X, X = (M - i shift)^{-1}, and one
+    more band solve: with w = X y / ||X y||, ds/dshift = Im(y^H w).  It
+    holds for both kinds, since the shift acts on the x rows only.  Psi's
+    refinement measures every shift this way, and the value is bitwise
+    the one without the slope.  An exactly singular M - i shift raises
+    SolverError."""
     _check_band(m, "smallest_singular_value")
-    return _banded_smin(m, shift)
+    return _banded_smin(m, shift, slope=slope)
 
 
 def _band_lu(m, z):
@@ -200,12 +208,12 @@ def _lanczos(apply, start, rtol, vector=False):
     return theta, y[:, 0] @ basis[:size]
 
 
-def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL):
+def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL, slope=False):
     """Inverse Lanczos: _lanczos on X^H X, X the x-row block of
     (M - i shift)^{-1}, from start (default: the fixed start vector), to
     relative change rtol; returns theta^{-1/2} for the top Ritz value
-    theta, and given a start, (theta^{-1/2}, top Ritz vector), the start
-    for a nearby shift.
+    theta; given a start, (theta^{-1/2}, top Ritz vector), the start for
+    a nearby shift; with slope, (theta^{-1/2}, ds/dshift).
 
     Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
     which is 0.998 at the scan's edge shifts, where the bottom singular
@@ -217,10 +225,17 @@ def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL):
     """
     solve = _band_lu(m, 1j * shift)
     q = _start_vector(m.grid.n) if start is None else start
-    out = _lanczos(lambda v: solve(solve(v, False), True), q, rtol, vector=start is not None)
-    if start is None:
+    vector = start is not None or slope
+    out = _lanczos(lambda v: solve(solve(v, False), True), q, rtol, vector=vector)
+    if not vector:
         return 1.0 / math.sqrt(out)
-    return 1.0 / math.sqrt(out[0]), out[1]
+    theta, y = out
+    if not slope:
+        return 1.0 / math.sqrt(theta), y
+    # s = 1/sigma_max(X) and dX/dshift = i X^2 give ds = Im(y^H X y)/||X y||
+    w = solve(y, False)
+    return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag
+                                         / (np.linalg.norm(y) * np.linalg.norm(w)))
 
 
 def scan_smin(m, shifts):

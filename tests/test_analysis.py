@@ -173,16 +173,26 @@ def test_psi_independent_of_r_max():
 
 
 def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
-    # when the 9-point rescan of a refined level finds no interior minimum,
-    # that level runs the full window over beta_k [-0.2, 1.2]; the first
-    # level's short scan around the asymptote finds one at beta_1 = 1e2
-    scan, calls = analysis._scan_psi, []
+    # a refined level starts the secant from the coarser level's minimizer
+    # and curvature, and scans nothing while it succeeds; when it fails,
+    # that level rescans 9 shifts around the old minimizer, and when that
+    # rescan finds no interior minimum either, the full window over
+    # beta_k [-0.2, 1.2]; the first level's short scan around the
+    # asymptote finds one at beta_1 = 1e2
+    scan, secant, calls = analysis._scan_psi, analysis._slope_min, []
 
     def local_rescan_misses(matrix, lams):
         calls.append((matrix.grid.n, len(lams)))
         return None if len(lams) == 9 else scan(matrix, lams)
 
+    def refined_start_fails(fn, a, b, x, curvature=None):
+        return None if curvature is not None else secant(fn, a, b, x)
+
     monkeypatch.setattr(analysis, "_scan_psi", local_rescan_misses)
+    analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
+    assert calls == [(600, 16)]
+    calls.clear()
+    monkeypatch.setattr(analysis, "_slope_min", refined_start_fails)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
     assert calls[:3] == [(600, 16), (1200, 9), (1200, 64)]
     assert res.converged and res.grid_n == psi_1e2.grid_n
@@ -206,7 +216,7 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
 def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
     # at beta_k = 1e6 the full window's scan has about 11 interior minima;
     # refining every one of them finds nothing below the one _scan_psi
-    # refines, the lowest, in its single Brent refinement
+    # refines, the lowest, in its single slope refinement
     mode = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k)
     band = operators.assemble_banded(mode, default_grid(n=300))
     lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
@@ -215,21 +225,22 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
     assert inner.size >= 10
 
     def cold(lam):
-        return solver.smallest_singular_value(band, lam)
+        return solver.smallest_singular_value(band, lam, slope=True)
 
-    brent, brackets = analysis._brent_min, []
+    secant, brackets = analysis._slope_min, []
 
-    def counted(fn, a, b, x):
+    def counted(fn, a, b, x, curvature=None):
         brackets.append((a, b))
-        return brent(fn, a, b, x)
+        return secant(fn, a, b, x, curvature)
 
-    monkeypatch.setattr(analysis, "_brent_min", counted)
-    psi, _ = analysis._scan_psi(band, lams)
+    monkeypatch.setattr(analysis, "_slope_min", counted)
+    psi, _, _ = analysis._scan_psi(band, lams)
     lowest = inner[np.argmin(vals[inner])]
     assert brackets == [tuple(sorted((lams[lowest - 1], lams[lowest + 1])))]
     for i in inner:
         a, b = sorted((lams[i - 1], lams[i + 1]))
-        assert brent(cold, a, b, lams[i])[1] >= psi
+        hit = secant(cold, a, b, lams[i])
+        assert hit is None or hit[0] >= psi
 
 
 @pytest.mark.parametrize("k,beta_k,fallback", [(1, 1e6, False), (2, 1e6, False),
@@ -258,61 +269,89 @@ def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, 
     if fallback:
         assert first == [(16, None), (64, full)]
         return
-    [(points, (psi, lam))] = first
+    [(points, (psi, lam, _))] = first
     assert points == 16
     assert abs(psi - full[0]) <= 1e-6 * full[0]
     assert abs(lam - full[1]) <= analysis._REFINE_TOL * max(abs(full[1]), 1.0)
 
 
-def _golden_evaluations(a, b):
-    # golden section on [a, b]: two points, then one per shrink by _GOLDEN
-    # until the width reaches _REFINE_TOL max(|a|, |b|, 1)
-    tol = analysis._REFINE_TOL * max(abs(a), abs(b), 1.0)
-    return 2 + math.ceil(math.log(tol / (b - a)) / math.log(analysis._GOLDEN))
+def _golden_evaluations(a, b, tol):
+    # golden section on [a, b]: two points, then one per shrink by the
+    # golden ratio until the width reaches tol
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    return 2 + math.ceil(math.log(tol / (b - a)) / math.log(ratio))
 
 
-@pytest.mark.parametrize("fn,a,b,x,argmin", [
-    (lambda t: (t - 0.3) ** 2 + 1.0, -1.0, 2.0, 0.5, 0.3),
-    (lambda t: math.exp(t) - 2.0 * t, -1.0, 2.0, 0.5, math.log(2.0)),
-    (lambda t: math.exp(10.0 * (t - 19.5)) - 10.0 * (t - 19.5), 10.0, 20.0, 15.0, 19.5),
-    (lambda t: math.cosh(t - 50.2), 49.0, 51.0, 50.0, 50.2),
+@pytest.mark.parametrize("fn,dfn,a,b,x,argmin", [
+    (lambda t: (t - 0.3) ** 2 + 1.0, lambda t: 2.0 * (t - 0.3), -1.0, 2.0, 0.5, 0.3),
+    (lambda t: math.exp(t) - 2.0 * t, lambda t: math.exp(t) - 2.0, -1.0, 2.0, 0.5,
+     math.log(2.0)),
+    (lambda t: math.exp(10.0 * (t - 19.5)) - 10.0 * (t - 19.5),
+     lambda t: 10.0 * math.exp(10.0 * (t - 19.5)) - 10.0, 10.0, 20.0, 15.0, 19.5),
+    (lambda t: math.cosh(t - 50.2), lambda t: math.sinh(t - 50.2), 49.0, 51.0, 50.0, 50.2),
 ])
-def test_brent_min_reaches_the_refine_width_in_fewer_calls_than_golden(fn, a, b, x, argmin):
+def test_slope_min_reaches_the_refine_width_in_fewer_calls_than_golden(fn, dfn, a, b, x,
+                                                                       argmin):
     # a quadratic, an asymmetric smooth minimum, a minimum next to the
     # bracket's end, and one off the centre of a bracket away from the
     # origin, each started as _scan_psi starts it, from a point no higher
-    # than the bracket's ends: Brent stops within _REFINE_TOL
-    # max(|a|, |b|, 1) of the minimizer, returns its lowest evaluation, and
-    # evaluates less often than golden section on the same bracket
+    # than the bracket's ends: the slope secant stops within
+    # _REFINE_TOL max(|lambda*|, 1) of the minimizer, returns its lowest
+    # evaluation, and evaluates less often than golden section takes to
+    # shrink the same bracket to that width
     assert fn(x) <= min(fn(a), fn(b))
     calls = []
 
     def counted(t):
-        calls.append((t, fn(t)))
-        return calls[-1][1]
+        calls.append((t, fn(t), dfn(t)))
+        return calls[-1][1:]
 
-    lam, val = analysis._brent_min(counted, a, b, x)
+    val, lam, curvature = analysis._slope_min(counted, a, b, x)
+    tol = analysis._REFINE_TOL * max(abs(argmin), 1.0)
     assert calls[0][0] == x
-    assert all(a <= t <= b for t, _ in calls)
-    assert (lam, val) == min(calls, key=lambda c: c[1])
-    assert abs(lam - argmin) <= analysis._REFINE_TOL * max(abs(a), abs(b), 1.0)
-    assert len(calls) < _golden_evaluations(a, b)
+    assert all(a <= t <= b for t, _, _ in calls)
+    assert (lam, val) == min(calls, key=lambda c: c[1])[:2]
+    assert abs(lam - argmin) <= tol
+    assert curvature > 0.0
+    assert len(calls) < _golden_evaluations(a, b, tol)
 
 
 def test_psi_cold_calls_per_bound(monkeypatch):
-    # one bound at beta_1 = 1e2 (two levels, n = 600 and 1200): the Brent
-    # refinements measure at most 18 shifts cold in all, where golden
-    # section took about 28
+    # one bound at beta_1 = 1e2 (two levels, n = 600 and 1200): the slope
+    # refinements measure at most 8 shifts cold in all, where Brent took
+    # about 11 and golden section about 28
     cold, calls = solver.smallest_singular_value, []
 
-    def counted(matrix, lam):
+    def counted(matrix, lam, **kwargs):
         calls.append(lam)
-        return cold(matrix, lam)
+        return cold(matrix, lam, **kwargs)
 
     monkeypatch.setattr(solver, "smallest_singular_value", counted)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
     assert res.converged and res.grid_n == 1200
-    assert len(calls) <= 18
+    assert len(calls) <= 8
+
+
+def test_psi_lambda_star_is_the_zero_of_the_slope():
+    # the refinement stops within _REFINE_TOL |lambda*| of the zero of s'
+    # on the finest grid, also at beta_1 = 1e6, where the refined level's
+    # window spans about +-8300 around lambda* ~ 5490, so a width relative
+    # to the window's ends would be 2.5 times too loose; the zero is found
+    # here by bisection on cold slopes
+    mode = ModeSpec(alpha=EIGHT_PI * 1e6, k=1)
+    res = analysis.pseudospectral_bound(mode)
+    assert res.grid_n == 1200
+    band = operators.assemble_banded(mode, make_grid(res.grid_n, 30.0))
+
+    def slope(lam):
+        return solver.smallest_singular_value(band, lam, slope=True)[1]
+
+    lo, hi = 0.9 * res.lambda_star, 1.1 * res.lambda_star
+    assert slope(lo) < 0.0 < slope(hi)
+    while hi - lo > 1e-6 * res.lambda_star:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    assert abs(res.lambda_star - 0.5 * (lo + hi)) <= analysis._REFINE_TOL * abs(res.lambda_star)
 
 
 def test_psi_lambda_star_in_unit_band(psi_1e2):

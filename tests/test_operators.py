@@ -161,6 +161,22 @@ def test_wave_rule_is_built_once_and_read_only(gridref):
             a[0] = 1.0
 
 
+@pytest.mark.parametrize("n,r_max", [(2000, 40.0), (600, 30.0), (2000, 30.0), (16, 10.0)])
+def test_wave_rule_gamma_closed_forms_match_scipy(n, r_max):
+    # the wave rule's P(2, x) and P(5/2, x), closed forms above x = 1 and
+    # the series below, against scipy's gammainc on the nodes and cell
+    # edges of every grid verify builds (and the smallest grid): 1e-14
+    # relative, so log P keeps its digits near r = 0, and exactly 0 at 0
+    from scipy.special import gammainc
+
+    grid = make_grid(n, r_max)
+    for x in (grid.nodes ** 2 / 4, (np.arange(n + 1) * grid.h) ** 2 / 4):
+        for a in (2, 2.5):
+            ref, got = gammainc(a, x), operators._gamma_p(a, x)
+            assert np.all(got[ref == 0.0] == 0.0)
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
 def test_deformed_reduces_at_theta_zero(grid600):
     mode2 = ModeSpec(alpha=8 * math.pi * 5, k=2, lam=0.3)
     d2 = operators.assemble_H_deformed(mode2, grid600).data

@@ -331,6 +331,20 @@ def test_ritz_guard_waits_for_a_hidden_bottom(monkeypatch):
         assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(bottom, rel=1e-12), guard
 
 
+def test_bottom_eigenvalue_holds_the_chosen_pair_to_1e14():
+    # The bottom -3 is the sixth nearest eigenvalue to the shift 0, next
+    # to a cluster from 6 east, so of the six nearest pairs it converges
+    # slowest.  At the first Ritz check (step 12) all six are under the
+    # 1e-4 guard, the bottom's residual at 2e-5, and its Ritz value is
+    # still 3e-10 off: the guard alone would stop there, and only the
+    # 1e-14 residual test on the chosen pair carries it to the eps level.
+    n = 100
+    data = np.zeros((n, 3), dtype=complex)
+    data[:, 1] = np.concatenate([[-3.0, 0.5, 0.6, 0.7, 0.8, 0.9], np.geomspace(6.0, 100.0, n - 6)])
+    band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), mode=None, data=data)
+    assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(-3.0, rel=1e-12)
+
+
 def test_start_vector_is_cached_and_read_only():
     for n in (32, 300):
         v = solver._start_vector(n)
