@@ -289,7 +289,7 @@ def _golden_evaluations(a, b, tol):
     (lambda t: math.exp(10.0 * (t - 19.5)) - 10.0 * (t - 19.5),
      lambda t: 10.0 * math.exp(10.0 * (t - 19.5)) - 10.0, 10.0, 20.0, 15.0, 19.5),
     (lambda t: math.cosh(t - 50.2), lambda t: math.sinh(t - 50.2), 49.0, 51.0, 50.0, 50.2),
-])
+], ids=["quadratic", "asymmetric", "near-end", "off-centre"])
 def test_slope_min_reaches_the_refine_width_in_fewer_calls_than_golden(fn, dfn, a, b, x,
                                                                        argmin):
     # a quadratic, an asymmetric smooth minimum, a minimum next to the
