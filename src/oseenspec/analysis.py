@@ -201,7 +201,9 @@ def _slope_min(fn, a, b, x, curvature=None):
     width is relative to lambda*, not to the bracket's ends.  Returns
     (s, lam, c) at the lowest s evaluated, c the curvature the next grid
     level starts from; None if the bracket closes on a or b with the
-    slopes still pointing out, so that s' has no zero inside."""
+    slopes still pointing out, so that s' has no zero inside, unless
+    [a, b] was under 2 tol from the start: one slope resolves such a
+    bracket, and its measured point is returned."""
     lo, hi = a, b
     x = float(x)
     best = None
@@ -220,7 +222,7 @@ def _slope_min(fn, a, b, x, curvature=None):
         old = (x, ds)
         tol = _REFINE_TOL * max(abs(x), 1.0)
         if hi - lo < tol:
-            if lo == a or hi == b:
+            if (lo == a or hi == b) and b - a >= 2.0 * tol:
                 return None
             break
         step = -ds / curvature if curvature is not None and curvature > 0.0 else math.inf
@@ -229,7 +231,7 @@ def _slope_min(fn, a, b, x, curvature=None):
         done = abs(step) < 0.5 * tol
         before, last = last, step
         x += step
-    return best + (curvature,)
+    return float(best[0]), float(best[1]), curvature
 
 
 def _scan_psi(matrix, lams):

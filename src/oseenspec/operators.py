@@ -309,19 +309,21 @@ def _gamma_p(a, x):
     and below x = 1, where those cancel, by the series
     x^a e^{-x} sum_j x^j / Gamma(a + j + 1) (DLMF 8.7.1), 30 terms, which
     keeps the relative accuracy that log P needs near r = 0."""
-    if a == 2:
-        closed = 1.0 - np.exp(-x) * (1.0 + x)
-    else:
-        erf = np.array([math.erf(v) for v in np.sqrt(x)])
-        closed = erf - 2.0 * np.sqrt(x / math.pi) * np.exp(-x) * (1.0 + 2.0 * x / 3.0)
-    small = np.minimum(x, 1.0)
-    term = np.full_like(small, 1.0 / math.gamma(a + 1.0))
+    out = np.empty_like(x)
+    small = x < 1.0
+    xs, xl = x[small], x[~small]
+    term = np.full_like(xs, 1.0 / math.gamma(a + 1.0))
     total = term.copy()
     for j in range(1, 30):
-        term = term * small / (a + j)
+        term = term * xs / (a + j)
         total += term
-    series = small ** a * np.exp(-small) * total
-    return np.where(x < 1.0, series, closed)
+    out[small] = xs ** a * np.exp(-xs) * total
+    if a == 2:
+        out[~small] = 1.0 - np.exp(-xl) * (1.0 + xl)
+    else:
+        erf = np.array([math.erf(v) for v in np.sqrt(xl)])
+        out[~small] = erf - 2.0 * np.sqrt(xl / math.pi) * np.exp(-xl) * (1.0 + 2.0 * xl / 3.0)
+    return out
 
 
 @functools.lru_cache(maxsize=8)

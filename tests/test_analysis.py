@@ -215,17 +215,21 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
     # at beta_k = 1e6 the full window's scan has about 11 interior minima;
-    # refining every one of them finds nothing below the one _scan_psi
-    # refines, the lowest, in its single slope refinement
+    # refining every one of them measures nothing below the one _scan_psi
+    # refines, the lowest, in its single slope refinement, whether or not
+    # that refinement finds a minimum inside its bracket
     mode = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k)
     band = operators.assemble_banded(mode, default_grid(n=300))
     lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
     vals = solver.scan_smin(band, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     assert inner.size >= 10
+    measured = []
 
     def cold(lam):
-        return solver.smallest_singular_value(band, lam, slope=True)
+        s, ds = solver.smallest_singular_value(band, lam, slope=True)
+        measured.append(s)
+        return s, ds
 
     secant, brackets = analysis._slope_min, []
 
@@ -239,8 +243,9 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
     assert brackets == [tuple(sorted((lams[lowest - 1], lams[lowest + 1])))]
     for i in inner:
         a, b = sorted((lams[i - 1], lams[i + 1]))
-        hit = secant(cold, a, b, lams[i])
-        assert hit is None or hit[0] >= psi
+        measured.clear()
+        secant(cold, a, b, lams[i])
+        assert min(measured) >= psi
 
 
 @pytest.mark.parametrize("k,beta_k,fallback", [(1, 1e6, False), (2, 1e6, False),
@@ -352,6 +357,25 @@ def test_psi_lambda_star_is_the_zero_of_the_slope():
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
     assert abs(res.lambda_star - 0.5 * (lo + hi)) <= analysis._REFINE_TOL * abs(res.lambda_star)
+
+
+@pytest.mark.parametrize("k,beta_k,psi,lam", [
+    (1, 0.01, 1.4999899746411258, 0.0025277777777777772),
+    (1, -1e-4, 1.4999896669961021, -2.5277777777777776e-05),
+    (2, 0.02, 0.99998764779054, 0.0050555555555555545),
+], ids=["beta1=1e-2", "beta1=-1e-4", "beta2=2e-2"])
+def test_psi_small_beta_converges(k, beta_k, psi, lam):
+    # below |beta_k| ~ 0.03 the refined level's window, and below ~ 0.005
+    # the first level's bracket too, is narrower than twice the refine
+    # width 1e-3: one slope resolves it, so the refinement returns its
+    # measured point instead of reporting no minimum, and the bound
+    # converges to Psi and lambda* of the Brent refinement it replaced
+    # (values of that refinement, default grid, finest n = 1200) within
+    # the 1e-7 and _REFINE_TOL the slope refinement keeps on the surveys
+    res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k))
+    assert res.converged and res.grid_n == 1200
+    assert abs(res.psi_bound - psi) <= 1e-7 * psi
+    assert abs(res.lambda_star - lam) <= analysis._REFINE_TOL * max(abs(lam), 1.0)
 
 
 def test_psi_lambda_star_in_unit_band(psi_1e2):
