@@ -40,7 +40,7 @@ cold to 1e-14 together with its slope, read from the top singular vector
 the inverse Lanczos already holds, so the reported Psi and lambda* do not
 depend on the scan's tolerance.  A refined grid level scans nothing: it
 starts the secant from the coarser level's lambda* and curvature, and
-rescans only if the slopes find no minimum inside the old rescan window.
+scans the full window only if the slopes find no minimum near it.
 The scans' shifts and the refinement's width, 1e-3 max(|lambda*|, 1), are
 fixed.
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators, solver, specfun
-from .grids import Field, ModeSpec, default_grid, make_grid, quadrature
+from .grids import Field, ModeSpec, make_grid, quadrature
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,9 @@ _ASYMPTOTE = 0.55
 _LAMBDA_POINTS = 64
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 QUANTITIES = ("sigma", "psi", "range")
-GRID_POLICY = "r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}"
+_PSI_RADIUS = 3.8       # Psi's r_max over |beta_k|^{1/6}, 1.34 times the least that holds
+GRID_POLICY = ("r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}, "
+               "the psi path to 3.8 |beta_k|^{1/6}")
 
 
 @dataclass
@@ -153,14 +155,23 @@ def sigma_grid(mode, n=600):
 
 def bound_grid(mode, quantity, n=600, r_max=None):
     """First grid of the convergence protocol for one quantity of QUANTITIES
-    (GRID_POLICY): n points on r_max if given, else default_grid for psi
-    (its resolvent peak sits at the critical radius of lambda*, inside
-    r_max = 30) and sigma_grid for sigma and range."""
+    (GRID_POLICY): n points on r_max if given, else sigma_grid for sigma
+    and range, and for psi r_max = max(30, _PSI_RADIUS |beta_k|^{1/6}).
+
+    Psi's resolvent peak sits at the critical radius of lambda*, about
+    2.7 |beta_k|^{1/6}, and a grid that cuts it off converges under
+    n-doubling to a wrong Psi (23% high at beta_1 = 1e7 on r_max = 30).
+    At h = 0.05, against r_max = 100, Psi is exact to rounding once
+    r_max / |beta_k|^{1/6} reaches 2.84, and off by 0.2% or more at 2.72
+    and below (|beta_k| = 2e6 to 3e7, k = 1, 2, 5).  _PSI_RADIUS keeps
+    r_max = 30 up to |beta_k| = 2.4e5."""
     if quantity not in QUANTITIES:
         raise ValueError("unknown quantity %r" % (quantity,))
+    if r_max is None and quantity == "psi":
+        r_max = max(30.0, _PSI_RADIUS * abs(mode.beta_k) ** (1.0 / 6.0))
     if r_max is not None:
         return make_grid(n, r_max)
-    return default_grid(n) if quantity == "psi" else sigma_grid(mode, n)
+    return sigma_grid(mode, n)
 
 
 def spectral_bound(mode, grid=None):
@@ -267,14 +278,14 @@ def pseudospectral_bound(mode, grid=None):
     _slope_min refines the lowest interior minimum by a secant on the
     slope of s_min, to within 1e-3 max(|lambda*|, 1).  Refined levels
     scan nothing while the secant succeeds: it starts from the coarser
-    level's lambda* and curvature, inside the old rescan window of 3 cells
-    of the full window's spacing around it.  Where the slopes find no
-    minimum inside that window, the level rescans 9 shifts across it, and
-    then the full window; a full window without an interior minimum gives
-    s_min at -0.2 beta_k, flagged as not converged.  Scans use
-    solver.scan_smin, which only locates; every value returned is
-    measured by smallest_singular_value.  The grid defaults to bound_grid
-    (default_grid at n = 600).
+    level's lambda* and curvature, inside a window of 3 cells of the full
+    window's spacing around it.  Where the slopes find no minimum inside
+    that window, the level scans the full window; a full window without
+    an interior minimum gives s_min at -0.2 beta_k, flagged as not
+    converged.  Scans use solver.scan_smin, which only locates; every
+    value returned is measured by smallest_singular_value.  The grid
+    defaults to bound_grid at n = 600, whose r_max follows the critical
+    radius of lambda* past |beta_k| = 2.4e5.
     """
     if grid is None:
         grid = bound_grid(mode, "psi")
@@ -293,14 +304,12 @@ def pseudospectral_bound(mode, grid=None):
             hit = _scan_psi(matrix, asymptote * np.linspace(0.5, 1.5, _SHORT_POINTS))
         else:
             # refined grids start from the coarser level's minimizer and
-            # curvature, and rescan locally only if the slopes find no
-            # minimum inside the old rescan window
+            # curvature, and scan the full window only if the slopes find
+            # no minimum within 1.5 of its cells of that minimizer
             _, lam_prev, curvature, scan_ok = prev
             cell = 1.4 * abs(beta) / (_LAMBDA_POINTS - 1)
-            window = (lam_prev - 1.5 * cell, lam_prev + 1.5 * cell)
-            hit = _slope_min(_cold_slope(matrix), *window, lam_prev, curvature)
-            if hit is None:
-                hit = _scan_psi(matrix, np.linspace(*window, 9))
+            hit = _slope_min(_cold_slope(matrix), lam_prev - 1.5 * cell,
+                             lam_prev + 1.5 * cell, lam_prev, curvature)
         if hit is None:
             hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, _LAMBDA_POINTS))
         if hit is None:

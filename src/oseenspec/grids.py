@@ -42,8 +42,9 @@ def make_grid(n, r_max):
 
 
 def default_grid(n=600):
-    """Default resolution policy: n points on r_max = 30 for every mode
-    (Psi is the same to 15 digits on r_max = 65 at beta_1 = 1e5)."""
+    """Default resolution policy: n points on r_max = 30, the floor that
+    analysis.bound_grid raises with |beta_k| (Psi is the same to 15
+    digits on r_max = 65 at beta_1 = 1e5)."""
     return make_grid(n, 30.0)
 
 

@@ -1,9 +1,11 @@
 """Linear-algebra layer: eigenvalues, singular values, Hermitian parts.
 
-Everything here is a checked wrapper over LAPACK through scipy.linalg,
-with the Krylov loops written here on top of it: the contract is the
-accuracy bound (backward errors at the eps level, far under the 1e-8
-norm-relative budget the callers assume), not the algorithm.
+Everything here is a checked wrapper over LAPACK, through the ctypes
+bindings of _lapack and numpy.linalg.eig (for the small Hessenberg of
+Arnoldi and the oracle), with the Krylov loops written here on top of
+it: the contract is the accuracy bound (backward errors at the eps
+level, far under the 1e-8 norm-relative budget the callers assume), not
+the algorithm.
 
 Every bound runs on the banded operators of operators.assemble_banded, one
 band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
@@ -30,12 +32,12 @@ library or verify path calls it.
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
+from . import _lapack
 from .grids import OperatorMatrix
 
 
@@ -87,10 +89,11 @@ def eigenvalues(m):
     if n > 4000:
         raise ValueError("dense eigensolve capped at n = 4000, got %d" % n)
     try:
-        vals, vecs = sla.eig(a)
-    except sla.LinAlgError as exc:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
         raise SolverError("eigenvalue iteration failed for %s (n=%d): %s"
                           % (kind, n, exc)) from exc
+    vals, vecs = vals.astype(complex), vecs.astype(complex)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vecs = vecs[:, order]
@@ -120,22 +123,19 @@ def smallest_singular_value(m, shift=0.0, slope=False):
 
 
 def _band_lu(m, z):
-    """One LU of the band shifted by the complex z (gttrf for b = 1, gbtrf
-    otherwise); returns solve(v, adjoint), which applies the x-row block of
-    (M - z)^{-1} or of its adjoint to a length-n vector."""
+    """One LU of the band shifted by the complex z (zgttrf for b = 1,
+    zgbtrf otherwise); returns solve(v, adjoint), which applies the x-row
+    block of (M - z)^{-1} or of its adjoint to a length-n vector."""
     data, n = m.data, m.grid.n
     b = data.shape[0] // n
     diag = data[:, b].copy()
     diag[::b] -= z
     if b == 1:
-        dl, d, du, du2, ipiv, info = lapack.zgttrf(data[1:, 0], diag, data[:-1, 2])
-
-        def solve(v, adjoint):
-            return lapack.zgttrs(dl, d, du, du2, ipiv, v, trans="C" if adjoint else "N")[0]
+        info, rhs, lu = _lapack.tridiagonal_lu(data[1:, 0], diag, data[:-1, 2])
     else:
         # LAPACK band layout: entry (i, j) at ab[2b + i - j, j] under b spare rows
         size = data.shape[0]
-        ab = np.zeros((3 * b + 1, size), dtype=complex)
+        ab = np.zeros((3 * b + 1, size), dtype=complex, order="F")
         for col in range(2 * b + 1):
             off = col - b
             src = diag if off == 0 else data[:, col]
@@ -143,26 +143,48 @@ def _band_lu(m, z):
                 ab[3 * b - col, off:] = src[:size - off]
             else:
                 ab[3 * b - col, :size + off] = src[-off:]
-        lu, ipiv, info = lapack.zgbtrf(ab, b, b)
-
-        def solve(v, adjoint):
-            rhs = np.zeros(size, dtype=complex)
-            rhs[::b] = v
-            return lapack.zgbtrs(lu, b, b, rhs, ipiv, trans=2 if adjoint else 0)[0][::b]
+        info, rhs, lu = _lapack.band_lu(ab, b, b)
     if info != 0:
         raise SolverError("band LU failed for %s (n=%d) at shift %s: info = %d"
                           % (m.kind, n, z, info))
+    x = rhs[::b]
+
+    def solve(v, adjoint):
+        if b > 1:
+            rhs.fill(0.0)
+        x[:] = v
+        lu(b"C" if adjoint else b"N")
+        return x.copy()
     return solve
+
+
+def _checked(out, routine):
+    """The value of a LAPACK binding's (info, value), or SolverError."""
+    info, value = out
+    if info != 0:
+        raise SolverError("%s failed: info = %d" % (routine, info))
+    return value
 
 
 def _tridiagonal_eigenvalue(diag, off, index):
     """The index-th smallest (from 1) eigenvalue of a real symmetric
-    tridiagonal, by LAPACK bisection (stebz, the routine behind scipy's
-    tridiagonal eigenvalue solver, without its checks)."""
-    _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
-    if info != 0:
-        raise SolverError("tridiagonal bisection failed: info = %d" % info)
-    return float(vals[0])
+    tridiagonal, by LAPACK bisection (dstebz)."""
+    tri = _workspace(len(diag))
+    tri.d[:], tri.e[:len(diag) - 1] = diag, off
+    return _checked(tri.eigenvalue(len(diag), index), "tridiagonal bisection")
+
+
+_WORKSPACES = threading.local()
+
+
+def _workspace(n):
+    """This thread's dstebz and dstein workspace of capacity n, made once;
+    a caller is done with it before anything else on the thread takes it
+    (apply, inside _lanczos, never does)."""
+    cache = _WORKSPACES.__dict__
+    if n not in cache:
+        cache[n] = _lapack.Tridiagonal(n)
+    return cache[n]
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,34 +200,37 @@ def _lanczos(apply, start, rtol, vector=False):
     """Hermitian Lanczos with full reorthogonalization (twice is enough) on
     the operator apply, from start.  Stops when the largest Ritz value
     theta changes by less than relative rtol, or the Krylov space is
-    exhausted, and returns theta, or (theta, its Ritz vector) if vector."""
+    exhausted, and returns theta, or (theta, its Ritz vector) if vector:
+    dstebz bisects the tridiagonal for theta at every step, and dstein
+    reads its eigenvector once at the end."""
     n = len(start)
     basis = np.empty((min(n, 32), n), dtype=start.dtype)
     basis[0] = start / np.linalg.norm(start)
-    alpha, beta = [], []
+    tri = _workspace(n)
     prev = 0.0
     for j in range(n):
         z = apply(basis[j])
-        alpha.append(float(np.vdot(basis[j], z).real))
-        theta = alpha[0] if j == 0 else _tridiagonal_eigenvalue(alpha, beta, j + 1)
+        tri.d[j] = theta = np.vdot(basis[j], z).real
+        if j > 0:
+            theta = _checked(tri.eigenvalue(j + 1, j + 1), "tridiagonal bisection")
         if abs(theta - prev) <= rtol * abs(theta) or j == n - 1:
             break
         prev = theta
         q = basis[:j + 1]
         for _ in range(2):
             z = z - (q @ z.conj()).conj() @ q
-        beta.append(float(np.linalg.norm(z)))
-        if beta[-1] <= _LANCZOS_RTOL * abs(theta):
+        tri.e[j] = beta = np.linalg.norm(z)
+        if beta <= _LANCZOS_RTOL * abs(theta):
             break               # invariant subspace: theta is exact
         if j + 1 == basis.shape[0]:
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
-        basis[j + 1] = z / beta[-1]
+        basis[j + 1] = z / beta
+    theta = float(theta)
     if not vector:
         return theta
-    size = len(alpha)
-    _, y = sla.eigh_tridiagonal(alpha, beta[:size - 1], select="i",
-                                select_range=(size - 1, size - 1))
-    return theta, y[:, 0] @ basis[:size]
+    if j == 0:
+        return theta, basis[0].copy()
+    return theta, _checked(tri.vector(), "tridiagonal eigenvector") @ basis[:j + 1]
 
 
 def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL, slope=False):
@@ -283,7 +308,7 @@ def bottom_eigenvalue(m, shift):
         hess[size, j] = np.linalg.norm(w)
         exhausted = size == n or hess[size, j] <= _LANCZOS_RTOL * np.abs(hess[:size, j]).max()
         if exhausted or (size >= 2 * _ARNOLDI_COUNT and size % _RITZ_EVERY == 0):
-            mu, y = sla.eig(hess[:size, :size], check_finite=False)
+            mu, y = np.linalg.eig(hess[:size, :size])
             resid = abs(hess[size, j]) * np.abs(y[-1]) / np.abs(mu)
             near = np.argsort(-np.abs(mu))[:_ARNOLDI_COUNT]
             pick = near[np.argmin((1.0 / mu[near]).real)]

@@ -136,8 +136,9 @@ def test_range_and_verify_never_call_the_dense_eigensolver(monkeypatch):
     for name in ("assemble_H_deformed", "assemble_A", "assemble_K", "assemble_B",
                  "assemble_H", "assemble_L1"):
         monkeypatch.setattr(operators, name, dense)
-    monkeypatch.setattr(scipy.linalg, "eigh", dense)
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", dense)
+    for lib in (scipy.linalg, np.linalg):
+        monkeypatch.setattr(lib, "eigh", dense)
+        monkeypatch.setattr(lib, "eigvalsh", dense)
     for k in (1, 2):
         mode = ModeSpec(alpha=EIGHT_PI * 1e3, k=k)
         pt = analysis.sweep_point(mode, "range", analysis.sigma_grid(mode, n=300))
@@ -172,29 +173,43 @@ def test_psi_independent_of_r_max():
     assert abs(near.lambda_star - far.lambda_star) <= 1e-3 * abs(far.lambda_star)
 
 
+@pytest.mark.parametrize("beta_1", [3e6, 1e7])
+def test_psi_grid_contains_the_critical_radius(beta_1):
+    # the resolvent peak sits near r* = 2.7 beta_1^{1/6} (32.4 and 39.6
+    # here); on r_max = 30, n-doubling converged on the cut-off problem,
+    # 2% and 23% high.  The default grid must give the r_max = 60 value at
+    # the same h
+    mode = ModeSpec(alpha=EIGHT_PI * beta_1, k=1)
+    res = analysis.pseudospectral_bound(mode)
+    h = analysis.bound_grid(mode, "psi").h
+    n = math.ceil(60.0 / h)
+    far = analysis.pseudospectral_bound(mode, make_grid(n, n * h))
+    assert res.converged and far.converged
+    assert far.grid_n // n == res.grid_n // 600
+    assert abs(res.psi_bound - far.psi_bound) <= 1e-5 * far.psi_bound
+
+
 def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     # a refined level starts the secant from the coarser level's minimizer
     # and curvature, and scans nothing while it succeeds; when it fails,
-    # that level rescans 9 shifts around the old minimizer, and when that
-    # rescan finds no interior minimum either, the full window over
-    # beta_k [-0.2, 1.2]; the first level's short scan around the
-    # asymptote finds one at beta_1 = 1e2
+    # that level scans the full window over beta_k [-0.2, 1.2]; the first
+    # level's short scan around the asymptote finds one at beta_1 = 1e2
     scan, secant, calls = analysis._scan_psi, analysis._slope_min, []
 
-    def local_rescan_misses(matrix, lams):
+    def counted_scan(matrix, lams):
         calls.append((matrix.grid.n, len(lams)))
-        return None if len(lams) == 9 else scan(matrix, lams)
+        return scan(matrix, lams)
 
     def refined_start_fails(fn, a, b, x, curvature=None):
         return None if curvature is not None else secant(fn, a, b, x)
 
-    monkeypatch.setattr(analysis, "_scan_psi", local_rescan_misses)
+    monkeypatch.setattr(analysis, "_scan_psi", counted_scan)
     analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
     assert calls == [(600, 16)]
     calls.clear()
     monkeypatch.setattr(analysis, "_slope_min", refined_start_fails)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
-    assert calls[:3] == [(600, 16), (1200, 9), (1200, 64)]
+    assert calls[:2] == [(600, 16), (1200, 64)]
     assert res.converged and res.grid_n == psi_1e2.grid_n
     assert abs(res.psi_bound - psi_1e2.psi_bound) <= 1e-6 * psi_1e2.psi_bound
     assert abs(res.lambda_star - psi_1e2.lambda_star) <= 1e-3 * psi_1e2.lambda_star
@@ -606,10 +621,15 @@ def test_sweep_point_psi_row():
 
 
 def test_bound_grid_policy():
-    # psi on r_max = 30, sigma and range on the wall-aware r_max (here
-    # above 30), n = 600 by default, and an explicit r_max for every quantity
+    # psi on r_max = 30 up to |beta_k| = 2.1e5 and on 3.8 |beta_k|^{1/6}
+    # beyond, sigma and range on the wall-aware r_max (here above 30),
+    # n = 600 by default, and an explicit r_max for every quantity
     mode = ModeSpec(alpha=EIGHT_PI * 1e5, k=1)
     assert analysis.bound_grid(mode, "psi", 300) == default_grid(n=300)
+    for beta_k in (2.1e5, -2.1e5):
+        assert analysis.bound_grid(ModeSpec(alpha=EIGHT_PI * beta_k / 2, k=2), "psi") == default_grid()
+    far = ModeSpec(alpha=-EIGHT_PI * 1e7 / 5, k=5)
+    assert analysis.bound_grid(far, "psi") == make_grid(600, 3.8 * 1e7 ** (1 / 6))
     for quantity in ("sigma", "range"):
         assert analysis.bound_grid(mode, quantity, 300) == analysis.sigma_grid(mode, n=300)
         assert analysis.bound_grid(mode, quantity) == analysis.sigma_grid(mode)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -337,3 +340,20 @@ def test_inadmissible_inputs_exit_two_before_solving(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", "--alphas", "1e3,nan,1e4,1e5",
                            "--quantity", "range")
     assert code == 2 and "alpha must be finite" in err
+
+
+def test_cli_imports_no_scipy():
+    # every command pays for what the CLI imports; the solver calls the
+    # LAPACK bundled with numpy, so a fresh interpreter that imports the
+    # CLI and runs the benchmark's warm-up command loads no scipy module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import contextlib, io, json, sys\n"
+              "sys.path.insert(0, %r)\n"
+              "from oseenspec import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = cli.main(['spectrum', '--alpha', '100', '--k', '2', '--n', '32'])\n"
+              "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+              % src)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert json.loads(out.stdout) == [0, []]

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 import oracle
-from oseenspec import analysis, operators, solver
+from oseenspec import _lapack, analysis, operators, solver
 from oseenspec.grids import ModeSpec, OperatorMatrix, default_grid, make_grid
 
 
@@ -361,3 +365,93 @@ def test_banded_smin_exact_singularity_raises():
                           data=np.zeros((32, 3), dtype=complex))
     with pytest.raises(solver.SolverError):
         solver.smallest_singular_value(zero, 0.0)
+
+
+@pytest.mark.parametrize("kind,rows,cols", [("L1_band", 1, 3), ("H_band", 2, 5)])
+def test_all_zero_band_raises_solver_error(kind, rows, cols):
+    # the LU's info != 0 branch: an exactly singular band stops at the
+    # first zero pivot, which the bindings report and the solver raises
+    n = 32
+    zero = OperatorMatrix(kind=kind, grid=make_grid(n, 10.0), mode=None,
+                          data=np.zeros((rows * n, cols), dtype=complex))
+    with pytest.raises(solver.SolverError, match="band LU failed"):
+        solver.smallest_singular_value(zero, 0.0)
+
+
+def test_lapack_bindings_fail_at_import_without_numpys_openblas():
+    # a numpy whose linalg extension exports no scipy-openblas64 LAPACK (a
+    # conda or distribution build) stops the import with the cause named
+    script = ("import ctypes, sys\n"
+              "sys.path.insert(0, %r)\n"
+              "def missing(*args, **kwargs):\n"
+              "    raise OSError('no library')\n"
+              "ctypes.CDLL = missing\n"
+              "try:\n"
+              "    import oseenspec._lapack\n"
+              "except ImportError as exc:\n"
+              "    print(exc)\n"
+              % os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__))))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert "scipy-openblas64" in out.stdout and "no library" in out.stdout
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("trans", [b"N", b"C"])
+def test_gttrs_binding_matches_scipy(trans):
+    rng = np.random.default_rng(1)
+    n = 200
+    dl, d, du, v = (_random_complex(rng, size) for size in (n - 1, n, n - 1, n))
+    info, rhs, solve = _lapack.tridiagonal_lu(dl, d, du)
+    rhs[:] = v
+    solve(trans)
+    ref = lapack.zgttrs(*lapack.zgttrf(dl, d, du)[:5], v, trans=trans.decode())[0]
+    assert info == 0
+    assert np.abs(rhs - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("b", [2, 3])
+@pytest.mark.parametrize("trans", [b"N", b"C"])
+def test_gbtrs_binding_matches_scipy(b, trans):
+    rng = np.random.default_rng(b)
+    n = 150
+    ab = _random_complex(rng, 3 * b + 1, n)
+    ab[:b] = 0.0                    # the spare rows zgbtrf fills
+    v = _random_complex(rng, n)
+    info, rhs, solve = _lapack.band_lu(np.asfortranarray(ab), b, b)
+    rhs[:] = v
+    solve(trans)
+    lu, ipiv, ref_info = lapack.zgbtrf(ab, b, b)
+    ref = lapack.zgbtrs(lu, b, b, v, ipiv, trans=0 if trans == b"N" else 2)[0]
+    assert info == ref_info == 0
+    assert np.abs(rhs - ref).max() <= 1e-13 * np.abs(ref).max()
+    for bad in (ab, np.asfortranarray(ab[1:]), np.asfortranarray(ab.real)):
+        with pytest.raises(ValueError):
+            _lapack.band_lu(bad, b, b)
+
+
+def test_stebz_and_stein_bindings():
+    # one workspace serves every size up to its capacity: the leading
+    # block's extreme eigenvalues match scipy's dstebz, and the dstein
+    # vector of the top one is a unit eigenvector to the eps level
+    rng = np.random.default_rng(3)
+    n = 120
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    tri = _lapack.Tridiagonal(n + 40)
+    tri.d[:n], tri.e[:n - 1] = d, e
+    for index in (1, n):
+        info, value = tri.eigenvalue(n, index)
+        ref = lapack.dstebz(d, e, 2, 0.0, 0.0, index, index, 0.0, "E")[1][0]
+        assert info == 0
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+    info, z = tri.vector()
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert info == 0 and z.shape == (n,)
+    assert abs(np.linalg.norm(z) - 1.0) <= 1e-13
+    assert np.linalg.norm(t @ z - value * z) <= 1e-13 * np.abs(t).sum(axis=1).max()
+    for size, index in ((n + 41, 1), (n, 0), (n, n + 1)):
+        with pytest.raises(ValueError):
+            tri.eigenvalue(size, index)
