@@ -23,13 +23,11 @@ sgn(beta_k) pi/8; at beta_1 = 1e5 that condition number is 2.8 at the angle
 
 The minimizing shift for Psi lies at nu = lam/beta_k inside (0, 1): for
 nu outside that range the operator is coercive at the |beta|^{1/2} scale,
-so the resolvent peak sits where sigma(r) crosses nu.  It follows the law
-lambda* ~ 0.55 sgn(beta_k) |beta_k|^{2/3} (0.545 to 0.550 at |beta_k| =
-1e3 to 1e6), so the first level scans 16 shifts over that asymptote times
-[0.5, 1.5]; where the law drifts (small |beta_k|, or beta_2 = 100, where
-the ratio is 0.95) that scan has no interior minimum and the 64-shift
-window beta_k [-0.2, 1.2], which covers (0, 1) with margin on both sides,
-takes over.  Psi is a property of the straight operator (rotation does
+so the resolvent peak sits at the critical radius r*, where sigma(r*) =
+nu, as the quasimode does.  r* reads about 2.70 |beta_k|^{1/6} from
+|beta_k| = 300 on and tends to 3.96 as beta_k goes to 0, so one window of
+16 shifts lam = beta_k sigma(r), r around max(2.7 |beta_k|^{1/6}, 4),
+brackets it at every beta_k.  Psi is a property of the straight operator (rotation does
 not preserve resolvent norms), so that path stays unrotated; it runs on
 the banded form of the straight operator, assembled once per grid level,
 where each shift costs one O(n) band LU.  The scan only locates the peak,
@@ -40,7 +38,7 @@ cold to 1e-14 together with its slope, read from the top singular vector
 the inverse Lanczos already holds, so the reported Psi and lambda* do not
 depend on the scan's tolerance.  A refined grid level scans nothing: it
 starts the secant from the coarser level's lambda* and curvature, and
-scans the full window only if the slopes find no minimum near it.
+scans the window only if the slopes find no minimum inside it.
 The scans' shifts and the refinement's width, 1e-3 max(|lambda*|, 1), are
 fixed.
 
@@ -65,12 +63,7 @@ logger = logging.getLogger(__name__)
 _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
 _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
-# Psi's first scan: _SHORT_POINTS shifts on the asymptote of the minimizer,
-# lambda* ~ _ASYMPTOTE sgn(beta_k) |beta_k|^{2/3}, times [0.5, 1.5]; where
-# that finds no interior minimum, _LAMBDA_POINTS shifts over beta_k [-0.2, 1.2]
-_SHORT_POINTS = 16
-_ASYMPTOTE = 0.55
-_LAMBDA_POINTS = 64
+_SCAN_POINTS = 16       # shifts in Psi's one scan window, _psi_window
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 QUANTITIES = ("sigma", "psi", "range")
 _PSI_RADIUS = 3.8       # Psi's r_max over |beta_k|^{1/6}, 1.34 times the least that holds
@@ -246,12 +239,12 @@ def _slope_min(fn, a, b, x, curvature=None):
 
 
 def _scan_psi(matrix, lams):
-    """Scan s_min(M - i lam) over the shifts lams with solver.scan_smin and
-    refine the lowest interior minimum by _slope_min on
-    smallest_singular_value with its slope, from that shift within its two
-    neighbours; the refinement reads the scan's bracket and start shift,
-    never its values, so what is returned, (Psi, lambda*, curvature), is
-    measured to 1e-14.  None if no shift is an interior minimum, or if the
+    """Scan s_min(M - i lam) over the shifts lams (pseudospectral_bound
+    passes _psi_window) with solver.scan_smin and refine the lowest
+    interior minimum by _slope_min on smallest_singular_value with its
+    slope, from that shift within its two neighbours; the refinement
+    reads the scan's bracket and start shift, never its values, so what
+    is returned, (Psi, lambda*, curvature), is measured to 1e-14.  None if no shift is an interior minimum, or if the
     slopes find no minimum inside the bracket."""
     vals = solver.scan_smin(matrix, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
@@ -267,21 +260,27 @@ def _cold_slope(matrix):
     return lambda lam: solver.smallest_singular_value(matrix, lam, slope=True)
 
 
+def _psi_window(beta):
+    """Psi's _SCAN_POINTS shifts lam = beta_k sigma(r), r over r_c [0.65,
+    1.35] around the critical radius, r_c = max(2.7 |beta_k|^{1/6}, 4);
+    the top radius stays under bound_grid's r_max."""
+    r_c = max(2.7 * abs(beta) ** (1.0 / 6.0), 4.0)
+    return beta * specfun.sigma(r_c * np.linspace(0.65, 1.35, _SCAN_POINTS))
+
+
 def pseudospectral_bound(mode, grid=None):
     """Psi(alpha, k) = min over real lam of s_min(H - i lam), with lam*.
 
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
-    lam = 0 (distance to the real spectrum).  Otherwise a 16-shift scan
-    over 0.55 sgn(beta_k) |beta_k|^{2/3} [0.5, 1.5], around the asymptote
-    of lambda*, locates the resolvent peak, the 64-shift scan over
-    beta_k [-0.2, 1.2] takes over if that finds no interior minimum, and
-    _slope_min refines the lowest interior minimum by a secant on the
-    slope of s_min, to within 1e-3 max(|lambda*|, 1).  Refined levels
-    scan nothing while the secant succeeds: it starts from the coarser
-    level's lambda* and curvature, inside a window of 3 cells of the full
-    window's spacing around it.  Where the slopes find no minimum inside
-    that window, the level scans the full window; a full window without
-    an interior minimum gives s_min at -0.2 beta_k, flagged as not
+    lam = 0 (distance to the real spectrum).  Otherwise the first level
+    scans the 16 shifts of _psi_window, placed by the critical radius of
+    lambda*, to locate the resolvent peak, and _slope_min refines the
+    lowest interior minimum by a secant on the slope of s_min, to within
+    1e-3 max(|lambda*|, 1).  Refined levels scan nothing while the secant
+    succeeds: it starts from the coarser level's lambda* and curvature,
+    with the window's span as its bracket.  Where the slopes find no
+    minimum inside it, the level scans the window; a window without an
+    interior minimum gives s_min at its first shift, flagged as not
     converged.  Scans use solver.scan_smin, which only locates; every
     value returned is measured by smallest_singular_value.  The grid
     defaults to bound_grid at n = 600, whose r_max follows the critical
@@ -295,27 +294,24 @@ def pseudospectral_bound(mode, grid=None):
         return BoundResult(mode=mode, grid_n=res.grid_n, converged=res.converged,
                            sigma_bound=res.sigma_bound, psi_bound=res.sigma_bound,
                            lambda_star=0.0)
-    asymptote = _ASYMPTOTE * math.copysign(abs(beta) ** (2.0 / 3.0), beta)
+    lams = _psi_window(beta)
+    window = sorted((lams[0], lams[-1]))
 
     def step(g, prev):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
-        if prev is None:
-            scan_ok = True
-            hit = _scan_psi(matrix, asymptote * np.linspace(0.5, 1.5, _SHORT_POINTS))
-        else:
+        hit, scan_ok = None, True
+        if prev is not None:
             # refined grids start from the coarser level's minimizer and
-            # curvature, and scan the full window only if the slopes find
-            # no minimum within 1.5 of its cells of that minimizer
+            # curvature, and scan the window only if the slopes find no
+            # minimum inside it
             _, lam_prev, curvature, scan_ok = prev
-            cell = 1.4 * abs(beta) / (_LAMBDA_POINTS - 1)
-            hit = _slope_min(_cold_slope(matrix), lam_prev - 1.5 * cell,
-                             lam_prev + 1.5 * cell, lam_prev, curvature)
+            hit = _slope_min(_cold_slope(matrix), *window, lam_prev, curvature)
         if hit is None:
-            hit = _scan_psi(matrix, beta * np.linspace(-0.2, 1.2, _LAMBDA_POINTS))
+            hit = _scan_psi(matrix, lams)
         if hit is None:
             logger.warning("no interior resolvent minimum for alpha=%g k=%d",
                            mode.alpha, mode.k)
-            return (solver.smallest_singular_value(matrix, -0.2 * beta), -0.2 * beta,
+            return (solver.smallest_singular_value(matrix, lams[0]), float(lams[0]),
                     None, False)
         return hit + (scan_ok,)
 

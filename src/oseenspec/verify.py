@@ -428,8 +428,8 @@ def _check_deform_theta_invariance(seed):
         eigs = []
         for th in (math.pi / 24, math.pi / 16):
             mode = ModeSpec(alpha=100.0, k=k, theta=th)
-            seed = math.sqrt(abs(mode.beta_k) / 2) * (1 + 1j)
-            eigs.append(solver.bottom_eigenvalue(operators.assemble_banded(mode, grid), seed))
+            shift = math.sqrt(abs(mode.beta_k) / 2) * (1 + 1j)
+            eigs.append(solver.bottom_eigenvalue(operators.assemble_banded(mode, grid), shift))
         worst = max(worst, abs(eigs[0] - eigs[1]) / abs(eigs[0]))
     return _report("deform.thetaInvariance", worst, 1e-2, 2)
 

@@ -192,8 +192,7 @@ def test_psi_grid_contains_the_critical_radius(beta_1):
 def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     # a refined level starts the secant from the coarser level's minimizer
     # and curvature, and scans nothing while it succeeds; when it fails,
-    # that level scans the full window over beta_k [-0.2, 1.2]; the first
-    # level's short scan around the asymptote finds one at beta_1 = 1e2
+    # that level scans the same 16-shift window the first level scanned
     scan, secant, calls = analysis._scan_psi, analysis._slope_min, []
 
     def counted_scan(matrix, lams):
@@ -209,22 +208,26 @@ def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
     calls.clear()
     monkeypatch.setattr(analysis, "_slope_min", refined_start_fails)
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
-    assert calls[:2] == [(600, 16), (1200, 64)]
+    assert calls[:2] == [(600, 16), (1200, 16)]
     assert res.converged and res.grid_n == psi_1e2.grid_n
     assert abs(res.psi_bound - psi_1e2.psi_bound) <= 1e-6 * psi_1e2.psi_bound
     assert abs(res.lambda_star - psi_1e2.lambda_star) <= 1e-3 * psi_1e2.lambda_star
 
 
 def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
-    # a level whose scans find no interior minimum reports s_min at the
-    # window edge -0.2 beta_k, measured cold, and flags the bound
+    # a level whose scan finds no interior minimum, and whose secant finds
+    # none either, reports s_min at the window's first shift,
+    # beta_k sigma(0.65 r_c) with r_c = 2.7 beta_1^{1/6}, measured cold,
+    # and flags the bound
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
     monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams: None)
+    monkeypatch.setattr(analysis, "_slope_min", lambda fn, a, b, x, curvature=None: None)
     res = analysis.pseudospectral_bound(mode, grid)
+    edge = 1e2 * specfun.sigma(0.65 * 2.7 * 1e2 ** (1 / 6))
     assert not res.converged
-    assert res.lambda_star == -0.2 * mode.beta_k
+    assert res.lambda_star == pytest.approx(edge, rel=1e-14)
     band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
-    assert res.psi_bound == solver.smallest_singular_value(band, -0.2 * mode.beta_k)
+    assert res.psi_bound == solver.smallest_singular_value(band, res.lambda_star)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -263,36 +266,36 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
         assert min(measured) >= psi
 
 
-@pytest.mark.parametrize("k,beta_k,fallback", [(1, 1e6, False), (2, 1e6, False),
-                                               (5, 1e6, False), (3, -1e4, False),
-                                               (2, 1e2, True)])
-def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, fallback):
-    # the first level's 16 shifts around the asymptote 0.55 sgn(beta_k)
-    # |beta_k|^{2/3} refine to the minimum the 64-shift window over
-    # beta_k [-0.2, 1.2] refines on the same band, also at beta_k = 1e6,
-    # where that window has 10 or more interior minima; at beta_2 = 1e2,
-    # where lambda* sits at 0.95 beta_2^{2/3}, the short scan has no
-    # interior minimum and the full window runs instead
+@pytest.mark.parametrize("k,beta_k,off_law", [(1, 1e6, False), (2, 1e6, False),
+                                              (5, 1e6, False), (3, -1e4, False),
+                                              (2, 1e2, True), (2, -1e2, True),
+                                              (1, 1.0, True), (5, 3.0, True),
+                                              (5, -3.0, True), (1, 1e-2, True)])
+def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, off_law):
+    # the one scan, 16 shifts placed by the critical radius, refines to the
+    # minimum the 64-shift window over beta_k [-0.2, 1.2] refines on the
+    # same band, with no rescan: also at beta_k = 1e6, where that window has
+    # 10 or more interior minima, and where r* is off its law
+    # 2.70 |beta_k|^{1/6} (off_law: |beta_k| <= 100, where the window finds
+    # it by its width and the floor 4 of r_c)
     mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k), default_grid(n=300)
-    scan, first = analysis._scan_psi, []
+    scan, scans = analysis._scan_psi, []
 
     def recorded(matrix, lams):
         hit = scan(matrix, lams)
-        if matrix.grid.n == grid.n:
-            first.append((len(lams), hit))
+        scans.append((matrix.grid.n, len(lams), hit))
         return hit
 
     monkeypatch.setattr(analysis, "_scan_psi", recorded)
     analysis.pseudospectral_bound(mode, grid)
     band = operators.assemble_banded(mode, grid)
-    full = scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))
-    if fallback:
-        assert first == [(16, None), (64, full)]
-        return
-    [(points, (psi, lam, _))] = first
-    assert points == 16
-    assert abs(psi - full[0]) <= 1e-6 * full[0]
-    assert abs(lam - full[1]) <= analysis._REFINE_TOL * max(abs(full[1]), 1.0)
+    psi, lam = scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))[:2]
+    [(n, points, hit)] = scans
+    assert (n, points) == (grid.n, 16) and hit is not None
+    assert abs(hit[0] - psi) <= 1e-7 * psi
+    assert abs(hit[1] - lam) <= analysis._REFINE_TOL * max(abs(lam), 1.0)
+    ratio = specfun.sigma_inverse(lam / mode.beta_k) / abs(mode.beta_k) ** (1 / 6)
+    assert (abs(ratio - 2.7) > 0.1) == off_law
 
 
 def _golden_evaluations(a, b, tol):
@@ -355,8 +358,8 @@ def test_psi_cold_calls_per_bound(monkeypatch):
 def test_psi_lambda_star_is_the_zero_of_the_slope():
     # the refinement stops within _REFINE_TOL |lambda*| of the zero of s'
     # on the finest grid, also at beta_1 = 1e6, where the refined level's
-    # window spans about +-8300 around lambda* ~ 5490, so a width relative
-    # to the window's ends would be 2.5 times too loose; the zero is found
+    # window spans 3010 to 12990 around lambda* ~ 5490, so a width relative
+    # to the window's ends would be 2.4 times too loose; the zero is found
     # here by bisection on cold slopes
     mode = ModeSpec(alpha=EIGHT_PI * 1e6, k=1)
     res = analysis.pseudospectral_bound(mode)
@@ -380,8 +383,8 @@ def test_psi_lambda_star_is_the_zero_of_the_slope():
     (2, 0.02, 0.99998764779054, 0.0050555555555555545),
 ], ids=["beta1=1e-2", "beta1=-1e-4", "beta2=2e-2"])
 def test_psi_small_beta_converges(k, beta_k, psi, lam):
-    # below |beta_k| ~ 0.03 the refined level's window, and below ~ 0.005
-    # the first level's bracket too, is narrower than twice the refine
+    # below |beta_k| ~ 0.045 the first level's bracket, and below ~ 0.006
+    # the refined level's window too, is narrower than twice the refine
     # width 1e-3: one slope resolves it, so the refinement returns its
     # measured point instead of reporting no minimum, and the bound
     # converges to Psi and lambda* of the Brent refinement it replaced
@@ -630,6 +633,15 @@ def test_bound_grid_policy():
         assert analysis.bound_grid(ModeSpec(alpha=EIGHT_PI * beta_k / 2, k=2), "psi") == default_grid()
     far = ModeSpec(alpha=-EIGHT_PI * 1e7 / 5, k=5)
     assert analysis.bound_grid(far, "psi") == make_grid(600, 3.8 * 1e7 ** (1 / 6))
+    # Psi's scan window reaches out to r = 1.35 r_c, 3.65 |beta_k|^{1/6}
+    # past |beta_k| = 10.6: inside r_max = 30 up to 2.4e5, and under
+    # r_max = _PSI_RADIUS |beta_k|^{1/6} = 3.8 |beta_k|^{1/6} beyond
+    for beta_k in (1e-2, 1.0, 1e2, 2.4e5, -2.4e5, 1e6, 3e7, -1e9):
+        lams = analysis._psi_window(beta_k)
+        top = specfun.sigma_inverse(lams[-1] / beta_k)
+        assert top == pytest.approx(1.35 * max(2.7 * abs(beta_k) ** (1 / 6), 4.0), rel=1e-6)
+        r_max = analysis.bound_grid(ModeSpec(alpha=EIGHT_PI * beta_k, k=1), "psi").r_max
+        assert top < r_max
     for quantity in ("sigma", "range"):
         assert analysis.bound_grid(mode, quantity, 300) == analysis.sigma_grid(mode, n=300)
         assert analysis.bound_grid(mode, quantity) == analysis.sigma_grid(mode)

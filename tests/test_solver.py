@@ -160,9 +160,9 @@ def _interior_minima(vals):
     return inner[np.argsort(vals[inner])].tolist()
 
 
-# the warm-started scan against the cold 1e-14 call at every shift of the
-# full 64-shift window, the first level's fallback: the oracle modes across
-# beta_k = 1e2..1e5
+# the warm-started scan against the cold 1e-14 call at every shift of a
+# 64-shift window over beta_k [-0.2, 1.2], which holds Psi's scan window
+# and more interior minima: the oracle modes across beta_k = 1e2..1e5
 SCAN_CASES = [(k, sign, beta, n) for k, sign in ORACLE_MODES
               for beta in (1e2, 1e3, 1e4, 1e5) for n in (300, 600)]
 
