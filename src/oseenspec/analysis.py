@@ -25,22 +25,24 @@ The minimizing shift for Psi lies at nu = lam/beta_k inside (0, 1): for
 nu outside that range the operator is coercive at the |beta|^{1/2} scale,
 so the resolvent peak sits at the critical radius r*, where sigma(r*) =
 nu, as the quasimode does.  r* reads about 2.70 |beta_k|^{1/6} from
-|beta_k| = 300 on and tends to 3.96 as beta_k goes to 0, so one window of
-16 shifts lam = beta_k sigma(r), r around max(2.7 |beta_k|^{1/6}, 4),
-brackets it at every beta_k.  Psi is a property of the straight operator (rotation does
-not preserve resolvent norms), so that path stays unrotated; it runs on
-the banded form of the straight operator, assembled once per grid level,
-where each shift costs one O(n) band LU.  The scan only locates the peak,
-so its shifts run through solver.scan_smin, warm-started and loose, and
-the refinement reads only its bracket and start shift.  The refinement is
-a safeguarded secant on s'(lam) = 0: smallest_singular_value measures s
-cold to 1e-14 together with its slope, read from the top singular vector
-the inverse Lanczos already holds, so the reported Psi and lambda* do not
-depend on the scan's tolerance.  A refined grid level scans nothing: it
-starts the secant from the coarser level's lambda* and curvature, and
-scans the window only if the slopes find no minimum inside it.
-The scans' shifts and the refinement's width, 1e-3 max(|lambda*|, 1), are
-fixed.
+|beta_k| = 300 on; as beta_k goes to 0, nu tends to its mean in the
+mode's ground state, at most (1 - 2^-|k|)/|k|, so r* >= 2 sqrt|k| (3.96
+to 4.01 for |k| <= 3).  One window of 16 shifts lam = beta_k sigma(r), r
+around max(2.7 |beta_k|^{1/6}, 4, 2 sqrt|k|), brackets it at every beta_k
+surveyed, |k| up to 24.  Psi is a property of the straight operator
+(rotation does not preserve resolvent norms), so that path stays
+unrotated; it runs on the banded form of the straight operator, assembled
+once per grid level, where each shift costs one O(n) band LU.  The scan
+only locates the peak, so its shifts run through solver.scan_smin,
+warm-started and loose, and the refinement reads only its bracket and
+start shift.  The refinement is a safeguarded secant on s'(lam) = 0:
+smallest_singular_value measures s cold to 1e-14 together with its slope,
+read from the top singular vector the inverse Lanczos already holds, so
+the reported Psi and lambda* do not depend on the scan's tolerance.  A
+refined grid level scans nothing: it starts the secant from the coarser
+level's lambda* and curvature, and scans the window only if the slopes
+find no minimum inside it.  The scans' shifts and the refinement's width,
+1e-3 max(|lambda*|, 1), are fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
 bound functions' defaults and for the command line alike, and
@@ -67,6 +69,8 @@ _SCAN_POINTS = 16       # shifts in Psi's one scan window, _psi_window
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 QUANTITIES = ("sigma", "psi", "range")
 _PSI_RADIUS = 3.8       # Psi's r_max over |beta_k|^{1/6}, 1.34 times the least that holds
+_CRITICAL = 2.7         # Psi's window centre r_c over |beta_k|^{1/6} at large |beta_k|
+_WINDOW = (0.65, 1.35)  # Psi's window in r / r_c; its top, 1.35 x 2.7, is under _PSI_RADIUS
 GRID_POLICY = ("r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}, "
                "the psi path to 3.8 |beta_k|^{1/6}")
 
@@ -244,8 +248,9 @@ def _scan_psi(matrix, lams):
     interior minimum by _slope_min on smallest_singular_value with its
     slope, from that shift within its two neighbours; the refinement
     reads the scan's bracket and start shift, never its values, so what
-    is returned, (Psi, lambda*, curvature), is measured to 1e-14.  None if no shift is an interior minimum, or if the
-    slopes find no minimum inside the bracket."""
+    is returned, (Psi, lambda*, curvature), is measured to 1e-14.  None
+    if no shift is an interior minimum, or if the slopes find no minimum
+    inside the bracket."""
     vals = solver.scan_smin(matrix, lams)
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if inner.size == 0:
@@ -260,12 +265,13 @@ def _cold_slope(matrix):
     return lambda lam: solver.smallest_singular_value(matrix, lam, slope=True)
 
 
-def _psi_window(beta):
-    """Psi's _SCAN_POINTS shifts lam = beta_k sigma(r), r over r_c [0.65,
-    1.35] around the critical radius, r_c = max(2.7 |beta_k|^{1/6}, 4);
-    the top radius stays under bound_grid's r_max."""
-    r_c = max(2.7 * abs(beta) ** (1.0 / 6.0), 4.0)
-    return beta * specfun.sigma(r_c * np.linspace(0.65, 1.35, _SCAN_POINTS))
+def _psi_window(mode):
+    """Psi's _SCAN_POINTS shifts lam = beta_k sigma(r), r over r_c _WINDOW,
+    r_c = max(_CRITICAL |beta_k|^{1/6}, 4, 2 sqrt|k|) the critical radius
+    or its small-beta_k floor; 1.35 r_c is under r_max for |k| < 120."""
+    beta = mode.beta_k
+    r_c = max(_CRITICAL * abs(beta) ** (1.0 / 6.0), 4.0, 2.0 * math.sqrt(abs(mode.k)))
+    return beta * specfun.sigma(r_c * np.linspace(*_WINDOW, _SCAN_POINTS))
 
 
 def pseudospectral_bound(mode, grid=None):
@@ -288,22 +294,18 @@ def pseudospectral_bound(mode, grid=None):
     """
     if grid is None:
         grid = bound_grid(mode, "psi")
-    beta = mode.beta_k
-    if beta == 0.0:
+    if mode.beta_k == 0.0:
         res = spectral_bound(mode, grid)
         return BoundResult(mode=mode, grid_n=res.grid_n, converged=res.converged,
                            sigma_bound=res.sigma_bound, psi_bound=res.sigma_bound,
                            lambda_star=0.0)
-    lams = _psi_window(beta)
+    lams = _psi_window(mode)
     window = sorted((lams[0], lams[-1]))
 
     def step(g, prev):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
         hit, scan_ok = None, True
         if prev is not None:
-            # refined grids start from the coarser level's minimizer and
-            # curvature, and scan the window only if the slopes find no
-            # minimum inside it
             _, lam_prev, curvature, scan_ok = prev
             hit = _slope_min(_cold_slope(matrix), *window, lam_prev, curvature)
         if hit is None:

@@ -230,6 +230,25 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
     assert res.psi_bound == solver.smallest_singular_value(band, res.lambda_star)
 
 
+def test_psi_secant_from_the_window_edge_finds_the_minimum(monkeypatch):
+    # with only the scan stubbed, the first level reports the window's
+    # first shift, an edge of the window, and the next level starts the
+    # secant there, with no curvature and the whole window as its bracket:
+    # it finds the minimum inside the window, the value a bound started on
+    # that level's grid reports, and the bound stays flagged
+    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
+    lams = analysis._psi_window(mode)
+    monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams: None)
+    res = analysis.pseudospectral_bound(mode, grid)
+    monkeypatch.undo()
+    ref = analysis.pseudospectral_bound(mode, default_grid(n=600))
+    assert not res.converged and ref.converged
+    assert res.grid_n == ref.grid_n == 1200
+    assert lams[-1] < res.lambda_star < lams[0]
+    assert abs(res.psi_bound - ref.psi_bound) <= 1e-6 * ref.psi_bound
+    assert abs(res.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * ref.lambda_star
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
     # at beta_k = 1e6 the full window's scan has about 11 interior minima;
@@ -266,19 +285,10 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
         assert min(measured) >= psi
 
 
-@pytest.mark.parametrize("k,beta_k,off_law", [(1, 1e6, False), (2, 1e6, False),
-                                              (5, 1e6, False), (3, -1e4, False),
-                                              (2, 1e2, True), (2, -1e2, True),
-                                              (1, 1.0, True), (5, 3.0, True),
-                                              (5, -3.0, True), (1, 1e-2, True)])
-def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, off_law):
-    # the one scan, 16 shifts placed by the critical radius, refines to the
-    # minimum the 64-shift window over beta_k [-0.2, 1.2] refines on the
-    # same band, with no rescan: also at beta_k = 1e6, where that window has
-    # 10 or more interior minima, and where r* is off its law
-    # 2.70 |beta_k|^{1/6} (off_law: |beta_k| <= 100, where the window finds
-    # it by its width and the floor 4 of r_c)
-    mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k), default_grid(n=300)
+def _scans_and_reference(monkeypatch, mode, grid):
+    # every (n, shifts, result) of _scan_psi in one bound, and (Psi,
+    # lambda*) refined from the 64-shift window over beta_k [-0.2, 1.2] on
+    # the first level's band, the reference for the one window
     scan, scans = analysis._scan_psi, []
 
     def recorded(matrix, lams):
@@ -289,13 +299,48 @@ def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, 
     monkeypatch.setattr(analysis, "_scan_psi", recorded)
     analysis.pseudospectral_bound(mode, grid)
     band = operators.assemble_banded(mode, grid)
-    psi, lam = scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))[:2]
-    [(n, points, hit)] = scans
+    return scans, scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))[:2]
+
+
+@pytest.mark.parametrize("k,beta_k,off_law", [(1, 1e6, False), (2, 1e6, False),
+                                              (5, 1e6, False), (3, -1e4, False),
+                                              (2, 1e2, True), (2, -1e2, True),
+                                              (1, 1.0, True), (5, 3.0, True),
+                                              (5, -3.0, True), (1, 1e-2, True),
+                                              (4, 1e-2, True), (6, 1.0, True),
+                                              (7, 0.3, True), (8, 0.1, True),
+                                              (-8, -10.0, True)])
+def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, off_law):
+    # the one scan, 16 shifts placed by the critical radius, refines to the
+    # minimum the 64-shift window over beta_k [-0.2, 1.2] refines on the
+    # same band, with no rescan: also at beta_k = 1e6, where that window has
+    # 10 or more interior minima, and where r* is off its law
+    # 2.70 |beta_k|^{1/6} (off_law: |beta_k| <= 100, where the window finds
+    # it by its width and the floor max(4, 2 sqrt|k|) of r_c; with the
+    # floor 4 alone, |k| = 7 and 8 find no interior minimum)
+    mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k), default_grid(n=300)
+    [(n, points, hit)], (psi, lam) = _scans_and_reference(monkeypatch, mode, grid)
     assert (n, points) == (grid.n, 16) and hit is not None
     assert abs(hit[0] - psi) <= 1e-7 * psi
     assert abs(hit[1] - lam) <= analysis._REFINE_TOL * max(abs(lam), 1.0)
     ratio = specfun.sigma_inverse(lam / mode.beta_k) / abs(mode.beta_k) ** (1 / 6)
     assert (abs(ratio - 2.7) > 0.1) == off_law
+
+
+def test_psi_window_of_three_refine_widths_rescans(monkeypatch):
+    # at (k, beta_k) = (5, 1e-2) the window spans 3.1e-3, three refine
+    # widths: the first scan refines to the reference minimum, but the
+    # refined level's secant, started within one refine width of the
+    # window's edge, closes its bracket on that edge after one slope and
+    # returns None, so that level scans the window again and lands on the
+    # same shift
+    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e-2 / 5, k=5), default_grid(n=300)
+    scans, (psi, lam) = _scans_and_reference(monkeypatch, mode, grid)
+    assert [(n, points) for n, points, _ in scans] == [(300, 16), (600, 16)]
+    first, second = scans[0][2], scans[1][2]
+    assert abs(first[0] - psi) <= 1e-7 * psi
+    assert abs(first[1] - lam) <= analysis._REFINE_TOL
+    assert second[1] == first[1]
 
 
 def _golden_evaluations(a, b, tol):
@@ -634,14 +679,19 @@ def test_bound_grid_policy():
     far = ModeSpec(alpha=-EIGHT_PI * 1e7 / 5, k=5)
     assert analysis.bound_grid(far, "psi") == make_grid(600, 3.8 * 1e7 ** (1 / 6))
     # Psi's scan window reaches out to r = 1.35 r_c, 3.65 |beta_k|^{1/6}
-    # past |beta_k| = 10.6: inside r_max = 30 up to 2.4e5, and under
-    # r_max = _PSI_RADIUS |beta_k|^{1/6} = 3.8 |beta_k|^{1/6} beyond
-    for beta_k in (1e-2, 1.0, 1e2, 2.4e5, -2.4e5, 1e6, 3e7, -1e9):
-        lams = analysis._psi_window(beta_k)
+    # past |beta_k| = 10.6 for |k| <= 4: inside r_max = 30 up to 2.4e5, and
+    # under r_max = _PSI_RADIUS |beta_k|^{1/6} = 3.8 |beta_k|^{1/6} beyond;
+    # below, r_c is the floor max(4, 2 sqrt|k|)
+    assert analysis._WINDOW[1] * analysis._CRITICAL == pytest.approx(3.645)
+    assert analysis._WINDOW[1] * analysis._CRITICAL < analysis._PSI_RADIUS
+    for k, beta_k in [(1, 1e-2), (1, 1.0), (1, 1e2), (1, 2.4e5), (1, -2.4e5), (1, 1e6),
+                      (1, 3e7), (1, -1e9), (8, 1e-2), (-8, -10.0), (5, 2.4e5)]:
+        window_mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
+        lams = analysis._psi_window(window_mode)
         top = specfun.sigma_inverse(lams[-1] / beta_k)
-        assert top == pytest.approx(1.35 * max(2.7 * abs(beta_k) ** (1 / 6), 4.0), rel=1e-6)
-        r_max = analysis.bound_grid(ModeSpec(alpha=EIGHT_PI * beta_k, k=1), "psi").r_max
-        assert top < r_max
+        r_c = max(2.7 * abs(beta_k) ** (1 / 6), 4.0, 2.0 * abs(k) ** 0.5)
+        assert top == pytest.approx(1.35 * r_c, rel=1e-6)
+        assert top < analysis.bound_grid(window_mode, "psi").r_max
     for quantity in ("sigma", "range"):
         assert analysis.bound_grid(mode, quantity, 300) == analysis.sigma_grid(mode, n=300)
         assert analysis.bound_grid(mode, quantity) == analysis.sigma_grid(mode)
