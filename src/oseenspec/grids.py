@@ -21,12 +21,7 @@ class RadialGrid:
     n: int
     r_max: float
     h: float
-    nodes: np.ndarray = field(repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, RadialGrid):
-            return NotImplemented
-        return self.n == other.n and self.r_max == other.r_max
+    nodes: np.ndarray = field(repr=False, compare=False)
 
 
 def make_grid(n, r_max):

@@ -46,7 +46,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import specfun
-from .grids import Field, OperatorMatrix, make_grid, stencil_bands
+from .grids import Field, OperatorMatrix, stencil_bands
 
 
 def _check_k(k):
@@ -293,12 +293,6 @@ def interior_mask(grid, collar=0.3):
 _WaveRule = namedtuple("_WaveRule", "h lam lamp chi pref full half")
 
 
-def _wave_rule(grid):
-    """Shared grid quantities for the wave transforms T and T*, built once
-    per (n, r_max) and shared read-only (see _wave_rule_at)."""
-    return _wave_rule_at(grid.n, grid.r_max)
-
-
 def _gamma_p(a, x):
     """Regularized lower incomplete gamma P(a, x) for a = 2 and 5/2 on an
     array x >= 0, in closed form,
@@ -327,8 +321,9 @@ def _gamma_p(a, x):
 
 
 @functools.lru_cache(maxsize=8)
-def _wave_rule_at(n, r_max):
-    """The quadrature rule of the wave transforms on make_grid(n, r_max).
+def _wave_rule(grid):
+    """The quadrature rule of the wave transforms T and T* on grid, built
+    once per grid (grids compare by n, r_max and h) and shared read-only.
 
     Both transforms are integrals against the one positive measure the
     problem carries,
@@ -367,7 +362,6 @@ def _wave_rule_at(n, r_max):
     increments (Dmu, Dm4 - r_j Dmu, Dgl - Lam_j Dmu) that weight q, c and b
     in T's running integral.
     """
-    grid = make_grid(n, r_max)
     r, h = grid.nodes, grid.h
     edges = np.arange(grid.n + 1) * h
     p_node = _gamma_p(2, r ** 2 / 4)

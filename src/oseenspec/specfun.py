@@ -1,24 +1,25 @@
 """Radial profile functions for the Oseen vortex and their complex extensions.
 
 Everything here is built from u = r^2/4 and the entire function
-F0(z) = e^z - z - 1:
+F0(z) = e^z - z - 1.  The real profiles are the functions F1..F3 of
+F_complex on the real axis, evaluated by the same code:
 
-    sigma(r)  = (1 - e^{-u})/u          angular-velocity profile, sigma(0) = 1
+    sigma(r)  = F1(u) = (1 - e^{-u})/u  angular-velocity profile, sigma(0) = 1
     sigma'(r) = (2/r)(e^{-u} - sigma)   strictly negative on r > 0
-    g(r)      = e^{-r^2/8}              Gaussian half-weight, g^2 = vorticity profile
-    f(r)      = 2 g^4/sigma'^2 + (g^2/sigma')(6/r - r)
+    g(r)      = F2(u) = e^{-r^2/8}      Gaussian half-weight, g^2 = vorticity profile
+    f(r)      = F3(u) = 2 g^4/sigma'^2 + (g^2/sigma')(6/r - r)
                                         wave-operator commutator potential, f >= 0
     h(r)      = 3/(4r^2) + r^2/16 - 1/2 + u/F0(u)
                                         pointwise lower envelope of the |k|=1
                                         diagonal potential, min h ~ 0.4855
 
-plus the one-parameter family used on rotated rays (F1..F4, F5) and the
-incomplete moment phi_moment(a) = 3 - (3 + 3a + a^2) e^{-a}.
+plus F4 = F3 - 2/z, the one-parameter family used on rotated rays (F5)
+and the incomplete moment phi_moment(a) = 3 - (3 + 3a + a^2) e^{-a}.
 
-Near u = 0 the closed forms above lose all significant digits (f is a
-difference of two O(1/u^2) terms), so each function switches to a Taylor
-branch below a fixed threshold.  The F3/F4 series are rearranged so that
-no cancellation occurs: with
+Near z = 0 the closed forms lose all significant digits (F3 is a
+difference of two O(1/z^2) terms), so each of F0, F1, F3, F4 and
+sigma' has one Taylor branch below |z| = 1/2 and one closed form above.
+The F3/F4 series are rearranged so that no cancellation occurs: with
 
     G(z)  = sum_{m>=0} z^m/(m+2)!          (F0 = z^2 G)
     Nt(z) = sum_{m>=0} (2/(m+1)! - 3/(m+2)!) z^m
@@ -77,16 +78,54 @@ def _ret(out, scalar):
     return out.item() if scalar else out
 
 
+def _f3_closed(zb):
+    """Closed form (4 z^2/F0 - 6 + 4z)(z/2)/F0 for |z| >= 1/2.
+
+    Beyond Re z = 600 the exponential in F0 overflows, so the reciprocal
+    is formed from e^{-z} directly; the dropped (z+1)e^{-z} correction is
+    below 1e-240 relative there.
+    """
+    out = np.empty_like(zb)
+    big = zb.real > 600.0
+    zr = zb[~big]
+    f0 = _F("F0", zr)
+    if np.any(f0 == 0):
+        raise PoleError("F3 evaluated at a zero of F0")
+    out[~big] = (4 * zr * zr / f0 - 6 + 4 * zr) * (zr / 2) / f0
+    zg = zb[big]
+    w = np.exp(-zg)
+    out[big] = (4 * zg * zg * w - 6 + 4 * zg) * (zg / 2) * w
+    return out
+
+
+# (series below |z| = 1/2, closed form above) of each F; F2 cancels
+# nowhere and has no series
+_FORMS = {
+    "F0": (lambda z: z * z * polyval(z, _G_C), lambda z: np.exp(z) - z - 1),
+    "F1": (lambda z: polyval(z, _SIG_C), lambda z: (1 - np.exp(-z)) / z),
+    "F2": (None, lambda z: np.exp(-z / 2)),
+    "F3": (lambda z: polyval(z, _NT_C) / (z * polyval(z, _G_C) ** 2), _f3_closed),
+    "F4": (lambda z: polyval(z, _M_C) / polyval(z, _G_C) ** 2,
+           lambda z: _f3_closed(z) - 2 / z),
+}
+
+
+def _F(fun_id, z):
+    """F<fun_id> on a real or complex array z, by the forms of _FORMS."""
+    series, closed = _FORMS[fun_id]
+    if series is None:
+        return closed(z)
+    out = np.empty_like(z)
+    small = np.abs(z) < 0.5
+    out[small] = series(z[small])
+    out[~small] = closed(z[~small])
+    return out
+
+
 def sigma(r):
-    """Profile sigma(r) = (1 - e^{-r^2/4})/(r^2/4); sigma(0) = 1, decreasing."""
+    """Profile sigma(r) = F1(u) = (1 - e^{-u})/u, u = r^2/4; sigma(0) = 1, decreasing."""
     a, scalar = _realarr(r, "r", nonneg=True)
-    u = a * a / 4
-    out = np.empty_like(u)
-    small = u < 0.5
-    out[small] = polyval(u[small], _SIG_C)
-    ub = u[~small]
-    out[~small] = -np.expm1(-ub) / ub
-    return _ret(out, scalar)
+    return _ret(_F("F1", a * a / 4), scalar)
 
 
 def sigma_prime(r):
@@ -107,30 +146,21 @@ def sigma_prime(r):
 
 
 def g(r):
-    """Gaussian half-weight e^{-r^2/8}."""
+    """Gaussian half-weight g(r) = F2(r^2/4) = e^{-r^2/8}."""
     a, scalar = _realarr(r, "r", nonneg=True)
-    return _ret(np.exp(-a * a / 8), scalar)
+    return _ret(_F("F2", a * a / 4), scalar)
 
 
 def f(r):
-    """Commutator potential f(r) = 2g^4/sigma'^2 + (g^2/sigma')(6/r - r).
+    """Commutator potential f(r) = F3(r^2/4) = 2g^4/sigma'^2 + (g^2/sigma')(6/r - r).
 
     Positive on (0, oo) with r^2 f -> 8 as r -> 0 and f -> 0 at infinity.
-    The closed form is the difference of two terms of size ~4/u^2 near
-    r = 0; for u = r^2/4 < 1 we evaluate the cancellation-free quotient
-    f = Nt(u)/(u G(u)^2) instead (see module docstring).
+    The right-hand side is the difference of two terms of size ~4/u^2
+    near r = 0; F3 evaluates it below u = r^2/4 = 1/2 as the
+    cancellation-free quotient Nt(u)/(u G(u)^2) (see module docstring).
     """
     a, scalar = _realarr(r, "r", positive=True)
-    u = a * a / 4
-    out = np.empty_like(u)
-    small = u < 1.0
-    us = u[small]
-    out[small] = polyval(us, _NT_C) / (us * polyval(us, _G_C) ** 2)
-    ab = a[~small]
-    gg = np.exp(-u[~small] / 2)
-    sp = sigma_prime(ab)
-    out[~small] = 2 * gg ** 4 / sp ** 2 + (gg ** 2 / sp) * (6 / ab - ab)
-    return _ret(out, scalar)
+    return _ret(_F("F3", a * a / 4), scalar)
 
 
 def h(r):
@@ -140,13 +170,7 @@ def h(r):
     """
     a, scalar = _realarr(r, "r", positive=True)
     u = a * a / 4
-    f0 = np.empty_like(u)
-    small = u < 0.5
-    us = u[small]
-    f0[small] = us * us * polyval(us, _G_C)
-    f0[~small] = np.exp(u[~small]) - u[~small] - 1
-    out = 3 / (16 * u) + u / 4 - 0.5 + u / f0
-    return _ret(out, scalar)
+    return _ret(3 / (16 * u) + u / 4 - 0.5 + u / _F("F0", u), scalar)
 
 
 def sigma_inverse(nu):
@@ -186,36 +210,6 @@ def _complexarr(z, name="z"):
     return a, np.isscalar(z) or np.ndim(z) == 0
 
 
-def _f0(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    out[small] = zs * zs * polyval(zs, _G_C.astype(complex))
-    zb = z[~small]
-    out[~small] = np.exp(zb) - zb - 1
-    return out
-
-
-def _f3_closed(zb):
-    """Closed form (4 z^2/F0 - 6 + 4z)(z/2)/F0 for |z| >= 1/2.
-
-    Beyond Re z = 600 the exponential in F0 overflows, so the reciprocal
-    is formed from e^{-z} directly; the dropped (z+1)e^{-z} correction is
-    below 1e-240 relative there.
-    """
-    out = np.empty_like(zb)
-    big = zb.real > 600.0
-    zr = zb[~big]
-    f0 = _f0(zr)
-    if np.any(f0 == 0):
-        raise PoleError("F3 evaluated at a zero of F0")
-    out[~big] = (4 * zr * zr / f0 - 6 + 4 * zr) * (zr / 2) / f0
-    zg = zb[big]
-    w = np.exp(-zg)
-    out[big] = (4 * zg * zg * w - 6 + 4 * zg) * (zg / 2) * w
-    return out
-
-
 def F_complex(fun_id, z):
     """Evaluate F0..F4 at complex z (scalar or array).
 
@@ -225,38 +219,17 @@ def F_complex(fun_id, z):
     F3 = (4 z^2/F0 - 6 + 4z) (z/2)/F0      (f(r) = F3(r^2/4))
     F4 = F3 - 2/z, F4(0) = 2/3             (removes the z = 0 pole of F3)
 
-    Series branches below |z| = 1/2 avoid the cancellation in the closed
-    forms; F3 has a pole at every zero of F0 (in particular z = 0) and
-    raises PoleError there.
+    The real profiles run the same functions.  Series branches below
+    |z| = 1/2 avoid the cancellation in the closed forms; F3 has a pole at
+    every zero of F0 (in particular z = 0) and raises PoleError there.
     """
     a, scalar = _complexarr(z)
     a = np.atleast_1d(a)
-    small = np.abs(a) < 0.5
-    out = np.empty_like(a)
-    if fun_id == "F0":
-        out = _f0(a)
-    elif fun_id == "F1":
-        zs = a[small]
-        out[small] = polyval(zs, _SIG_C.astype(complex))
-        zb = a[~small]
-        out[~small] = (1 - np.exp(-zb)) / zb
-    elif fun_id == "F2":
-        out = np.exp(-a / 2)
-    elif fun_id == "F3":
-        if np.any(a == 0):
-            raise PoleError("F3 has a pole at z = 0")
-        zs = a[small]
-        out[small] = polyval(zs, _NT_C.astype(complex)) \
-            / (zs * polyval(zs, _G_C.astype(complex)) ** 2)
-        out[~small] = _f3_closed(a[~small])
-    elif fun_id == "F4":
-        zs = a[small]
-        out[small] = polyval(zs, _M_C.astype(complex)) \
-            / polyval(zs, _G_C.astype(complex)) ** 2
-        zb = a[~small]
-        out[~small] = _f3_closed(zb) - 2 / zb
-    else:
+    if fun_id not in _FORMS:
         raise ValueError(f"unknown function id {fun_id!r}")
+    if fun_id == "F3" and np.any(a == 0):
+        raise PoleError("F3 has a pole at z = 0")
+    out = _F(fun_id, a)
     if not np.all(np.isfinite(out)):
         raise PoleError(f"{fun_id} overflowed or hit a pole")
     return complex(out[0]) if scalar else out.reshape(np.shape(z))

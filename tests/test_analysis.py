@@ -668,6 +668,22 @@ def test_sweep_point_psi_row():
         analysis.sweep_point(ModeSpec(alpha=0.0, k=1), "spectrum", default_grid(n=300))
 
 
+@pytest.mark.parametrize("scale", [1.0, 10 ** 0.2])
+@pytest.mark.parametrize("k,alpha_per_8pi", [(1, 1e2), (1, 1e3), (1, 1e4), (1, 1e5),
+                                             (2, 1e3), (3, 1e3), (2, -1e3)])
+def test_psi_row_is_its_own_cold_measurement(k, alpha_per_8pi, scale):
+    # the benchmark's psi-sweep rows at n = 300, at the ends of its ladder
+    # scale [1, 10^0.25): the reported Psi is the cold s_min of the band on
+    # the row's finest grid at the reported lambda*, to the last bit, and
+    # lambda*/beta_k lies in (0, 1)
+    mode = ModeSpec(alpha=EIGHT_PI * alpha_per_8pi * scale, k=k)
+    grid = analysis.bound_grid(mode, "psi", 300)
+    row = analysis.sweep_point(mode, "psi", grid)
+    band = operators.assemble_banded(mode, make_grid(row.grid_n, grid.r_max))
+    assert row.value == solver.smallest_singular_value(band, row.lambda_star)
+    assert 0.0 < row.lambda_star / mode.beta_k < 1.0
+
+
 def test_bound_grid_policy():
     # psi on r_max = 30 up to |beta_k| = 2.1e5 and on 3.8 |beta_k|^{1/6}
     # beyond, sigma and range on the wall-aware r_max (here above 30),

@@ -99,3 +99,4 @@ def test_grid_equality_by_parameters():
     assert make_grid(32, 12.0) == make_grid(32, 12.0)
     assert make_grid(32, 12.0) != make_grid(32, 14.0)
     assert RadialGrid(16, 10.0, 10.0 / 16, (np.arange(16) + 0.5) * 10 / 16) == make_grid(16, 10.0)
+    assert hash(make_grid(32, 12.0)) == hash(make_grid(32, 12.0))

@@ -138,6 +138,22 @@ def test_branch_agreement_around_switchovers():
     assert_allclose(sf.F_complex("F4", z), direct - 2 / z, rtol=1e-10)
 
 
+def test_f_matches_its_sigma_prime_closed_form():
+    # f and F3 share one implementation; this is the independent reference,
+    # f = 2 g^4/sigma'^2 + (g^2/sigma')(6/r - r), where it does not cancel
+    r = 2 * np.sqrt(np.geomspace(1.0, 600.0, 2000))
+    u = r * r / 4
+    gg = np.exp(-u / 2)
+    sp = sf.sigma_prime(r)
+    assert_allclose(sf.f(r), 2 * gg ** 4 / sp ** 2 + (gg ** 2 / sp) * (6 / r - r), rtol=1e-13)
+
+
+def test_sigma_matches_its_expm1_closed_form():
+    r = 2 * np.sqrt(np.geomspace(0.5, 600.0, 2000))
+    u = r * r / 4
+    assert_allclose(sf.sigma(r), -np.expm1(-u) / u, rtol=2e-15)
+
+
 def test_f_equals_F3_on_real_axis():
     for r in (0.5, 1.0, 2.0, 5.0):
         assert abs(sf.f(r) - sf.F_complex("F3", complex(r * r / 4, 0)).real) <= 1e-10 * sf.f(r)
