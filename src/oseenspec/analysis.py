@@ -40,8 +40,9 @@ smallest_singular_value measures s cold to 1e-14 together with its slope,
 read from the top singular vector the inverse Lanczos already holds, so
 the reported Psi and lambda* do not depend on the scan's tolerance.  A
 refined grid level scans nothing: it starts the secant from the coarser
-level's lambda* and curvature, and scans the window only if the slopes
-find no minimum inside it.  The scans' shifts and the refinement's width,
+level's lambda* and curvature, stops it only on a curvature measured on
+its own grid, and scans the window only if the slopes find no minimum
+inside it.  The scans' shifts and the refinement's width,
 1e-3 max(|lambda*|, 1), are fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
@@ -204,9 +205,11 @@ def _slope_min(fn, a, b, x, curvature=None):
     last two slopes, or the given curvature until there are two; without
     one, the first step bisects the descending side.  A step that leaves
     the bracket, or is not under half the step before last, becomes a
-    bisection.  Stops after a step under tol/2, measured, or once the
-    bracket is narrower than tol, tol = _REFINE_TOL max(|lam|, 1): the
-    width is relative to lambda*, not to the bracket's ends.  Returns
+    bisection.  Stops after a step under tol/2 whose curvature came from
+    two slopes of fn, measured, or once the bracket is narrower than tol,
+    tol = _REFINE_TOL max(|lam|, 1): the width is relative to lambda*, not
+    to the bracket's ends.  A given curvature scales the first step only,
+    so a coarser grid's minimum is never kept on its word.  Returns
     (s, lam, c) at the lowest s evaluated, c the curvature the next grid
     level starts from; None if the bracket closes on a or b with the
     slopes still pointing out, so that s' has no zero inside, unless
@@ -225,7 +228,8 @@ def _slope_min(fn, a, b, x, curvature=None):
         if done or ds == 0.0:
             break
         lo, hi = (x, hi) if ds < 0.0 else (lo, x)
-        if old is not None:
+        local = old is not None
+        if local:
             curvature = (ds - old[1]) / (x - old[0])
         old = (x, ds)
         tol = _REFINE_TOL * max(abs(x), 1.0)
@@ -236,7 +240,7 @@ def _slope_min(fn, a, b, x, curvature=None):
         step = -ds / curvature if curvature is not None and curvature > 0.0 else math.inf
         if not lo < x + step < hi or abs(step) > 0.5 * abs(before):
             step = 0.5 * (lo + hi) - x
-        done = abs(step) < 0.5 * tol
+        done = local and abs(step) < 0.5 * tol
         before, last = last, step
         x += step
     return float(best[0]), float(best[1]), curvature
@@ -284,7 +288,8 @@ def pseudospectral_bound(mode, grid=None):
     lowest interior minimum by a secant on the slope of s_min, to within
     1e-3 max(|lambda*|, 1).  Refined levels scan nothing while the secant
     succeeds: it starts from the coarser level's lambda* and curvature,
-    with the window's span as its bracket.  Where the slopes find no
+    with the window's span as its bracket, and stops only on a curvature
+    measured on its own grid.  Where the slopes find no
     minimum inside it, the level scans the window; a window without an
     interior minimum gives s_min at its first shift, flagged as not
     converged.  Scans use solver.scan_smin, which only locates; every

@@ -293,30 +293,21 @@ def interior_mask(grid, collar=0.3):
 _WaveRule = namedtuple("_WaveRule", "h lam lamp chi pref full half")
 
 
-def _gamma_p(a, x):
-    """Regularized lower incomplete gamma P(a, x) for a = 2 and 5/2 on an
-    array x >= 0, in closed form,
-
-        P(2, x) = 1 - e^{-x} (1 + x),
-        P(5/2, x) = erf(sqrt x) - 2 sqrt(x/pi) e^{-x} (1 + 2x/3),
-
-    and below x = 1, where those cancel, by the series
-    x^a e^{-x} sum_j x^j / Gamma(a + j + 1) (DLMF 8.7.1), 30 terms, which
-    keeps the relative accuracy that log P needs near r = 0."""
+def _gamma_p52(x):
+    """P(5/2, x), the regularized lower incomplete gamma, on an array x >= 0:
+    erf(sqrt x) - 2 sqrt(x/pi) e^{-x} (1 + 2x/3), and below x = 1, where
+    that cancels, x^{5/2} e^{-x} sum_{j<30} x^j/Gamma(j + 7/2) (DLMF 8.7.1)."""
     out = np.empty_like(x)
     small = x < 1.0
     xs, xl = x[small], x[~small]
-    term = np.full_like(xs, 1.0 / math.gamma(a + 1.0))
+    term = np.full_like(xs, 1.0 / math.gamma(3.5))
     total = term.copy()
     for j in range(1, 30):
-        term = term * xs / (a + j)
+        term = term * xs / (2.5 + j)
         total += term
-    out[small] = xs ** a * np.exp(-xs) * total
-    if a == 2:
-        out[~small] = 1.0 - np.exp(-xl) * (1.0 + xl)
-    else:
-        erf = np.array([math.erf(v) for v in np.sqrt(xl)])
-        out[~small] = erf - 2.0 * np.sqrt(xl / math.pi) * np.exp(-xl) * (1.0 + 2.0 * xl / 3.0)
+    out[small] = xs ** 2.5 * np.exp(-xs) * total
+    erf = np.array([math.erf(v) for v in np.sqrt(xl)])
+    out[~small] = erf - 2.0 * np.sqrt(xl / math.pi) * np.exp(-xl) * (1.0 + 2.0 * xl / 3.0)
     return out
 
 
@@ -328,16 +319,17 @@ def _wave_rule(grid):
     Both transforms are integrals against the one positive measure the
     problem carries,
 
-        mu(s) = int_0^s t^3 g(t)^2 dt = -s^3 sigma'(s) = 8 P(2, s^2/4)
+        mu(s) = int_0^s t^3 g(t)^2 dt = -s^3 sigma'(s) = 8 E0(s^2/4)
 
-    (P = regularized lower incomplete gamma), applied to the scaled field
-    q = w/(s^{3/2} g).  A plain cumulative sum of s^{3/2} g w loses O(1)
-    relative accuracy on the first cells, where the prefactor
-    g/(sigma' r^{3/2}) ~ -4 r^{-5/2} amplifies it far past the wave-suite
-    tolerance, so the running integral of T is computed by product
-    integration instead: per cell, q is fitted on the local basis
-    {1, s - r_j, Lam(s) - Lam_j} with Lam = log(mu/8) (_scaled_fit), and
-    each basis direction is integrated against d(mu) in closed form,
+    (specfun.E0 = P(2, .), the regularized lower incomplete gamma, which
+    sigma' reads too), applied to the scaled field q = w/(s^{3/2} g).  A
+    plain cumulative sum of s^{3/2} g w loses O(1) relative accuracy on
+    the first cells, where the prefactor g/(sigma' r^{3/2}) ~ -4 r^{-5/2}
+    amplifies it far past the wave-suite tolerance, so the running
+    integral of T is computed by product integration instead: per cell,
+    q is fitted on the local basis {1, s - r_j, Lam(s) - Lam_j} with
+    Lam = log(mu/8) (_scaled_fit), and each basis direction is
+    integrated against d(mu) in closed form,
 
         int d(mu) = mu,   int s d(mu) = 12 sqrt(pi) P(5/2, s^2/4),
         int Lam d(mu) = mu Lam - mu.
@@ -364,18 +356,16 @@ def _wave_rule(grid):
     """
     r, h = grid.nodes, grid.h
     edges = np.arange(grid.n + 1) * h
-    p_node = _gamma_p(2, r ** 2 / 4)
-    p_edge = _gamma_p(2, edges ** 2 / 4)
-    mu_n = 8 * p_node
-    mu_e = 8 * p_edge
-    lam = np.log(p_node)
+    mu_n = 8 * specfun.E0(r ** 2 / 4)
+    mu_e = 8 * specfun.E0(edges ** 2 / 4)
+    lam = np.log(mu_n / 8)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_e = np.log(p_edge)
+        lam_e = np.log(mu_e / 8)
         gl_e = np.where(mu_e > 0, mu_e * (lam_e - 1), 0.0)
     lamp = r ** 3 * specfun.g(r) ** 2 / mu_n
     # first moments of d(mu): int_0^x s dmu and int_0^x Lam dmu, closed form
-    m4_n = 12 * math.sqrt(math.pi) * _gamma_p(2.5, r ** 2 / 4)
-    m4_e = 12 * math.sqrt(math.pi) * _gamma_p(2.5, edges ** 2 / 4)
+    m4_n = 12 * math.sqrt(math.pi) * _gamma_p52(r ** 2 / 4)
+    m4_e = 12 * math.sqrt(math.pi) * _gamma_p52(edges ** 2 / 4)
     gl_n = mu_n * (lam - 1)
     chi = r ** 1.5 * specfun.g(r)
     pref = specfun.g(r) / (specfun.sigma_prime(r) * r ** 1.5)

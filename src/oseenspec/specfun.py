@@ -1,15 +1,19 @@
 """Radial profile functions for the Oseen vortex and their complex extensions.
 
 Everything here is built from u = r^2/4 and the entire function
-F0(z) = e^z - z - 1.  The real profiles are the functions F1..F3 of
+F0(z) = e^z - z - 1, or its scaled form E0(z) = e^{-z} F0(z) =
+1 - e^{-z}(1 + z), bounded where F0 overflows; on the real axis E0 is the
+regularized incomplete gamma P(2, z) (DLMF 8.4.8).  E0 has four readers:
+sigma', h, F3's closed form (1/F0 = e^{-z}/E0) and the wave rule of
+operators (mu = 8 E0).  The real profiles are the functions F1..F3 of
 F_complex on the real axis, evaluated by the same code:
 
     sigma(r)  = F1(u) = (1 - e^{-u})/u  angular-velocity profile, sigma(0) = 1
-    sigma'(r) = (2/r)(e^{-u} - sigma)   strictly negative on r > 0
+    sigma'(r) = -(8/r^3) E0(u)          strictly negative on r > 0
     g(r)      = F2(u) = e^{-r^2/8}      Gaussian half-weight, g^2 = vorticity profile
     f(r)      = F3(u) = 2 g^4/sigma'^2 + (g^2/sigma')(6/r - r)
                                         wave-operator commutator potential, f >= 0
-    h(r)      = 3/(4r^2) + r^2/16 - 1/2 + u/F0(u)
+    h(r)      = 3/(4r^2) + r^2/16 - 1/2 + u e^{-u}/E0(u)
                                         pointwise lower envelope of the |k|=1
                                         diagonal potential, min h ~ 0.4855
 
@@ -17,11 +21,11 @@ plus F4 = F3 - 2/z, the one-parameter family used on rotated rays (F5)
 and the incomplete moment phi_moment(a) = 3 - (3 + 3a + a^2) e^{-a}.
 
 Near z = 0 the closed forms lose all significant digits (F3 is a
-difference of two O(1/z^2) terms), so each of F0, F1, F3, F4 and
-sigma' has one Taylor branch below |z| = 1/2 and one closed form above.
+difference of two O(1/z^2) terms), so each of E0, F0, F1, F3 and F4 has
+one Taylor branch below |z| = 1/2 and one closed form above.
 The F3/F4 series are rearranged so that no cancellation occurs: with
 
-    G(z)  = sum_{m>=0} z^m/(m+2)!          (F0 = z^2 G)
+    G(z)  = sum_{m>=0} z^m/(m+2)!          (F0 = z^2 G, E0 = z^2 e^{-z} G)
     Nt(z) = sum_{m>=0} (2/(m+1)! - 3/(m+2)!) z^m
 
 one has F3 = Nt/(z G^2) and F4 = F3 - 2/z = M/G^2 where the coefficients
@@ -32,7 +36,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 _NTERMS = 25
 
@@ -57,10 +60,16 @@ def _rational_series():
 
 
 _G_C, _NT_C, _M_C = _rational_series()
-# sigma as a function of u, and d sigma/du
+# sigma as a function of u
 _SIG_C = np.array([(-1.0) ** m / math.factorial(m + 1) for m in range(_NTERMS)])
-_DSIG_C = np.array([(-1.0) ** (m + 1) * (m + 1) / math.factorial(m + 2)
-                    for m in range(_NTERMS)])
+
+
+def _horner(c, z):
+    """sum_m c[m] z^m by Horner's rule over the float coefficients c."""
+    out = np.full_like(z, c[-1])
+    for cm in c[-2::-1]:
+        out = out * z + cm
+    return out
 
 
 def _realarr(x, name, positive=False, nonneg=False):
@@ -79,40 +88,31 @@ def _ret(out, scalar):
 
 
 def _f3_closed(zb):
-    """Closed form (4 z^2/F0 - 6 + 4z)(z/2)/F0 for |z| >= 1/2.
-
-    Beyond Re z = 600 the exponential in F0 overflows, so the reciprocal
-    is formed from e^{-z} directly; the dropped (z+1)e^{-z} correction is
-    below 1e-240 relative there.
-    """
-    out = np.empty_like(zb)
-    big = zb.real > 600.0
-    zr = zb[~big]
-    f0 = _F("F0", zr)
-    if np.any(f0 == 0):
+    """Closed form (4 z^2 w - 6 + 4z)(z/2) w, w = 1/F0 = e^{-z}/E0, for
+    |z| >= 1/2; no exponential in it overflows on Re z >= 0."""
+    e0 = E0(zb)
+    if np.any(e0 == 0):
         raise PoleError("F3 evaluated at a zero of F0")
-    out[~big] = (4 * zr * zr / f0 - 6 + 4 * zr) * (zr / 2) / f0
-    zg = zb[big]
-    w = np.exp(-zg)
-    out[big] = (4 * zg * zg * w - 6 + 4 * zg) * (zg / 2) * w
-    return out
+    w = np.exp(-zb) / e0
+    return (4 * zb * zb * w - 6 + 4 * zb) * (zb / 2) * w
 
 
 # (series below |z| = 1/2, closed form above) of each F; F2 cancels
 # nowhere and has no series
 _FORMS = {
-    "F0": (lambda z: z * z * polyval(z, _G_C), lambda z: np.exp(z) - z - 1),
-    "F1": (lambda z: polyval(z, _SIG_C), lambda z: (1 - np.exp(-z)) / z),
+    "F0": (lambda z: z * z * _horner(_G_C, z), lambda z: np.exp(z) - z - 1),
+    "F1": (lambda z: _horner(_SIG_C, z), lambda z: (1 - np.exp(-z)) / z),
     "F2": (None, lambda z: np.exp(-z / 2)),
-    "F3": (lambda z: polyval(z, _NT_C) / (z * polyval(z, _G_C) ** 2), _f3_closed),
-    "F4": (lambda z: polyval(z, _M_C) / polyval(z, _G_C) ** 2,
+    "F3": (lambda z: _horner(_NT_C, z) / (z * _horner(_G_C, z) ** 2), _f3_closed),
+    "F4": (lambda z: _horner(_M_C, z) / _horner(_G_C, z) ** 2,
            lambda z: _f3_closed(z) - 2 / z),
 }
 
 
-def _F(fun_id, z):
-    """F<fun_id> on a real or complex array z, by the forms of _FORMS."""
-    series, closed = _FORMS[fun_id]
+def _F(forms, z):
+    """forms = (series below |z| = 1/2 or None, closed form above) on a real
+    or complex array z."""
+    series, closed = forms
     if series is None:
         return closed(z)
     out = np.empty_like(z)
@@ -122,55 +122,51 @@ def _F(fun_id, z):
     return out
 
 
+def E0(z):
+    """E0(z) = e^{-z} F0(z) = 1 - e^{-z}(1 + z) on a float or complex array
+    z: z^2 e^{-z} G(z) below |z| = 1/2, -expm1(-z) - z e^{-z} above.  On
+    the real axis it is P(2, z) (DLMF 8.4.8); it is bounded on Re z >= 0."""
+    return _F((lambda z: z * z * np.exp(-z) * _horner(_G_C, z),
+               lambda z: -np.expm1(-z) - z * np.exp(-z)), np.asarray(z))
+
+
 def sigma(r):
     """Profile sigma(r) = F1(u) = (1 - e^{-u})/u, u = r^2/4; sigma(0) = 1, decreasing."""
     a, scalar = _realarr(r, "r", nonneg=True)
-    return _ret(_F("F1", a * a / 4), scalar)
+    return _ret(_F(_FORMS["F1"], a * a / 4), scalar)
 
 
 def sigma_prime(r):
-    """d sigma/dr = (2/r)(e^{-u} - sigma(r)), u = r^2/4.  Requires r > 0.
-
-    Below u = 1/2 the subtraction e^{-u} - sigma cancels to O(u), so the
-    derivative of the sigma series is used instead (terms (-1)^{m+1}
-    (m+1) u^m/(m+2)!, prefactor r/2).
-    """
+    """d sigma/dr = (2/r)(e^{-u} - sigma) = -(8/r^3) E0(u), u = r^2/4; r > 0."""
     a, scalar = _realarr(r, "r", positive=True)
-    u = a * a / 4
-    out = np.empty_like(u)
-    small = u < 0.5
-    out[small] = (a[small] / 2) * polyval(u[small], _DSIG_C)
-    ab, ub = a[~small], u[~small]
-    out[~small] = (2 / ab) * (np.exp(-ub) + np.expm1(-ub) / ub)
-    return _ret(out, scalar)
+    return _ret(-8 / a ** 3 * E0(a * a / 4), scalar)
 
 
 def g(r):
     """Gaussian half-weight g(r) = F2(r^2/4) = e^{-r^2/8}."""
     a, scalar = _realarr(r, "r", nonneg=True)
-    return _ret(_F("F2", a * a / 4), scalar)
+    return _ret(_F(_FORMS["F2"], a * a / 4), scalar)
 
 
 def f(r):
     """Commutator potential f(r) = F3(r^2/4) = 2g^4/sigma'^2 + (g^2/sigma')(6/r - r).
 
-    Positive on (0, oo) with r^2 f -> 8 as r -> 0 and f -> 0 at infinity.
-    The right-hand side is the difference of two terms of size ~4/u^2
-    near r = 0; F3 evaluates it below u = r^2/4 = 1/2 as the
-    cancellation-free quotient Nt(u)/(u G(u)^2) (see module docstring).
+    Positive on (0, oo) with r^2 f -> 8 as r -> 0 and f -> 0 at infinity;
+    below u = 1/2, where the right-hand side cancels, F3 reads Nt/(u G^2).
     """
     a, scalar = _realarr(r, "r", positive=True)
-    return _ret(_F("F3", a * a / 4), scalar)
+    return _ret(_F(_FORMS["F3"], a * a / 4), scalar)
 
 
 def h(r):
     """Lower envelope h(r) = 3/(4r^2) + r^2/16 - 1/2 + u/F0(u), u = r^2/4.
 
-    h > 0.485 on all of (0, oo); the minimum sits near r = 3.249.
+    h > 0.485 on all of (0, oo); the minimum sits near r = 3.249.  The last
+    term is read as u e^{-u}/E0(u), which does not overflow.
     """
     a, scalar = _realarr(r, "r", positive=True)
     u = a * a / 4
-    return _ret(3 / (16 * u) + u / 4 - 0.5 + u / _F("F0", u), scalar)
+    return _ret(3 / (16 * u) + u / 4 - 0.5 + u * np.exp(-u) / E0(u), scalar)
 
 
 def sigma_inverse(nu):
@@ -203,13 +199,6 @@ def sigma_inverse(nu):
     return r
 
 
-def _complexarr(z, name="z"):
-    a = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a, np.isscalar(z) or np.ndim(z) == 0
-
-
 def F_complex(fun_id, z):
     """Evaluate F0..F4 at complex z (scalar or array).
 
@@ -219,20 +208,21 @@ def F_complex(fun_id, z):
     F3 = (4 z^2/F0 - 6 + 4z) (z/2)/F0      (f(r) = F3(r^2/4))
     F4 = F3 - 2/z, F4(0) = 2/3             (removes the z = 0 pole of F3)
 
-    The real profiles run the same functions.  Series branches below
-    |z| = 1/2 avoid the cancellation in the closed forms; F3 has a pole at
-    every zero of F0 (in particular z = 0) and raises PoleError there.
+    Series branches below |z| = 1/2 avoid the cancellation in the closed
+    forms.  F3 has a pole at every zero of F0 (in particular z = 0), and
+    F3, F4 overflow for Re z < -709 (e^{-z}): both raise PoleError.
     """
-    a, scalar = _complexarr(z)
-    a = np.atleast_1d(a)
+    a = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("z must be finite")
     if fun_id not in _FORMS:
         raise ValueError(f"unknown function id {fun_id!r}")
     if fun_id == "F3" and np.any(a == 0):
         raise PoleError("F3 has a pole at z = 0")
-    out = _F(fun_id, a)
+    out = _F(_FORMS[fun_id], a)
     if not np.all(np.isfinite(out)):
         raise PoleError(f"{fun_id} overflowed or hit a pole")
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def F5(r, theta):

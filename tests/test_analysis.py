@@ -402,24 +402,29 @@ def test_psi_cold_calls_per_bound(monkeypatch):
 
 def test_psi_lambda_star_is_the_zero_of_the_slope():
     # the refinement stops within _REFINE_TOL |lambda*| of the zero of s'
-    # on the finest grid, also at beta_1 = 1e6, where the refined level's
-    # window spans 3010 to 12990 around lambda* ~ 5490, so a width relative
-    # to the window's ends would be 2.4 times too loose; the zero is found
-    # here by bisection on cold slopes
-    mode = ModeSpec(alpha=EIGHT_PI * 1e6, k=1)
-    res = analysis.pseudospectral_bound(mode)
-    assert res.grid_n == 1200
-    band = operators.assemble_banded(mode, make_grid(res.grid_n, 30.0))
+    # on the finest grid (bound_grid's r_max), also at beta_1 = 1e6, where
+    # the refined level's window spans 3010 to 12990 around lambda* ~ 5490,
+    # so a width relative to the window's ends would be 2.4 times too
+    # loose, and at beta_1 = 3e7, where a refined level that stopped on
+    # the coarser level's curvature kept its wrong minimum (lambda* 67929,
+    # 3.6% high, against the zero of s' at 53146); the zero is found here
+    # by bisection on cold slopes
+    for beta_1, grid_n in ((1e6, 1200), (3e7, 2400)):
+        mode = ModeSpec(alpha=EIGHT_PI * beta_1, k=1)
+        res = analysis.pseudospectral_bound(mode)
+        assert res.converged and res.grid_n == grid_n
+        r_max = analysis.bound_grid(mode, "psi").r_max
+        band = operators.assemble_banded(mode, make_grid(res.grid_n, r_max))
 
-    def slope(lam):
-        return solver.smallest_singular_value(band, lam, slope=True)[1]
+        def slope(lam):
+            return solver.smallest_singular_value(band, lam, slope=True)[1]
 
-    lo, hi = 0.9 * res.lambda_star, 1.1 * res.lambda_star
-    assert slope(lo) < 0.0 < slope(hi)
-    while hi - lo > 1e-6 * res.lambda_star:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
-    assert abs(res.lambda_star - 0.5 * (lo + hi)) <= analysis._REFINE_TOL * abs(res.lambda_star)
+        lo, hi = 0.9 * res.lambda_star, 1.1 * res.lambda_star
+        assert slope(lo) < 0.0 < slope(hi)
+        while hi - lo > 1e-6 * res.lambda_star:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        assert abs(res.lambda_star - 0.5 * (lo + hi)) <= analysis._REFINE_TOL * abs(res.lambda_star)
 
 
 @pytest.mark.parametrize("k,beta_k,psi,lam", [

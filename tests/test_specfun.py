@@ -6,6 +6,7 @@ quadrature for the integral identities) and are frozen here.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,27 @@ def test_sigma_matches_its_expm1_closed_form():
     r = 2 * np.sqrt(np.geomspace(0.5, 600.0, 2000))
     u = r * r / 4
     assert_allclose(sf.sigma(r), -np.expm1(-u) / u, rtol=2e-15)
+
+
+def test_sigma_prime_matches_its_expm1_closed_form():
+    # sigma' and the wave rule's measure share E0; this is the independent
+    # reference, sigma' = (2/r)(e^{-u} + expm1(-u)/u), where it does not cancel
+    r = 2 * np.sqrt(np.geomspace(0.5, 600.0, 2000))
+    u = r * r / 4
+    assert_allclose(sf.sigma_prime(r), (2 / r) * (np.exp(-u) + np.expm1(-u) / u), rtol=2e-15)
+
+
+def test_profiles_finite_without_warnings_far_out():
+    # F0 overflows past u = 709.78 (r = 53.3); the profiles and F3, F4 read
+    # E0 = e^{-z} F0 instead, which stays bounded on Re z >= 0
+    r = np.linspace(1e-3, 80.0, 20001)
+    z = np.linspace(0.5, 1500.0, 3001) * (1 + 1j * np.tan(np.linspace(-0.74, 0.74, 7)))[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fun in (sf.sigma, sf.sigma_prime, sf.g, sf.f, sf.h):
+            assert np.all(np.isfinite(fun(r)))
+        for fun_id in ("F3", "F4"):
+            assert np.all(np.isfinite(sf.F_complex(fun_id, z)))
 
 
 def test_f_equals_F3_on_real_axis():
