@@ -211,11 +211,14 @@ def _slope_min(fn, a, b, x, curvature=None):
     to the bracket's ends.  A given curvature scales the first step only,
     so a coarser grid's minimum is never kept on its word.  Returns
     (s, lam, c) at the lowest s evaluated, c the curvature the next grid
-    level starts from; None if the bracket closes on a or b with the
-    slopes still pointing out, so that s' has no zero inside, unless
-    [a, b] was under 2 tol from the start: one slope resolves such a
-    bracket, and its measured point is returned."""
+    level starts from.  Where the bracket closes on a or b before any
+    slope was measured there, one more cold measurement at that edge
+    decides: a slope pointing into the bracket brackets the zero of s',
+    one pointing out means s' has no zero inside, and None is returned.
+    An [a, b] under 2 tol from the start is resolved by one slope, and its
+    measured point is returned."""
     lo, hi = a, b
+    lo_ds = hi_ds = None    # the slopes at lo and hi, once measured
     x = float(x)
     best = None
     last = before = b - a
@@ -227,15 +230,27 @@ def _slope_min(fn, a, b, x, curvature=None):
             best = (s, x)
         if done or ds == 0.0:
             break
-        lo, hi = (x, hi) if ds < 0.0 else (lo, x)
+        if ds < 0.0:
+            lo, lo_ds = x, ds
+        else:
+            hi, hi_ds = x, ds
         local = old is not None
         if local:
             curvature = (ds - old[1]) / (x - old[0])
         old = (x, ds)
         tol = _REFINE_TOL * max(abs(x), 1.0)
         if hi - lo < tol:
-            if (lo == a or hi == b) and b - a >= 2.0 * tol:
-                return None
+            if b - a >= 2.0 * tol and None in (lo_ds, hi_ds):
+                # the bracket closed on an edge of [a, b] whose slope was
+                # not measured: measure it (unless x is that edge), and
+                # its sign says whether s' has a zero inside
+                edge = a if lo_ds is None else b
+                s, ds = (s, ds) if x == edge else fn(edge)
+                if s < best[0]:
+                    best = (s, edge)
+                if ds > 0.0 if edge == a else ds < 0.0:
+                    return None
+                curvature = (ds - old[1]) / (edge - old[0])
             break
         step = -ds / curvature if curvature is not None and curvature > 0.0 else math.inf
         if not lo < x + step < hi or abs(step) > 0.5 * abs(before):

@@ -45,17 +45,20 @@ def default_grid(n=600):
 
 @dataclass
 class Field:
-    """Grid samples of a radial function (real or complex)."""
+    """Grid samples of a radial function (real or complex), or of a stack
+    of them: values of shape (n,) or (..., n), the grid on the last axis,
+    which every operators.apply_* product acts along."""
     grid: RadialGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if v.shape != (self.grid.n,):
+        if v.ndim == 0 or v.shape[-1] != self.grid.n:
             raise ValueError(f"field has {v.shape} values on an n = {self.grid.n} grid")
         self.values = v
 
     def norm(self):
+        """The L^2 norm of one field (of all values, for a stack)."""
         return math.sqrt(self.grid.h) * float(np.linalg.norm(self.values))
 
 

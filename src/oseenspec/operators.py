@@ -31,7 +31,9 @@ The same structure gives every product in O(n): apply_A is the
 tridiagonal product with harmonic_bands, apply_K two cumulative sums
 over K_k's semiseparable generators, and apply_B and apply_H are built
 from these two; apply_T and apply_Tstar read a quadrature rule built once
-per grid.  The dense assemblies, assemble_A, _K, _B, _H, _L1 and
+per grid.  Every product acts along the last axis of a Field's values,
+so a stack of fields is one call, and each row equals, bit for bit, the
+product of that field alone.  The dense assemblies, assemble_A, _K, _B, _H, _L1 and
 _H_deformed, build the operators as (n, n) matrices from sigma, g and f
 instead; they are the benchmark's oracle (and the tests'), and no
 library path calls them.  Integral parts carry the midpoint quadrature
@@ -146,13 +148,15 @@ def assemble_L1(mode, grid):
 
 def _tridiagonal_product(lower, diag, upper, v):
     out = diag * v
-    out[1:] += lower * v[:-1]
-    out[:-1] += upper * v[1:]
+    out[..., 1:] += lower * v[..., :-1]
+    out[..., :-1] += upper * v[..., 1:]
     return out
 
 
 def apply_A(k, w):
-    """A_k w in O(n): the tridiagonal product with harmonic_bands."""
+    """A_k w in O(n): the tridiagonal product with harmonic_bands.  Like
+    every apply_* product it acts along the last axis, so a Field holding
+    a stack of fields is one call."""
     diag, off = harmonic_bands(k, w.grid)
     return Field(w.grid, _tridiagonal_product(off, diag, off, w.values))
 
@@ -161,27 +165,37 @@ def apply_K(k, w):
     """K_k w in O(n).  K_k has entries u_min(i,j) v_max(i,j) with the
     generators u = (h/2k) r^{k+1/2}, v = r^{-k+1/2} of kernel_inverse_bands,
     so (K w)_i = v_i sum_{j <= i} u_j w_j + u_i sum_{j > i} v_j w_j:
-    two cumulative sums."""
+    two cumulative sums along the last axis."""
     k = abs(_check_k(k))
     r, x = w.grid.nodes, w.values
     u = (w.grid.h / (2 * k)) * r ** (k + 0.5)
     v = r ** (0.5 - k)
     vx = v * x
     above = np.zeros_like(vx)
-    above[:-1] = np.cumsum(vx[:0:-1])[::-1]
-    return Field(w.grid, v * np.cumsum(u * x) + u * above)
+    above[..., :-1] = np.cumsum(vx[..., :0:-1], axis=-1)[..., ::-1]
+    return Field(w.grid, v * np.cumsum(u * x, axis=-1) + u * above)
+
+
+@functools.lru_cache(maxsize=8)
+def _node_profiles(grid):
+    """(sigma, g) on the grid's nodes, evaluated once per grid (grids
+    compare by n, r_max and h) and shared read-only."""
+    sig, g = specfun.sigma(grid.nodes), specfun.g(grid.nodes)
+    sig.setflags(write=False)
+    g.setflags(write=False)
+    return sig, g
 
 
 def apply_B(k, w):
-    """B_k w = sigma w - g K_k (g w) in O(n)."""
-    g = specfun.g(w.grid.nodes)
-    return Field(w.grid, specfun.sigma(w.grid.nodes) * w.values
+    """B_k w = sigma w - g K_k (g w) in O(n), along the last axis."""
+    sig, g = _node_profiles(w.grid)
+    return Field(w.grid, sig * w.values
                  - g * apply_K(k, Field(w.grid, g * w.values)).values)
 
 
 def apply_H(mode, w):
-    """H w = A_|k| w + i beta_k B_|k| w - i lam w in O(n); theta = 0 only,
-    like assemble_H."""
+    """H w = A_|k| w + i beta_k B_|k| w - i lam w in O(n), along the last
+    axis; theta = 0 only, like assemble_H."""
     if mode.theta != 0.0:
         raise ValueError("apply_H requires theta = 0; use assemble_banded")
     return Field(w.grid, apply_A(mode.k, w).values
@@ -190,8 +204,8 @@ def apply_H(mode, w):
 
 def apply_L1(band, w):
     """Action of L1 on a Field: the tridiagonal product with band, the
-    "L1_band" of assemble_banded at the mode's dilation angle, so one
-    assembly serves every field."""
+    "L1_band" of assemble_banded at the mode's dilation angle, along the
+    last axis, so one assembly serves every field."""
     if band.kind != "L1_band" or band.grid != w.grid:
         raise ValueError("apply_L1 needs the L1_band of the field's grid")
     lower, diag, upper = band.data[1:, 0], band.data[:, 1], band.data[:-1, 2]
@@ -384,9 +398,10 @@ def _scaled_fit(w, rule):
     """q = w/(r^{3/2} g) and its local fit on the basis {1, r, Lam}.
 
     Returns (q, c, b) with q(s) ~ q_j + c_j (s - r_j) + b_j (Lam - Lam_j)
-    near node j; the fit interpolates the three stencil values, so it is
-    exact for q in span{1, r, Lam} and resolves the log direction that
-    plain differences lose near the origin.  With d1, d2 the centered
+    near node j, each of w's shape (the grid on the last axis); the fit
+    interpolates the three stencil values, so it is exact for q in
+    span{1, r, Lam} and resolves the log direction that plain differences
+    lose near the origin.  With d1, d2 the centered
     first/second differences of q and e1, e2 those of Lam, b = d2/e2 and
     c = d1 - b e1.  The attribution to Lam is kept only while Lam's
     curvature is resolved above rounding (|e2| > 1e-10, which holds out
@@ -397,28 +412,27 @@ def _scaled_fit(w, rule):
     carry no field content and get q = 0 rather than inf.
     """
     chi, h, lam = rule.chi, rule.h, rule.lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(chi > 0, w / chi, 0.0)
+    q = np.divide(w, chi, out=np.zeros(np.shape(w), np.result_type(w, chi)), where=chi > 0)
     c = np.empty_like(q)
     b = np.zeros_like(q)
-    d1 = (q[2:] - q[:-2]) / (2 * h)
-    d2 = q[2:] - 2 * q[1:-1] + q[:-2]
+    d1 = (q[..., 2:] - q[..., :-2]) / (2 * h)
+    d2 = q[..., 2:] - 2 * q[..., 1:-1] + q[..., :-2]
     e1 = (lam[2:] - lam[:-2]) / (2 * h)
     e2 = lam[2:] - 2 * lam[1:-1] + lam[:-2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bmid = np.where(np.abs(e2) > 1e-10, d2 / e2, 0.0)
-    bmid = np.nan_to_num(bmid, nan=0.0, posinf=0.0, neginf=0.0)
-    b[1:-1] = bmid
-    c[1:-1] = d1 - bmid * e1
+    bmid = b[..., 1:-1]
+    np.divide(d2, e2, out=bmid, where=np.abs(e2) > 1e-10)
+    if not np.isfinite(bmid).all():     # only a q that overflowed gets here
+        np.nan_to_num(bmid, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+    np.subtract(d1, bmid * e1, out=c[..., 1:-1])
     # one-sided fit at the first node (where the log direction matters);
     # plain one-sided difference at the last (fields are below rounding)
-    da, db = q[1] - q[0], q[2] - q[0]
+    da, db = q[..., 1] - q[..., 0], q[..., 2] - q[..., 0]
     u, v = lam[1] - lam[0], lam[2] - lam[0]
     den = v - 2 * u
-    b[0] = (db - 2 * da) / den if den != 0 else 0.0
-    c[0] = (da - b[0] * u) / h
-    b[-1] = 0.0
-    c[-1] = (q[-1] - q[-2]) / h
+    b[..., 0] = (db - 2 * da) / den if den != 0 else 0.0
+    c[..., 0] = (da - b[..., 0] * u) / h
+    b[..., -1] = 0.0
+    c[..., -1] = (q[..., -1] - q[..., -2]) / h
     return q, c, b
 
 
@@ -428,12 +442,12 @@ def apply_T(w):
     I1 is a cumulative product-integration sum (full cells below the
     node, then the left half of the node's own cell): per piece,
     q Dmu + c (Dm4 - r_j Dmu) + b (Dgl - Lam_j Dmu) with the closed-form
-    moment increments D of _wave_rule, O(n) total.
+    moment increments D of _wave_rule, O(n) total, along the last axis.
     """
     rule = _wave_rule(w.grid)
     q, c, b = _scaled_fit(w.values, rule)
     full, half = (q * m0 + c * m1 + b * m2 for m0, m1, m2 in (rule.full, rule.half))
-    i1 = (np.cumsum(full) - full) + half
+    i1 = (np.cumsum(full, axis=-1) - full) + half
     return Field(w.grid, w.values + rule.pref * i1)
 
 
@@ -442,12 +456,12 @@ def apply_Tstar(omega):
 
     Computed in the integrated-by-parts form of _wave_rule: the reverse
     integral int_r^inf Lam q' ds is a cumulative midpoint sum with
-    q' = c + b Lam' from the shared fit, O(n) total.
+    q' = c + b Lam' from the shared fit, O(n) total, along the last axis.
     """
     rule = _wave_rule(omega.grid)
     lam, chi = rule.lam, rule.chi
     q, c, b = _scaled_fit(omega.values, rule)
     f = lam * (c + b * rule.lamp)
-    cum = np.cumsum(f)
-    rev = rule.h * ((cum[-1] - cum) + 0.5 * f)
+    cum = np.cumsum(f, axis=-1)
+    rev = rule.h * ((cum[..., -1:] - cum) + 0.5 * f)
     return Field(omega.grid, omega.values + lam * (chi * q) + chi * rev)

@@ -8,6 +8,9 @@ array as before:
 
 - smallest_singular_value: s_min(M - i shift) by the dense SVD
   (svdvals) of an assembled matrix;
+- tridiagonal_smallest_singular_value: the same for a tridiagonal M by
+  LAPACK's Hermitian band eigensolver on the Golub-Kahan matrix, the
+  reference past n = 600, where svdvals is held to it;
 - hermitian_part_min_eig: the bottom of (M + M^H)/2 by dense eigvalsh;
 - bottom_eigenvalue: the bottom among the eigenvalues of a band nearest
   a shift by ARPACK's shift-invert Arnoldi, the call the library's own
@@ -41,6 +44,28 @@ def smallest_singular_value(m, shift=0.0):
         a = a - 1j * shift * np.eye(n)
     s = sla.svdvals(a)
     return float(s[-1])
+
+
+def tridiagonal_smallest_singular_value(m, shift=0.0):
+    """s_min(M - i shift I) of a tridiagonal dense matrix or OperatorMatrix:
+    the smallest nonnegative eigenvalue of the Hermitian Golub-Kahan matrix
+    [[0, T], [T^H, 0]], T = M - i shift, whose eigenvalues are the +-
+    singular values of T (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965).
+    With rows and columns interleaved (x_1, y_1, x_2, ...) it has bandwidth
+    3, and eig_banded reads its eigenvalue n of 2n by band reduction and
+    bisection: no LU and no Lanczos, so none of the library's path."""
+    a = _as_matrix(m)
+    n = a.shape[0]
+    if np.count_nonzero(np.triu(a, 2)) or np.count_nonzero(np.tril(a, -2)):
+        raise ValueError("the matrix is not tridiagonal")
+    # lower band storage, band[d, j] = G[j + d, j]: from column x_i, rows
+    # y_i (d = 1) and y_{i+1} (d = 3); from column y_j, row x_{j+1} (d = 1)
+    band = np.zeros((4, 2 * n), dtype=complex)
+    band[1, 0::2] = (np.diagonal(a) - 1j * shift).conj()
+    band[3, 0:-2:2] = np.diagonal(a, 1).conj()
+    band[1, 1:-1:2] = np.diagonal(a, -1)
+    return float(sla.eig_banded(band, lower=True, eigvals_only=True,
+                                select="i", select_range=(n, n))[0])
 
 
 def hermitian_part_min_eig(m):

@@ -327,20 +327,30 @@ def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, 
     assert (abs(ratio - 2.7) > 0.1) == off_law
 
 
-def test_psi_window_of_three_refine_widths_rescans(monkeypatch):
-    # at (k, beta_k) = (5, 1e-2) the window spans 3.1e-3, three refine
-    # widths: the first scan refines to the reference minimum, but the
-    # refined level's secant, started within one refine width of the
-    # window's edge, closes its bracket on that edge after one slope and
-    # returns None, so that level scans the window again and lands on the
-    # same shift
-    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e-2 / 5, k=5), default_grid(n=300)
-    scans, (psi, lam) = _scans_and_reference(monkeypatch, mode, grid)
-    assert [(n, points) for n, points, _ in scans] == [(300, 16), (600, 16)]
-    first, second = scans[0][2], scans[1][2]
-    assert abs(first[0] - psi) <= 1e-7 * psi
-    assert abs(first[1] - lam) <= analysis._REFINE_TOL
-    assert second[1] == first[1]
+def test_psi_window_of_three_refine_widths_measures_its_edge(monkeypatch):
+    # at (k, beta_k) = (5, +-1e-2) the window spans 3.1e-3, three refine
+    # widths: the refined level's secant, started within one refine width
+    # of the window's edge, closes its bracket on that edge after one
+    # slope; one cold measurement at the edge, whose slope points into the
+    # bracket, settles it, so the bound scans once in all, and reports what
+    # a scan of the window on its finest grid refines to
+    scan, scans = analysis._scan_psi, []
+
+    def counted(matrix, lams):
+        scans.append((matrix.grid.n, len(lams)))
+        return scan(matrix, lams)
+
+    monkeypatch.setattr(analysis, "_scan_psi", counted)
+    for beta_k in (1e-2, -1e-2):
+        mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / 5, k=5), default_grid(n=300)
+        scans.clear()
+        res = analysis.pseudospectral_bound(mode, grid)
+        assert scans == [(300, 16)]
+        assert res.converged and res.grid_n == 600
+        band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
+        psi, lam, _ = scan(band, analysis._psi_window(mode))
+        assert abs(res.psi_bound - psi) <= 1e-7 * psi
+        assert abs(res.lambda_star - lam) <= analysis._REFINE_TOL
 
 
 def _golden_evaluations(a, b, tol):

@@ -57,6 +57,15 @@ def test_quadrature_grid_mismatch():
     assert quadrature(a, c) == pytest.approx(10.0)
 
 
+def test_field_holds_a_stack_on_its_grid():
+    # values of shape (..., n), the grid on the last axis
+    grid = make_grid(16, 10.0)
+    assert Field(grid, np.ones((2, 3, 16))).values.shape == (2, 3, 16)
+    for shape in ((), (15,), (16, 3)):
+        with pytest.raises(ValueError):
+            Field(grid, np.ones(shape))
+
+
 def test_stencil_is_dirichlet_laplacian():
     # odd reflection at 0 == Dirichlet at r = 0, so the smallest eigenvalue
     # approaches (pi/r_max)^2

@@ -398,3 +398,27 @@ def test_T_conjugates_full_mode_operator(gridref):
         rhs = (l1 @ u.values)[inside]
         rel = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), np.linalg.norm(rhs))
         assert rel < 1e-2
+
+
+def test_products_act_on_the_last_axis():
+    # a (3, 4, n) stack of fields through every O(n) product in one call:
+    # each row equals, bit for bit, the product of that field alone, real
+    # and complex alike
+    grid = make_grid(2000, 40.0)
+    r = grid.nodes
+    rng = np.random.default_rng(3)
+    stack = r ** 1.5 * np.exp(-r ** 2 / 8) * (1 + 0.1 * rng.standard_normal((3, 4, grid.n)))
+    stack = stack * np.array([1, 1, 1 + 0.2j, 1j])[:, None]
+    mode = ModeSpec(alpha=8 * math.pi * 10, k=1, lam=0.3)
+    band = operators.assemble_banded(mode, grid)
+    products = [operators.apply_T, operators.apply_Tstar,
+                lambda w: operators.apply_K(1, w), lambda w: operators.apply_K(3, w),
+                lambda w: operators.apply_B(2, w), lambda w: operators.apply_A(3, w),
+                lambda w: operators.apply_H(mode, w),
+                lambda w: operators.apply_H(ModeSpec(alpha=30.0, k=2, lam=0.1), w),
+                lambda w: operators.apply_L1(band, w)]
+    for product in products:
+        out = product(Field(grid, stack)).values
+        assert out.shape == stack.shape
+        for i in np.ndindex(stack.shape[:-1]):
+            assert np.array_equal(out[i], product(Field(grid, stack[i])).values), i

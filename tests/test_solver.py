@@ -149,7 +149,15 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
     dense = (operators.assemble_L1 if abs(k) == 1 else operators.assemble_H)(mode, grid)
     lam_star = analysis.pseudospectral_bound(mode, grid).lambda_star
     for lam in [nu * mode.beta_k for nu in (-0.2, 0.25, 0.75, 1.2)] + [lam_star]:
-        ref = oracle.smallest_singular_value(dense, lam)
+        if abs(k) == 1:
+            # the tridiagonal kind's Golub-Kahan band reference, held to
+            # the dense svdvals wherever n <= 600
+            ref = oracle.tridiagonal_smallest_singular_value(dense, lam)
+            if n <= 600:
+                svd = oracle.smallest_singular_value(dense, lam)
+                assert abs(ref - svd) <= 1e-12 * svd, (lam, ref, svd)
+        else:
+            ref = oracle.smallest_singular_value(dense, lam)
         got = solver.smallest_singular_value(band, lam)
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
@@ -211,7 +219,9 @@ def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
     rotated, seed = analysis._sigma_mode(mode)
     grid = analysis.sigma_grid(mode, n=n)
     got = solver.bottom_eigenvalue(operators.assemble_banded(rotated, grid), seed).real
-    ref = solver.eigenvalues(operators.assemble_H_deformed(rotated, grid)).values
+    # eigenvalues without vectors: LAPACK's zgeev, as solver.eigenvalues
+    # calls it, less the eigenvectors and residuals the gate does not read
+    ref = np.linalg.eigvals(operators.assemble_H_deformed(rotated, grid).data)
     assert abs(got - ref.real.min()) <= 1e-10 * ref.real.min(), (got, ref.real.min())
 
 

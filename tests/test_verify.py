@@ -71,6 +71,33 @@ def test_truncated_kernel_form_matches_assembly(k):
         assert math.isfinite(got)
 
 
+def test_seeded_block_is_the_single_draws_in_turn():
+    # a check's (count, n) block of seeded fields holds, bit for bit, the
+    # fields count draws of one field each give from the same generator
+    grid = make_grid(600, 30.0)
+    for k in (1, 3):
+        block = verify._seeded_values(grid, np.random.default_rng(11), 10, k)
+        rng = np.random.default_rng(11)
+        singles = [verify._seeded_values(grid, rng, 1, k)[0] for _ in range(10)]
+        assert block.shape == (10, grid.n)
+        assert all(np.array_equal(row, one) for row, one in zip(block, singles))
+
+
+def test_moment_bound_kernel_matches_the_dense_kernel():
+    # the two cumulative sums of _moment_lhs against the dense 60 x 4000
+    # kernel matrix the check multiplied by before
+    r = np.geomspace(0.05, 12.0, 60)
+    th = np.array([math.pi / 24, math.pi / 16, math.pi / 12])
+    got = verify._moment_lhs(r, th[:, None])
+    s = np.linspace(0.002, 16.0, 4000)
+    kern = (np.minimum.outer(r, s) / np.maximum.outer(r, s)) ** 2 * np.sqrt(np.outer(r, s)) / 4
+    for row, t in zip(got, th):
+        c2, s2 = math.cos(2 * t), math.sin(2 * t)
+        g3sq = np.exp(-s ** 2 * c2 / 4) * np.sin(s ** 2 * s2 / 8) ** 2
+        want = (kern @ (np.sqrt(s) * g3sq * (s[1] - s[0]))) / (abs(s2) * np.sqrt(r))
+        assert np.abs(row / want - 1).max() <= 1e-13
+
+
 def test_trig_identity_residual_tiny():
     rep = verify.run_check("deform.trig")
     assert rep.measured <= 1e-14
@@ -112,6 +139,21 @@ def test_constant_search_matches_the_exhaustive_scan(monkeypatch):
         term1 = 1 / r ** 2 if rng.random() < 0.5 else 1 + r ** 2
         term2 = rng.choice([-1, 1]) * a * (specfun.sigma(r) - rng.uniform(0, 0.5))
         calls.append((term1, term2, b * np.ones_like(r)))
+    # rhs on the boundary of c1 = consts[i] at c2 = 0.01, where the bound
+    # max((rhs - c2 term2)/term1) rounds past consts[i] at some point, and
+    # one ulp past that boundary at a single point where the bound, either
+    # way it is computed, rounds back onto consts[i]: only the predicate
+    # tells the least feasible c1 there
+    consts = np.geomspace(0.01, 100.0, 25)
+    term1, term2 = 1 + r ** 2, -(specfun.sigma(r) + 0.1)
+    for i in (3, 8, 15):
+        edge = consts[i] * term1 + consts[0] * term2
+        past = np.nextafter(edge, np.inf)
+        p = np.flatnonzero(((past - consts[0] * term2) / term1 <= consts[i])
+                           & (past / term1 - consts[0] * (term2 / term1) <= consts[i]))[0]
+        rhs = edge - 1.0
+        rhs[p] = past[p]
+        calls += [(term1, term2, edge), (term1, term2, rhs)]
     found = [search(*args) for args in calls]
     assert found == [oracle.search_constants(*args) for args in calls]
     assert math.inf in found and min(found) < 1
