@@ -33,11 +33,12 @@ over K_k's semiseparable generators, and apply_B and apply_H are built
 from these two; apply_T and apply_Tstar read a quadrature rule built once
 per grid.  Every product acts along the last axis of a Field's values,
 so a stack of fields is one call, and each row equals, bit for bit, the
-product of that field alone.  The dense assemblies, assemble_A, _K, _B, _H, _L1 and
-_H_deformed, build the operators as (n, n) matrices from sigma, g and f
-instead; they are the benchmark's oracle (and the tests'), and no
-library path calls them.  Integral parts carry the midpoint quadrature
-weight h so that matrices act on plain node-value vectors.
+product of that field alone.  The dense assemblies, assemble_A, _K, _B,
+_H, _L1 and _H_deformed, build the operators as (n, n) matrices from
+sigma, g and f instead; they are the benchmark's oracle (and the
+tests'), and no library path calls them.  Integral parts carry the
+midpoint quadrature weight h so that matrices act on plain node-value
+vectors.
 """
 
 import cmath
@@ -401,13 +402,13 @@ def _scaled_fit(w, rule):
     near node j, each of w's shape (the grid on the last axis); the fit
     interpolates the three stencil values, so it is exact for q in
     span{1, r, Lam} and resolves the log direction that plain differences
-    lose near the origin.  With d1, d2 the centered
-    first/second differences of q and e1, e2 those of Lam, b = d2/e2 and
-    c = d1 - b e1.  The attribution to Lam is kept only while Lam's
-    curvature is resolved above rounding (|e2| > 1e-10, which holds out
-    to r ~ 9); past that Lam is constant to more digits than the stencil
-    can see, e2 is differencing junk, and b = 0, c = d1 is exact for the
-    directions that survive.
+    lose near the origin.  With d1, d2 the centered first/second
+    differences of q and e1, e2 those of Lam, b = d2/e2 and c = d1 - b e1.
+    The attribution to Lam is kept only while Lam's curvature is resolved
+    above rounding (|e2| > 1e-10, which holds out to r ~ 9); past that Lam
+    is constant to more digits than the stencil can see, e2 is
+    differencing junk, and b = 0, c = d1 is exact for the directions that
+    survive.
     Nodes where chi has underflowed to zero (possible only past r ~ 77)
     carry no field content and get q = 0 rather than inf.
     """
