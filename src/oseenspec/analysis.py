@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators, solver, specfun
-from .grids import Field, ModeSpec, make_grid, quadrature
+from .grids import R_MAX_FLOOR, Field, ModeSpec, make_grid, quadrature
 
 logger = logging.getLogger(__name__)
 
@@ -69,11 +69,12 @@ _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
 _SCAN_POINTS = 16       # shifts in Psi's one scan window, _psi_window
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 QUANTITIES = ("sigma", "psi", "range")
+_SIGMA_RADIUS = 4.4     # Sigma's and range's r_max over |beta_k|^{1/4}
 _PSI_RADIUS = 3.8       # Psi's r_max over |beta_k|^{1/6}, 1.34 times the least that holds
 _CRITICAL = 2.7         # Psi's window centre r_c over |beta_k|^{1/6} at large |beta_k|
 _WINDOW = (0.65, 1.35)  # Psi's window in r / r_c; its top, 1.35 x 2.7, is under _PSI_RADIUS
-GRID_POLICY = ("r_max = 30; sigma and range paths raise it to 4.4 |beta_k|^{1/4}, "
-               "the psi path to 3.8 |beta_k|^{1/6}")
+GRID_POLICY = ("r_max = %g; sigma and range paths raise it to %g |beta_k|^{1/4}, "
+               "the psi path to %g |beta_k|^{1/6}" % (R_MAX_FLOOR, _SIGMA_RADIUS, _PSI_RADIUS))
 
 
 @dataclass
@@ -148,13 +149,13 @@ def sigma_grid(mode, n=600):
     protocol cannot flag them; instead r_max grows like |beta_k|^{1/4}
     so the wall floor clears the |beta_k|^{1/2} scale of the true bottom
     eigenvalue with room to spare."""
-    return make_grid(n, max(30.0, 4.4 * abs(mode.beta_k) ** 0.25))
+    return make_grid(n, max(R_MAX_FLOOR, _SIGMA_RADIUS * abs(mode.beta_k) ** 0.25))
 
 
 def bound_grid(mode, quantity, n=600, r_max=None):
     """First grid of the convergence protocol for one quantity of QUANTITIES
     (GRID_POLICY): n points on r_max if given, else sigma_grid for sigma
-    and range, and for psi r_max = max(30, _PSI_RADIUS |beta_k|^{1/6}).
+    and range, and for psi r_max = max(R_MAX_FLOOR, _PSI_RADIUS |beta_k|^{1/6}).
 
     Psi's resolvent peak sits at the critical radius of lambda*, about
     2.7 |beta_k|^{1/6}, and a grid that cuts it off converges under
@@ -166,7 +167,7 @@ def bound_grid(mode, quantity, n=600, r_max=None):
     if quantity not in QUANTITIES:
         raise ValueError("unknown quantity %r" % (quantity,))
     if r_max is None and quantity == "psi":
-        r_max = max(30.0, _PSI_RADIUS * abs(mode.beta_k) ** (1.0 / 6.0))
+        r_max = max(R_MAX_FLOOR, _PSI_RADIUS * abs(mode.beta_k) ** (1.0 / 6.0))
     if r_max is not None:
         return make_grid(n, r_max)
     return sigma_grid(mode, n)

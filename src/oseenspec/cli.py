@@ -19,6 +19,7 @@ not pass, 2 on usage errors.
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -85,9 +86,10 @@ def _meta(**extra):
 @contextlib.contextmanager
 def _inputs(args, *flags):
     """Around the building of a command's ModeSpecs and grids, before any
-    solve: after the CLI-only k >= 1 check, the ValueError of an
-    inadmissible value (ModeSpec, bound_grid, check_fit_alphas,
-    quasimode_grid) becomes a usage error naming the flags as typed."""
+    solve, or around verify.run_all, whose checks fix their own inputs:
+    after the CLI-only k >= 1 check, the ValueError of an inadmissible
+    value (ModeSpec, bound_grid, check_fit_alphas, quasimode_grid, the
+    seed of run_check) becomes a usage error naming the flags as typed."""
     if getattr(args, "k", 1) < 1:
         raise UsageError("k must be >= 1, got %d" % args.k)
     try:
@@ -164,13 +166,11 @@ def cmd_quasimode(args):
 
 
 def cmd_verify(args):
-    reports = verify.run_all(args.seed, suite=args.suite)
+    with _inputs(args, "seed"):
+        reports = verify.run_all(args.seed, suite=args.suite)
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
-        doc = {"rows": [{"check_id": r.check_id, "passed": r.passed,
-                         "measured": r.measured, "tolerance": r.tolerance,
-                         "samples": r.samples, "elapsed_ms": r.elapsed_ms}
-                        for r in reports],
+        doc = {"rows": [dataclasses.asdict(r) for r in reports],
                "meta": _meta(suite=args.suite, seed=args.seed)}
         print(json.dumps(doc))
     else:
@@ -218,7 +218,7 @@ def _build_parser():
     p = sub.add_parser("sweep", help="bounds across alphas, optionally with a log-log fit")
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--quantity", choices=("sigma", "psi", "range"), required=True)
+    p.add_argument("--quantity", choices=analysis.QUANTITIES, required=True)
     p.add_argument("--n", type=int, default=600)
     p.add_argument("--fit", action="store_true",
                    help="append the fitted slope as a JSON line")

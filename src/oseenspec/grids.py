@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+R_MAX_FLOOR = 30.0  # r_max of default_grid, the floor analysis.bound_grid raises
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -37,10 +39,10 @@ def make_grid(n, r_max):
 
 
 def default_grid(n=600):
-    """Default resolution policy: n points on r_max = 30, the floor that
-    analysis.bound_grid raises with |beta_k| (Psi is the same to 15
-    digits on r_max = 65 at beta_1 = 1e5)."""
-    return make_grid(n, 30.0)
+    """Default resolution policy: n points on r_max = R_MAX_FLOOR, the
+    floor that analysis.bound_grid raises with |beta_k| (Psi is the same
+    to 15 digits on r_max = 65 at beta_1 = 1e5)."""
+    return make_grid(n, R_MAX_FLOOR)
 
 
 @dataclass

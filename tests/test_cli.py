@@ -255,6 +255,14 @@ def test_verify_json_document(capsys):
     assert all(row["elapsed_ms"] >= 0 for row in doc["rows"])
 
 
+def test_verify_negative_seed_is_a_usage_error(capsys):
+    # run_check rejects the seed before any check runs, for every suite
+    for suite in ("all", "coercive"):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--suite", suite)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --seed -1: seed must be")
+
+
 def test_parser_is_built_once_and_dispatches_at_call_time(capsys, monkeypatch):
     # two subcommands through one parser print what each prints with a
     # parser of its own; a cmd_* replaced after the parser was built (as a

@@ -21,6 +21,51 @@ def test_suite_map_covers_registry():
     assert len(verify.SUITES["wave"]) == 4
 
 
+# the table of checks: each tolerance is the acceptance bound of one lemma,
+# so a loosened bound or a moved check shows as an edit here
+TABLE = [
+    ("wave.isometry", "wave", 1e-4),
+    ("wave.intertwine", "wave", 1e-3),
+    ("wave.commutator", "wave", 1e-2),
+    ("wave.conjugation", "wave", 1e-2),
+    ("coercive.A1", "coercive", 1e-3),
+    ("coercive.A1f", "coercive", 100.0),
+    ("coercive.Ak", "coercive", 100.0),
+    ("taylor.h", "coercive", 1e-12),
+    ("kernel.ode", "kernel", 1e-2),
+    ("kernel.bounds", "kernel", 1e-6),
+    ("kernel.truncated", "kernel", 1e-6),
+    ("sigma.identity", "envelope", 1e-6),
+    ("sigma.comparability", "envelope", 100.0),
+    ("envelope.betaMed", "envelope", 100.0),
+    ("envelope.betaHigh", "envelope", 100.0),
+    ("deform.F1", "deform", 100.0),
+    ("deform.F5", "deform", 1e-12),
+    ("deform.thetaInvariance", "deform", 1e-2),
+    ("deform.momentBound", "deform", 1e-6),
+    ("deform.trig", "deform", 1e-14),
+]
+
+
+def test_registry_is_the_pinned_table():
+    rows = [(cid, suite, tol) for cid, (suite, tol, _) in verify._REGISTRY.items()]
+    assert rows == TABLE
+    for cid, suite, tol in TABLE:
+        assert cid in verify.SUITES[suite]
+        assert verify.run_check(cid).tolerance == tol
+
+
+@pytest.mark.parametrize("check_id", [row[0] for row in TABLE])
+def test_negative_seed_rejected_before_the_check_runs(check_id, monkeypatch):
+    ran = []
+    suite, tol, check = verify._REGISTRY[check_id]
+    monkeypatch.setitem(verify._REGISTRY, check_id,
+                        (suite, tol, lambda rng: ran.append(rng)))
+    with pytest.raises(ValueError, match="seed"):
+        verify.run_check(check_id, seed=-1)
+    assert ran == []
+
+
 def test_unknown_ids_rejected():
     with pytest.raises(ValueError):
         verify.run_check("wave.nope")
