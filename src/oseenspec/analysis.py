@@ -27,23 +27,24 @@ so the resolvent peak sits at the critical radius r*, where sigma(r*) =
 nu, as the quasimode does.  r* reads about 2.70 |beta_k|^{1/6} from
 |beta_k| = 300 on; as beta_k goes to 0, nu tends to its mean in the
 mode's ground state, at most (1 - 2^-|k|)/|k|, so r* >= 2 sqrt|k| (3.96
-to 4.01 for |k| <= 3).  One window of 16 shifts lam = beta_k sigma(r), r
-around max(2.7 |beta_k|^{1/6}, 4, 2 sqrt|k|), brackets it at every beta_k
-surveyed, |k| up to 24.  Psi is a property of the straight operator
-(rotation does not preserve resolvent norms), so that path stays
-unrotated; it runs on the banded form of the straight operator, assembled
-once per grid level, where each shift costs one O(n) band LU.  The scan
-only locates the peak, so its shifts run through solver.scan_smin,
-warm-started and loose, and the refinement reads only its bracket and
-start shift.  The refinement is a safeguarded secant on s'(lam) = 0:
-smallest_singular_value measures s cold to 1e-14 together with its slope,
-read from the top singular vector the inverse Lanczos already holds, so
-the reported Psi and lambda* do not depend on the scan's tolerance.  A
-refined grid level scans nothing: it starts the secant from the coarser
-level's lambda* and curvature, stops it only on a curvature measured on
-its own grid, and scans the window only if the slopes find no minimum
-inside it.  The scans' shifts and the refinement's width,
-1e-3 max(|lambda*|, 1), are fixed.
+to 4.01 for |k| <= 3).  The window of shifts lam = beta_k sigma(r), r over
+r_c [0.65, 1.35] with r_c = max(2.7 |beta_k|^{1/6}, 4, 2 sqrt|k|),
+brackets it at every beta_k surveyed, |k| up to 24.  Psi is a property of
+the straight operator (rotation does not preserve resolvent norms), so
+that path stays unrotated; it runs on the banded form of the straight
+operator, assembled once per grid level, where each shift costs one O(n)
+band LU.  Every level runs one safeguarded secant on s'(lam) = 0, with
+the window's ends as its bracket: smallest_singular_value measures s cold
+to 1e-14 together with its slope, read from the top singular vector the
+inverse Lanczos already holds.  The first level starts it at r_c, each
+refined level at the coarser level's lambda* and curvature, and a level
+stops only on a curvature measured on its own grid.  The peak has width
+|beta_k|^{-1/6} in r, so the first level runs on at least
+r_max |beta_k|^{1/6} points: on a coarser grid the secant from r_c can
+settle on a minimum the grid does not resolve and report it converged
+(up to 1.7% under the finer grids' Psi, |beta_k| >= 1.3e7 from
+n = 300).  The window and the refinement's width, 1e-3 max(|lambda*|, 1),
+are fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
 bound functions' defaults and for the command line alike, and
@@ -66,7 +67,6 @@ logger = logging.getLogger(__name__)
 _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
 _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
-_SCAN_POINTS = 16       # shifts in Psi's one scan window, _psi_window
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 QUANTITIES = ("sigma", "psi", "range")
 _SIGMA_RADIUS = 4.4     # Sigma's and range's r_max over |beta_k|^{1/4}
@@ -74,7 +74,8 @@ _PSI_RADIUS = 3.8       # Psi's r_max over |beta_k|^{1/6}, 1.34 times the least 
 _CRITICAL = 2.7         # Psi's window centre r_c over |beta_k|^{1/6} at large |beta_k|
 _WINDOW = (0.65, 1.35)  # Psi's window in r / r_c; its top, 1.35 x 2.7, is under _PSI_RADIUS
 GRID_POLICY = ("r_max = %g; sigma and range paths raise it to %g |beta_k|^{1/4}, "
-               "the psi path to %g |beta_k|^{1/6}" % (R_MAX_FLOOR, _SIGMA_RADIUS, _PSI_RADIUS))
+               "the psi path to %g |beta_k|^{1/6} and its first n to r_max |beta_k|^{1/6}"
+               % (R_MAX_FLOOR, _SIGMA_RADIUS, _PSI_RADIUS))
 
 
 @dataclass
@@ -262,56 +263,40 @@ def _slope_min(fn, a, b, x, curvature=None):
     return float(best[0]), float(best[1]), curvature
 
 
-def _scan_psi(matrix, lams):
-    """Scan s_min(M - i lam) over the shifts lams (pseudospectral_bound
-    passes _psi_window) with solver.scan_smin and refine the lowest
-    interior minimum by _slope_min on smallest_singular_value with its
-    slope, from that shift within its two neighbours; the refinement
-    reads the scan's bracket and start shift, never its values, so what
-    is returned, (Psi, lambda*, curvature), is measured to 1e-14.  None
-    if no shift is an interior minimum, or if the slopes find no minimum
-    inside the bracket."""
-    vals = solver.scan_smin(matrix, lams)
-    inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    if inner.size == 0:
-        return None
-    i = inner[np.argmin(vals[inner])]
-    a, b = sorted((lams[i - 1], lams[i + 1]))
-    return _slope_min(_cold_slope(matrix), a, b, lams[i])
-
-
 def _cold_slope(matrix):
     """lam -> (s_min, its slope), each call a cold smallest_singular_value."""
     return lambda lam: solver.smallest_singular_value(matrix, lam, slope=True)
 
 
 def _psi_window(mode):
-    """Psi's _SCAN_POINTS shifts lam = beta_k sigma(r), r over r_c _WINDOW,
-    r_c = max(_CRITICAL |beta_k|^{1/6}, 4, 2 sqrt|k|) the critical radius
-    or its small-beta_k floor; 1.35 r_c is under r_max for |k| < 120."""
+    """(edge, far, centre): the shifts lam = beta_k sigma(r) at r = 0.65 r_c,
+    1.35 r_c (_WINDOW) and r_c, where r_c = max(_CRITICAL |beta_k|^{1/6},
+    4, 2 sqrt|k|) is the critical radius or its small-beta_k floor; 1.35 r_c
+    is under r_max for |k| < 120."""
     beta = mode.beta_k
     r_c = max(_CRITICAL * abs(beta) ** (1.0 / 6.0), 4.0, 2.0 * math.sqrt(abs(mode.k)))
-    return beta * specfun.sigma(r_c * np.linspace(*_WINDOW, _SCAN_POINTS))
+    return tuple(float(beta * specfun.sigma(r_c * x)) for x in _WINDOW + (1.0,))
 
 
 def pseudospectral_bound(mode, grid=None):
     """Psi(alpha, k) = min over real lam of s_min(H - i lam), with lam*.
 
     For beta_k = 0 the operator is self-adjoint and the minimum sits at
-    lam = 0 (distance to the real spectrum).  Otherwise the first level
-    scans the 16 shifts of _psi_window, placed by the critical radius of
-    lambda*, to locate the resolvent peak, and _slope_min refines the
-    lowest interior minimum by a secant on the slope of s_min, to within
-    1e-3 max(|lambda*|, 1).  Refined levels scan nothing while the secant
-    succeeds: it starts from the coarser level's lambda* and curvature,
-    with the window's span as its bracket, and stops only on a curvature
-    measured on its own grid.  Where the slopes find no
-    minimum inside it, the level scans the window; a window without an
-    interior minimum gives s_min at its first shift, flagged as not
-    converged.  Scans use solver.scan_smin, which only locates; every
-    value returned is measured by smallest_singular_value.  The grid
+    lam = 0 (distance to the real spectrum).  Otherwise every level runs
+    _slope_min, a secant on the slope of s_min measured cold, to within
+    1e-3 max(|lambda*|, 1), bracketed by the ends of _psi_window: the
+    first level from the shift of the critical radius r_c with no
+    curvature, each refined level from the coarser level's lambda* and
+    curvature.  A level whose slopes find no minimum inside the window
+    reports s_min at its 0.65 r_c end, flagged as not converged.  Every
+    value returned is measured by smallest_singular_value, and like any
+    scan of lam the search probes finitely many shifts, those the secant
+    measures: nothing uniform in lam is claimed.  The grid
     defaults to bound_grid at n = 600, whose r_max follows the critical
-    radius of lambda* past |beta_k| = 2.4e5.
+    radius of lambda* past |beta_k| = 2.4e5; whatever the grid, the first
+    level runs on at least r_max |beta_k|^{1/6} points of its r_max, so
+    that h <= |beta_k|^{-1/6} resolves the resolvent peak, whose width is
+    |beta_k|^{-1/6}.
     """
     if grid is None:
         grid = bound_grid(mode, "psi")
@@ -320,26 +305,24 @@ def pseudospectral_bound(mode, grid=None):
         return BoundResult(mode=mode, grid_n=res.grid_n, converged=res.converged,
                            sigma_bound=res.sigma_bound, psi_bound=res.sigma_bound,
                            lambda_star=0.0)
-    lams = _psi_window(mode)
-    window = sorted((lams[0], lams[-1]))
+    floor = math.ceil(grid.r_max * abs(mode.beta_k) ** (1.0 / 6.0))
+    if grid.n < floor:
+        grid = make_grid(floor, grid.r_max)
+    edge, far, centre = _psi_window(mode)
+    window = sorted((edge, far))
 
     def step(g, prev):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
-        hit, scan_ok = None, True
-        if prev is not None:
-            _, lam_prev, curvature, scan_ok = prev
-            hit = _slope_min(_cold_slope(matrix), *window, lam_prev, curvature)
-        if hit is None:
-            hit = _scan_psi(matrix, lams)
+        start, curvature, inside = (centre, None, True) if prev is None else prev[1:]
+        hit = _slope_min(_cold_slope(matrix), *window, start, curvature)
         if hit is None:
             logger.warning("no interior resolvent minimum for alpha=%g k=%d",
                            mode.alpha, mode.k)
-            return (solver.smallest_singular_value(matrix, lams[0]), float(lams[0]),
-                    None, False)
-        return hit + (scan_ok,)
+            return solver.smallest_singular_value(matrix, edge), edge, None, False
+        return hit + (inside,)
 
-    (psi, lam_star, _, scan_ok), n, converged = _grid_doubling(grid, step, "psi", mode)
-    return BoundResult(mode=mode, grid_n=n, converged=converged and scan_ok,
+    (psi, lam_star, _, inside), n, converged = _grid_doubling(grid, step, "psi", mode)
+    return BoundResult(mode=mode, grid_n=n, converged=converged and inside,
                        psi_bound=psi, lambda_star=lam_star)
 
 

@@ -117,12 +117,7 @@ class OperatorMatrix:
     """
     kind: str
     grid: RadialGrid
-    mode: ModeSpec | None
     data: np.ndarray
-
-    @property
-    def n(self):
-        return self.grid.n
 
 
 def stencil_bands(grid):

@@ -71,7 +71,7 @@ def assemble_A(k, grid):
     """Shifted harmonic radial operator A_k; real symmetric."""
     diag, off = harmonic_bands(k, grid)
     m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return OperatorMatrix(kind="A_k", grid=grid, mode=None, data=m)
+    return OperatorMatrix(kind="A_k", grid=grid, data=m)
 
 
 def assemble_K(k, grid):
@@ -80,7 +80,7 @@ def assemble_K(k, grid):
     r = grid.nodes
     ratio = np.minimum.outer(r, r) / np.maximum.outer(r, r)
     m = (grid.h / (2 * k)) * ratio ** k * np.sqrt(np.outer(r, r))
-    return OperatorMatrix(kind="K_k", grid=grid, mode=None, data=m)
+    return OperatorMatrix(kind="K_k", grid=grid, data=m)
 
 
 def kernel_inverse_bands(k, grid):
@@ -117,7 +117,7 @@ def assemble_B(k, grid):
     # the entrywise product keeps B - B^T identically zero
     m = -(np.outer(g, g) * assemble_K(k, grid).data)
     np.fill_diagonal(m, m.diagonal() + specfun.sigma(grid.nodes))
-    return OperatorMatrix(kind="B_k", grid=grid, mode=None, data=m)
+    return OperatorMatrix(kind="B_k", grid=grid, data=m)
 
 
 def assemble_H(mode, grid):
@@ -131,7 +131,7 @@ def assemble_H(mode, grid):
     b = assemble_B(mode.k, grid).data
     m = a + 1j * mode.beta_k * b
     np.fill_diagonal(m, m.diagonal() - 1j * mode.lam)
-    return OperatorMatrix(kind="H_full", grid=grid, mode=mode, data=m)
+    return OperatorMatrix(kind="H_full", grid=grid, data=m)
 
 
 def assemble_L1(mode, grid):
@@ -144,7 +144,7 @@ def assemble_L1(mode, grid):
     m = assemble_A(1, grid).data.astype(complex)
     np.fill_diagonal(m, m.diagonal() + specfun.f(r)
                      + 1j * (mode.beta_k * specfun.sigma(r) - mode.lam))
-    return OperatorMatrix(kind="L1_model", grid=grid, mode=mode, data=m)
+    return OperatorMatrix(kind="L1_model", grid=grid, data=m)
 
 
 def _tridiagonal_product(lower, diag, upper, v):
@@ -256,14 +256,14 @@ def assemble_banded(mode, grid):
     if coupling is None:
         data = np.zeros((n, 3), dtype=complex)
         data[1:, 0], data[:, 1], data[:-1, 2] = off, diag, off
-        return OperatorMatrix(kind="L1_band", grid=grid, mode=mode, data=data)
+        return OperatorMatrix(kind="L1_band", grid=grid, data=data)
     c, f2 = coupling
     kdiag, koff = kernel_inverse_bands(mode.k, grid)
     data = np.zeros((2 * n, 5), dtype=complex)
     x, y = data[0::2], data[1::2]
     x[1:, 0], x[:, 2], x[:, 3], x[:-1, 4] = off, diag, -c * f2, off
     y[1:, 0], y[:, 1], y[:, 2], y[:-1, 4] = koff, -f2, kdiag, koff
-    return OperatorMatrix(kind="H_band", grid=grid, mode=mode, data=data)
+    return OperatorMatrix(kind="H_band", grid=grid, data=data)
 
 
 def assemble_H_deformed(mode, grid):
@@ -284,10 +284,10 @@ def assemble_H_deformed(mode, grid):
         c, f2 = coupling
         m -= c * (f2[:, None] * assemble_K(mode.k, grid).data * f2[None, :])
     np.fill_diagonal(m, m.diagonal() + pot)
-    return OperatorMatrix(kind="H_deformed", grid=grid, mode=mode, data=m)
+    return OperatorMatrix(kind="H_deformed", grid=grid, data=m)
 
 
-def interior_mask(grid, collar=0.3):
+def interior_mask(grid):
     """Boolean mask of nodes away from both boundary layers.
 
     Identity checks that apply the second-difference stencil to fields
@@ -297,12 +297,12 @@ def interior_mask(grid, collar=0.3):
     excluded layer must be a physical collar, not a node count (at fixed
     node count the excluded error grows like h^{-1/2} as the grid is
     refined; at fixed width it shrinks like h^2).  The far collar covers
-    the Dirichlet wall at r_max + h/2.  The default width 0.3 keeps the
+    the Dirichlet wall at r_max + h/2.  The collar's width 0.3 keeps the
     commutator and conjugation residuals a factor of two under their
     tolerance on the reference grid (n = 2000, r_max = 40).
     """
     r = grid.nodes
-    return (r >= collar) & (r <= grid.r_max - collar)
+    return (r >= 0.3) & (r <= grid.r_max - 0.3)
 
 
 _WaveRule = namedtuple("_WaveRule", "h lam lamp chi pref full half")

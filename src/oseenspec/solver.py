@@ -14,18 +14,14 @@ shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
 bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
 |k| >= 2 by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures
 a shift cold, from a fixed start vector, to relative 1e-14, and so
-measures every shift of Psi's refinement and every value a Psi bound
-reports, with the slope ds/dshift that the refinement's secant runs on,
-read from the top Ritz vector at the cost of one more band solve; along
-the shifts of a Psi scan, which only pick that refinement's bracket and
-start, scan_smin starts each shift from the previous one's top Ritz
-vector and stops at 1e-7 (the continuation of Trefethen & Embree,
-Spectra and Pseudospectra, 2005).
-bottom_eigenvalue, smallest_singular_value, scan_smin and
-hermitian_part_min_eig take band operators only and raise ValueError on
-anything else.  verify reads tridiagonal bottoms by the same bisection
-and the top of a symmetric operator given by its product by inverse
-Lanczos's own loop (_lanczos, through _top_eigenvalue).  The one dense
+measures every shift of Psi's secant and every value a Psi bound reports,
+with the slope ds/dshift that the secant runs on, read from the top Ritz
+vector at the cost of one more band solve.  bottom_eigenvalue,
+smallest_singular_value and hermitian_part_min_eig take band operators
+only and raise ValueError on anything else.  verify reads tridiagonal
+bottoms by the same bisection and the top of a symmetric operator given
+by its product by inverse Lanczos's own loop (_lanczos, through
+_top_eigenvalue).  The one dense
 routine left, eigenvalues (n <= 4000), is the benchmark's oracle; no
 library or verify path calls it.
 """
@@ -49,13 +45,8 @@ class SolverError(RuntimeError):
 # for the pencil of _hermitian_pencil) and 2b + 1 diagonals, and the shift
 # and the singular value act on rows 0, b, 2b, ...
 BANDED_KINDS = ("L1_band", "H_band")
-# stop once the largest Ritz value moves by less than this, relatively:
-# measured values, and the warm-started scan's, which only pick the
-# bracket and start of Psi's refinement.  A warm start stalls in the
-# clustered edge shifts, where the error runs to 50 times the last change
-# (5e-5 at 1e-6); 1e-7 keeps it under 4e-6.
+# stop once the largest Ritz value moves by less than this, relatively
 _LANCZOS_RTOL = 1e-14
-_SCAN_RTOL = 1e-7
 _ARNOLDI_COUNT = 6      # eigenvalues nearest the shift, among which the bottom is chosen
 # Arnoldi computes Ritz pairs (an eig of its Hessenberg, which costs as much
 # as a few band solves) after 2 _ARNOLDI_COUNT steps, then every _RITZ_EVERY
@@ -196,11 +187,11 @@ def _start_vector(n):
     return v
 
 
-def _lanczos(apply, start, rtol, vector=False):
+def _lanczos(apply, start, vector=False):
     """Hermitian Lanczos with full reorthogonalization (twice is enough) on
     the operator apply, from start.  Stops when the largest Ritz value
-    theta changes by less than relative rtol, or the Krylov space is
-    exhausted, and returns theta, or (theta, its Ritz vector) if vector:
+    theta changes by less than relative _LANCZOS_RTOL, or the Krylov space
+    is exhausted, and returns theta, or (theta, its Ritz vector) if vector:
     dstebz bisects the tridiagonal for theta at every step, and dstein
     reads its eigenvector once at the end."""
     n = len(start)
@@ -213,7 +204,7 @@ def _lanczos(apply, start, rtol, vector=False):
         tri.d[j] = theta = np.vdot(basis[j], z).real
         if j > 0:
             theta = _checked(tri.eigenvalue(j + 1, j + 1), "tridiagonal bisection")
-        if abs(theta - prev) <= rtol * abs(theta) or j == n - 1:
+        if abs(theta - prev) <= _LANCZOS_RTOL * abs(theta) or j == n - 1:
             break
         prev = theta
         q = basis[:j + 1]
@@ -233,49 +224,28 @@ def _lanczos(apply, start, rtol, vector=False):
     return theta, _checked(tri.vector(), "tridiagonal eigenvector") @ basis[:j + 1]
 
 
-def _banded_smin(m, shift, start=None, rtol=_LANCZOS_RTOL, slope=False):
+def _banded_smin(m, shift, slope=False):
     """Inverse Lanczos: _lanczos on X^H X, X the x-row block of
-    (M - i shift)^{-1}, from start (default: the fixed start vector), to
-    relative change rtol; returns theta^{-1/2} for the top Ritz value
-    theta; given a start, (theta^{-1/2}, top Ritz vector), the start for
-    a nearby shift; with slope, (theta^{-1/2}, ds/dshift).
+    (M - i shift)^{-1}, from the fixed start vector, to relative change
+    _LANCZOS_RTOL; returns theta^{-1/2} for the top Ritz value theta, and
+    with slope (theta^{-1/2}, ds/dshift).
 
     Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
-    which is 0.998 at the scan's edge shifts, where the bottom singular
-    values cluster.  From the fixed start, Lanczos reaches the default
-    1e-14 there in about 30 to 260 steps, and in 7 to 10 steps near the
-    resolvent peak; that cold call measures every reported value.  The
-    scan's shifts only locate minima, so scan_smin runs them to 1e-7,
-    each warm-started from the previous shift's Ritz vector.
+    which is 0.998 at shifts far from the resolvent peak, where the bottom
+    singular values cluster.  From the fixed start, Lanczos reaches 1e-14
+    there in about 30 to 260 steps, and in 7 to 10 steps near the peak,
+    where Psi's secant measures.
     """
     solve = _band_lu(m, 1j * shift)
-    q = _start_vector(m.grid.n) if start is None else start
-    vector = start is not None or slope
-    out = _lanczos(lambda v: solve(solve(v, False), True), q, rtol, vector=vector)
-    if not vector:
+    out = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n),
+                   vector=slope)
+    if not slope:
         return 1.0 / math.sqrt(out)
     theta, y = out
-    if not slope:
-        return 1.0 / math.sqrt(theta), y
     # s = 1/sigma_max(X) and dX/dshift = i X^2 give ds = Im(y^H X y)/||X y||
     w = solve(y, False)
     return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag
                                          / (np.linalg.norm(y) * np.linalg.norm(w)))
-
-
-def scan_smin(m, shifts):
-    """s_min(M - i shift) of a banded operator at each shift in turn, to
-    locate minima, not to measure them: the inverse Lanczos of
-    smallest_singular_value stopped at relative change _SCAN_RTOL, each
-    shift started from the previous shift's top Ritz vector and the first
-    from the fixed start vector.  Values lie within about 4e-6 relative
-    of smallest_singular_value's (the tests hold 1e-5)."""
-    _check_band(m, "scan_smin")
-    start = _start_vector(m.grid.n)
-    vals = np.empty(len(shifts))
-    for i, shift in enumerate(shifts):
-        vals[i], start = _banded_smin(m, shift, start=start, rtol=_SCAN_RTOL)
-    return vals
 
 
 def bottom_eigenvalue(m, shift):
@@ -325,7 +295,7 @@ def bottom_eigenvalue(m, shift):
 def _top_eigenvalue(matvec, n):
     """Largest eigenvalue of a real symmetric n x n operator given by its
     product, by _lanczos from the fixed start vector."""
-    return _lanczos(matvec, _start_vector(n).real, _LANCZOS_RTOL)
+    return _lanczos(matvec, _start_vector(n).real)
 
 
 def _hermitian_pencil(m):
@@ -342,7 +312,7 @@ def _hermitian_pencil(m):
     hx[:, 4], hx[:, 5] = x[:, 3] / 2, x[:, 3].conj() / 2
     hy[:, 0], hy[:, 2], hy[:, 3], hy[:, 6] = y[:, 0], y[:, 1], y[:, 2], y[:, 4]
     hw[:, 0], hw[:, 1], hw[:, 3], hw[:, 6] = y[:, 0], y[:, 1].conj(), y[:, 2], y[:, 4]
-    return OperatorMatrix(kind=m.kind, grid=m.grid, mode=m.mode, data=data)
+    return OperatorMatrix(kind=m.kind, grid=m.grid, data=data)
 
 
 def hermitian_part_min_eig(m):

@@ -137,9 +137,16 @@ def sigma(r):
 
 
 def sigma_prime(r):
-    """d sigma/dr = (2/r)(e^{-u} - sigma) = -(8/r^3) E0(u), u = r^2/4; r > 0."""
+    """d sigma/dr = (2/r)(e^{-u} - sigma) = -(8/r^3) E0(u), u = r^2/4; r > 0.
+    Below u = 1/2 it reads E0's series over r^3, -(r/2) e^{-u} G(u), which
+    tends to -r/4 without the underflow of u^2 and r^3."""
     a, scalar = _realarr(r, "r", positive=True)
-    return _ret(-8 / a ** 3 * E0(a * a / 4), scalar)
+    u = a * a / 4
+    out = np.empty_like(u)
+    small = u < 0.5
+    out[small] = -a[small] / 2 * np.exp(-u[small]) * _horner(_G_C, u[small])
+    out[~small] = -8 / a[~small] ** 3 * E0(u[~small])
+    return _ret(out, scalar)
 
 
 def g(r):

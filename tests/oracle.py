@@ -19,7 +19,11 @@ array as before:
   Dirichlet-truncated kernel (kind "K_truncated") and -d^2/dr^2 (kind
   "D2"), against which verify's O(n) kernel form and the stencil bands
   are checked;
-- search_constants: verify's constant search over the full 25 x 25 grid.
+- search_constants: verify's constant search over the full 25 x 25 grid;
+- psi_scan and psi_window_scan: Psi by a cold scan of s_min over given
+  shifts (or 16 shifts over analysis's window, r_c [0.65, 1.35]), whose
+  lowest interior minimum analysis._slope_min refines on cold slopes, as
+  the bound did before its secant started at the critical radius.
 """
 
 import math
@@ -28,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from oseenspec import operators, solver
+from oseenspec import analysis, operators, solver, specfun
 from oseenspec.grids import OperatorMatrix, stencil_bands
 
 
@@ -107,14 +111,14 @@ def assemble_K_truncated(k, r_k, grid):
     block = (grid.h / (2 * k)) * (ratio ** k - np.outer(ri, ri) ** k / r_k ** (2 * k)) \
         * np.sqrt(np.outer(ri, ri))
     m[np.ix_(inside, inside)] = block
-    return OperatorMatrix(kind="K_truncated", grid=grid, mode=None, data=m)
+    return OperatorMatrix(kind="K_truncated", grid=grid, data=m)
 
 
 def second_derivative_stencil(grid):
     """stencil_bands as a dense (n, n) matrix."""
     diag, off = stencil_bands(grid)
     m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return OperatorMatrix(kind="D2", grid=grid, mode=None, data=m)
+    return OperatorMatrix(kind="D2", grid=grid, data=m)
 
 
 def search_constants(term1, term2, rhs):
@@ -128,3 +132,27 @@ def search_constants(term1, term2, rhs):
             if np.all(c1 * term1 + c2 * term2 >= rhs):
                 best = max(c1, c2)
     return best
+
+
+def psi_scan(m, shifts):
+    """(Psi, lambda*, curvature) of a band: s_min measured cold at each
+    shift, and the lowest interior minimum refined by analysis._slope_min on
+    cold slopes within its two neighbours, from that shift; None if no
+    shift is an interior minimum, or if the slopes find none inside."""
+    shifts = np.asarray(shifts, dtype=float)
+    vals = np.array([solver.smallest_singular_value(m, lam) for lam in shifts])
+    inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    if inner.size == 0:
+        return None
+    i = inner[np.argmin(vals[inner])]
+    a, b = sorted((shifts[i - 1], shifts[i + 1]))
+    return analysis._slope_min(analysis._cold_slope(m), a, b, shifts[i])
+
+
+def psi_window_scan(m, mode):
+    """psi_scan over 16 shifts lam = beta_k sigma(r), r over r_c [0.65, 1.35],
+    r_c = max(2.7 |beta_k|^{1/6}, 4, 2 sqrt|k|) as analysis._psi_window
+    places it."""
+    r_c = max(analysis._CRITICAL * abs(mode.beta_k) ** (1.0 / 6.0), 4.0,
+              2.0 * math.sqrt(abs(mode.k)))
+    return psi_scan(m, mode.beta_k * specfun.sigma(r_c * np.linspace(0.65, 1.35, 16)))

@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import oracle
 from oseenspec import analysis, operators, solver, specfun, verify
 from oseenspec.grids import Field, ModeSpec, default_grid, make_grid, quadrature
 
@@ -189,38 +190,34 @@ def test_psi_grid_contains_the_critical_radius(beta_1):
     assert abs(res.psi_bound - far.psi_bound) <= 1e-5 * far.psi_bound
 
 
-def test_psi_refined_level_falls_back_to_the_full_scan(monkeypatch, psi_1e2):
-    # a refined level starts the secant from the coarser level's minimizer
-    # and curvature, and scans nothing while it succeeds; when it fails,
-    # that level scans the same 16-shift window the first level scanned
-    scan, secant, calls = analysis._scan_psi, analysis._slope_min, []
+def test_psi_levels_start_at_the_critical_radius_then_at_the_coarser_minimum(
+        monkeypatch, psi_1e2):
+    # every level runs the one secant, bracketed by the window's ends: the
+    # first from the shift of the critical radius with no curvature, each
+    # refined level from the coarser level's lambda* and curvature
+    secant, calls = analysis._slope_min, []
 
-    def counted_scan(matrix, lams):
-        calls.append((matrix.grid.n, len(lams)))
-        return scan(matrix, lams)
+    def recorded(fn, a, b, x, curvature=None):
+        calls.append(((a, b), x, curvature, secant(fn, a, b, x, curvature)))
+        return calls[-1][-1]
 
-    def refined_start_fails(fn, a, b, x, curvature=None):
-        return None if curvature is not None else secant(fn, a, b, x)
-
-    monkeypatch.setattr(analysis, "_scan_psi", counted_scan)
-    analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
-    assert calls == [(600, 16)]
-    calls.clear()
-    monkeypatch.setattr(analysis, "_slope_min", refined_start_fails)
-    res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
-    assert calls[:2] == [(600, 16), (1200, 16)]
-    assert res.converged and res.grid_n == psi_1e2.grid_n
-    assert abs(res.psi_bound - psi_1e2.psi_bound) <= 1e-6 * psi_1e2.psi_bound
-    assert abs(res.lambda_star - psi_1e2.lambda_star) <= 1e-3 * psi_1e2.lambda_star
+    monkeypatch.setattr(analysis, "_slope_min", recorded)
+    mode = ModeSpec(alpha=EIGHT_PI * 1e2, k=1)
+    res = analysis.pseudospectral_bound(mode)
+    edge, far, centre = analysis._psi_window(mode)
+    assert len(calls) == 2 and all(call[0] == (far, edge) for call in calls)
+    assert calls[0][1:3] == (centre, None)
+    assert calls[1][1:3] == calls[0][3][1:]
+    assert (res.psi_bound, res.lambda_star) == calls[1][3][:2]
+    assert (res.psi_bound, res.lambda_star, res.grid_n) == (
+        psi_1e2.psi_bound, psi_1e2.lambda_star, psi_1e2.grid_n)
 
 
 def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
-    # a level whose scan finds no interior minimum, and whose secant finds
-    # none either, reports s_min at the window's first shift,
-    # beta_k sigma(0.65 r_c) with r_c = 2.7 beta_1^{1/6}, measured cold,
-    # and flags the bound
+    # a level whose secant finds no minimum inside the window reports
+    # s_min at the window's 0.65 r_c end, beta_k sigma(0.65 r_c) with
+    # r_c = 2.7 beta_1^{1/6}, measured cold, and flags the bound
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
-    monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams: None)
     monkeypatch.setattr(analysis, "_slope_min", lambda fn, a, b, x, curvature=None: None)
     res = analysis.pseudospectral_bound(mode, grid)
     edge = 1e2 * specfun.sigma(0.65 * 2.7 * 1e2 ** (1 / 6))
@@ -231,36 +228,52 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
 
 
 def test_psi_secant_from_the_window_edge_finds_the_minimum(monkeypatch):
-    # with only the scan stubbed, the first level reports the window's
-    # first shift, an edge of the window, and the next level starts the
+    # with the first level's secant stubbed to find nothing, that level
+    # reports the window's 0.65 r_c end, and the next level starts the
     # secant there, with no curvature and the whole window as its bracket:
     # it finds the minimum inside the window, the value a bound started on
     # that level's grid reports, and the bound stays flagged
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
-    lams = analysis._psi_window(mode)
-    monkeypatch.setattr(analysis, "_scan_psi", lambda matrix, lams: None)
+    edge, far, _ = analysis._psi_window(mode)
+    secant, starts = analysis._slope_min, []
+
+    def first_fails(fn, a, b, x, curvature=None):
+        starts.append((x, curvature))
+        return None if len(starts) == 1 else secant(fn, a, b, x, curvature)
+
+    monkeypatch.setattr(analysis, "_slope_min", first_fails)
     res = analysis.pseudospectral_bound(mode, grid)
     monkeypatch.undo()
+    assert starts[1] == (edge, None)
     ref = analysis.pseudospectral_bound(mode, default_grid(n=600))
     assert not res.converged and ref.converged
     assert res.grid_n == ref.grid_n == 1200
-    assert lams[-1] < res.lambda_star < lams[0]
+    assert far < res.lambda_star < edge
     assert abs(res.psi_bound - ref.psi_bound) <= 1e-6 * ref.psi_bound
     assert abs(res.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * ref.lambda_star
 
 
+def _first_level(mode, grid):
+    # (Psi, lambda*, curvature) of a bound's first level on the grid: the
+    # cold slope secant from the critical radius, bracketed by the window
+    band = operators.assemble_banded(mode, grid)
+    edge, far, centre = analysis._psi_window(mode)
+    return analysis._slope_min(analysis._cold_slope(band), *sorted((edge, far)), centre)
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
-    # at beta_k = 1e6 the full window's scan has about 11 interior minima;
-    # refining every one of them measures nothing below the one _scan_psi
-    # refines, the lowest, in its single slope refinement, whether or not
-    # that refinement finds a minimum inside its bracket
-    mode = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k)
-    band = operators.assemble_banded(mode, default_grid(n=300))
+def test_psi_lowest_scan_minimum_is_the_refined_minimum(k):
+    # at beta_k = 1e6 a cold scan over beta_k [-0.2, 1.2] has about 11
+    # interior minima; refining every one of them measures nothing below
+    # what the first level's secant, started at the critical radius,
+    # refines to
+    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k), default_grid(n=300)
+    band = operators.assemble_banded(mode, grid)
     lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
-    vals = solver.scan_smin(band, lams)
+    vals = np.array([solver.smallest_singular_value(band, lam) for lam in lams])
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     assert inner.size >= 10
+    psi, _, _ = _first_level(mode, grid)
     measured = []
 
     def cold(lam):
@@ -268,38 +281,10 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(monkeypatch, k):
         measured.append(s)
         return s, ds
 
-    secant, brackets = analysis._slope_min, []
-
-    def counted(fn, a, b, x, curvature=None):
-        brackets.append((a, b))
-        return secant(fn, a, b, x, curvature)
-
-    monkeypatch.setattr(analysis, "_slope_min", counted)
-    psi, _, _ = analysis._scan_psi(band, lams)
-    lowest = inner[np.argmin(vals[inner])]
-    assert brackets == [tuple(sorted((lams[lowest - 1], lams[lowest + 1])))]
     for i in inner:
         a, b = sorted((lams[i - 1], lams[i + 1]))
-        measured.clear()
-        secant(cold, a, b, lams[i])
-        assert min(measured) >= psi
-
-
-def _scans_and_reference(monkeypatch, mode, grid):
-    # every (n, shifts, result) of _scan_psi in one bound, and (Psi,
-    # lambda*) refined from the 64-shift window over beta_k [-0.2, 1.2] on
-    # the first level's band, the reference for the one window
-    scan, scans = analysis._scan_psi, []
-
-    def recorded(matrix, lams):
-        hit = scan(matrix, lams)
-        scans.append((matrix.grid.n, len(lams), hit))
-        return hit
-
-    monkeypatch.setattr(analysis, "_scan_psi", recorded)
-    analysis.pseudospectral_bound(mode, grid)
-    band = operators.assemble_banded(mode, grid)
-    return scans, scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))[:2]
+        analysis._slope_min(cold, a, b, lams[i])
+    assert min(measured) >= psi * (1.0 - 1e-7)
 
 
 @pytest.mark.parametrize("k,beta_k,off_law", [(1, 1e6, False), (2, 1e6, False),
@@ -311,44 +296,47 @@ def _scans_and_reference(monkeypatch, mode, grid):
                                               (7, 0.3, True), (8, 0.1, True),
                                               (-8, -10.0, True)])
 def test_psi_short_window_finds_the_full_window_minimum(monkeypatch, k, beta_k, off_law):
-    # the one scan, 16 shifts placed by the critical radius, refines to the
-    # minimum the 64-shift window over beta_k [-0.2, 1.2] refines on the
-    # same band, with no rescan: also at beta_k = 1e6, where that window has
-    # 10 or more interior minima, and where r* is off its law
-    # 2.70 |beta_k|^{1/6} (off_law: |beta_k| <= 100, where the window finds
-    # it by its width and the floor max(4, 2 sqrt|k|) of r_c; with the
-    # floor 4 alone, |k| = 7 and 8 find no interior minimum)
+    # the first level's secant, started at the critical radius and
+    # bracketed by the window, reaches the minimum that oracle.psi_scan
+    # refines from a cold 64-shift scan over beta_k [-0.2, 1.2] on the same
+    # band: also at beta_k = 1e6, where that scan has 10 or more interior
+    # minima, and where r* is off its law 2.70 |beta_k|^{1/6} (off_law:
+    # |beta_k| <= 100, where the window finds it by its width and the floor
+    # max(4, 2 sqrt|k|) of r_c; with the floor 4 alone, |k| = 7 and 8 find
+    # no interior minimum)
     mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k), default_grid(n=300)
-    [(n, points, hit)], (psi, lam) = _scans_and_reference(monkeypatch, mode, grid)
-    assert (n, points) == (grid.n, 16) and hit is not None
+    secant, levels = analysis._slope_min, []
+
+    def recorded(fn, a, b, x, curvature=None):
+        levels.append(secant(fn, a, b, x, curvature))
+        return levels[-1]
+
+    monkeypatch.setattr(analysis, "_slope_min", recorded)
+    analysis.pseudospectral_bound(mode, grid)
+    monkeypatch.undo()
+    hit = _first_level(mode, grid)
+    band = operators.assemble_banded(mode, grid)
+    psi, lam, _ = oracle.psi_scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))
+    assert levels[0] == hit
     assert abs(hit[0] - psi) <= 1e-7 * psi
     assert abs(hit[1] - lam) <= analysis._REFINE_TOL * max(abs(lam), 1.0)
     ratio = specfun.sigma_inverse(lam / mode.beta_k) / abs(mode.beta_k) ** (1 / 6)
     assert (abs(ratio - 2.7) > 0.1) == off_law
 
 
-def test_psi_window_of_three_refine_widths_measures_its_edge(monkeypatch):
+def test_psi_window_of_three_refine_widths_measures_its_edge():
     # at (k, beta_k) = (5, +-1e-2) the window spans 3.1e-3, three refine
     # widths: the refined level's secant, started within one refine width
     # of the window's edge, closes its bracket on that edge after one
     # slope; one cold measurement at the edge, whose slope points into the
-    # bracket, settles it, so the bound scans once in all, and reports what
-    # a scan of the window on its finest grid refines to
-    scan, scans = analysis._scan_psi, []
-
-    def counted(matrix, lams):
-        scans.append((matrix.grid.n, len(lams)))
-        return scan(matrix, lams)
-
-    monkeypatch.setattr(analysis, "_scan_psi", counted)
+    # bracket, settles it, and the bound reports what a cold scan of the
+    # window on its finest grid refines to
     for beta_k in (1e-2, -1e-2):
         mode, grid = ModeSpec(alpha=EIGHT_PI * beta_k / 5, k=5), default_grid(n=300)
-        scans.clear()
         res = analysis.pseudospectral_bound(mode, grid)
-        assert scans == [(300, 16)]
         assert res.converged and res.grid_n == 600
         band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
-        psi, lam, _ = scan(band, analysis._psi_window(mode))
+        psi, lam, _ = oracle.psi_window_scan(band, mode)
         assert abs(res.psi_bound - psi) <= 1e-7 * psi
         assert abs(res.lambda_star - lam) <= analysis._REFINE_TOL
 
@@ -372,11 +360,10 @@ def test_slope_min_reaches_the_refine_width_in_fewer_calls_than_golden(fn, dfn, 
                                                                        argmin):
     # a quadratic, an asymmetric smooth minimum, a minimum next to the
     # bracket's end, and one off the centre of a bracket away from the
-    # origin, each started as _scan_psi starts it, from a point no higher
-    # than the bracket's ends: the slope secant stops within
-    # _REFINE_TOL max(|lambda*|, 1) of the minimizer, returns its lowest
-    # evaluation, and evaluates less often than golden section takes to
-    # shrink the same bracket to that width
+    # origin, each started from a point no higher than the bracket's ends:
+    # the slope secant stops within _REFINE_TOL max(|lambda*|, 1) of the
+    # minimizer, returns its lowest evaluation, and evaluates less often
+    # than golden section takes to shrink the same bracket to that width
     assert fn(x) <= min(fn(a), fn(b))
     calls = []
 
@@ -417,9 +404,11 @@ def test_psi_lambda_star_is_the_zero_of_the_slope():
     # so a width relative to the window's ends would be 2.4 times too
     # loose, and at beta_1 = 3e7, where a refined level that stopped on
     # the coarser level's curvature kept its wrong minimum (lambda* 67929,
-    # 3.6% high, against the zero of s' at 53146); the zero is found here
-    # by bisection on cold slopes
-    for beta_1, grid_n in ((1e6, 1200), (3e7, 2400)):
+    # 3.6% high, against the zero of s' at 53146), and whose first level
+    # now runs on the n floor ceil(r_max |beta_1|^{1/6}) = 1181, so that
+    # h <= |beta_1|^{-1/6}; the zero is found here by bisection on cold
+    # slopes
+    for beta_1, grid_n in ((1e6, 1200), (3e7, 2362)):
         mode = ModeSpec(alpha=EIGHT_PI * beta_1, k=1)
         res = analysis.pseudospectral_bound(mode)
         assert res.converged and res.grid_n == grid_n
@@ -477,16 +466,20 @@ def test_psi_below_sigma(sigma_ladder, psi_1e2):
                                       (2, 1e4), (2, -1e3), (3, 1e5), (-3, -1e2),
                                       (5, 3e4)])
 def test_psi_reported_values_do_not_depend_on_the_scan(monkeypatch, k, beta_k):
-    # the scan only picks brackets: a scan measured cold at 1e-14, shift by
-    # shift, reports the same Psi, lambda*, n and flag to the last bit
+    # a bound whose first level starts its secant at what a cold 16-shift
+    # scan of the window refines to, as Psi started it when it scanned,
+    # reports Psi within 1e-7, lambda* within the refine width, and the
+    # same n and flag as the bound started at the critical radius
     mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
     grid = default_grid(n=300)
     got = analysis.pseudospectral_bound(mode, grid)
-    monkeypatch.setattr(solver, "scan_smin", lambda m, shifts: np.array(
-        [solver.smallest_singular_value(m, lam) for lam in shifts]))
+    edge, far, _ = analysis._psi_window(mode)
+    scan = oracle.psi_window_scan(operators.assemble_banded(mode, grid), mode)
+    monkeypatch.setattr(analysis, "_psi_window", lambda m: (edge, far, scan[1]))
     ref = analysis.pseudospectral_bound(mode, grid)
-    assert ((got.psi_bound, got.lambda_star, got.grid_n, got.converged)
-            == (ref.psi_bound, ref.lambda_star, ref.grid_n, ref.converged))
+    assert abs(got.psi_bound - ref.psi_bound) <= 1e-7 * ref.psi_bound
+    assert abs(got.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * abs(ref.lambda_star)
+    assert (got.grid_n, got.converged) == (ref.grid_n, ref.converged)
 
 
 def test_combined_bounds_at_zero_alpha():
@@ -718,8 +711,8 @@ def test_bound_grid_policy():
     for k, beta_k in [(1, 1e-2), (1, 1.0), (1, 1e2), (1, 2.4e5), (1, -2.4e5), (1, 1e6),
                       (1, 3e7), (1, -1e9), (8, 1e-2), (-8, -10.0), (5, 2.4e5)]:
         window_mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
-        lams = analysis._psi_window(window_mode)
-        top = specfun.sigma_inverse(lams[-1] / beta_k)
+        _, far, _ = analysis._psi_window(window_mode)
+        top = specfun.sigma_inverse(far / beta_k)
         r_c = max(2.7 * abs(beta_k) ** (1 / 6), 4.0, 2.0 * abs(k) ** 0.5)
         assert top == pytest.approx(1.35 * r_c, rel=1e-6)
         assert top < analysis.bound_grid(window_mode, "psi").r_max

@@ -60,7 +60,7 @@ def test_mode_conjugation_symmetry(grid600):
 def _tridiagonal_band(grid, diag, off):
     data = np.zeros((grid.n, 3), dtype=complex)
     data[1:, 0], data[:, 1], data[:-1, 2] = off, diag, off
-    return OperatorMatrix(kind="L1_band", grid=grid, mode=None, data=data)
+    return OperatorMatrix(kind="L1_band", grid=grid, data=data)
 
 
 def test_smallest_singular_value_identity():
@@ -162,15 +162,12 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
 
-def _interior_minima(vals):
-    # the scan minima of analysis._scan_psi; the first is the one refined
-    inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    return inner[np.argsort(vals[inner])].tolist()
-
-
-# the warm-started scan against the cold 1e-14 call at every shift of a
-# 64-shift window over beta_k [-0.2, 1.2], which holds Psi's scan window
-# and more interior minima: the oracle modes across beta_k = 1e2..1e5
+# a Psi bound's first level, the cold slope secant from the critical
+# radius bracketed by the window, against the minimum oracle.psi_scan
+# refines from a cold 64-shift scan over beta_k [-0.2, 1.2], which holds
+# that window and more interior minima: the oracle modes across beta_k =
+# 1e2..1e5 (the name dates from the warm-started scan this test once held
+# to cold calls)
 SCAN_CASES = [(k, sign, beta, n) for k, sign in ORACLE_MODES
               for beta in (1e2, 1e3, 1e4, 1e5) for n in (300, 600)]
 
@@ -179,16 +176,11 @@ SCAN_CASES = [(k, sign, beta, n) for k, sign in ORACLE_MODES
 def test_scan_smin_matches_cold_smin(k, sign, beta, n):
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
     band = operators.assemble_banded(mode, default_grid(n=n))
-    lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
-    got = solver.scan_smin(band, lams)
-    ref = np.array([solver.smallest_singular_value(band, lam) for lam in lams])
-    assert_allclose(got, ref, rtol=1e-5, atol=0)
-    assert _interior_minima(got) == _interior_minima(ref)
-
-
-def test_scan_smin_needs_a_banded_operator():
-    with pytest.raises(ValueError):
-        solver.scan_smin(np.eye(20, dtype=complex), [0.0, 1.0])
+    edge, far, centre = analysis._psi_window(mode)
+    psi, lam, _ = analysis._slope_min(analysis._cold_slope(band), *sorted((edge, far)), centre)
+    ref, ref_lam, _ = oracle.psi_scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))
+    assert abs(psi - ref) <= 1e-7 * ref
+    assert abs(lam - ref_lam) <= analysis._REFINE_TOL * max(abs(ref_lam), 1.0)
 
 
 @pytest.mark.parametrize("k,sign", [(1, 1.0), (-1, -1.0), (2, 1.0), (-3, 1.0)])
@@ -273,7 +265,7 @@ def test_bottom_eigenvalue_on_an_exhausted_krylov_space():
     rng = np.random.default_rng(3)
     grid = make_grid(16, 10.0)
     data = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    band = OperatorMatrix(kind="L1_band", grid=grid, mode=None, data=data)
+    band = OperatorMatrix(kind="L1_band", grid=grid, data=data)
     dense = np.diag(data[:, 1]) + np.diag(data[1:, 0], -1) + np.diag(data[:-1, 2], 1)
     ref = sla.eigvals(dense)
     ref = min(ref[np.argsort(np.abs(ref - 0.3))[:solver._ARNOLDI_COUNT]], key=lambda v: v.real)
@@ -281,7 +273,7 @@ def test_bottom_eigenvalue_on_an_exhausted_krylov_space():
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
     # two distinct eigenvalues: the space is invariant after two steps
     diag = np.where(np.arange(40) % 2 == 0, 1.0, 3.0 + 1j)
-    two = OperatorMatrix(kind="L1_band", grid=make_grid(40, 10.0), mode=None,
+    two = OperatorMatrix(kind="L1_band", grid=make_grid(40, 10.0),
                          data=np.stack([np.zeros(40), diag, np.zeros(40)], axis=1))
     assert solver.bottom_eigenvalue(two, 2.5 + 1j) == pytest.approx(1.0, rel=1e-12)
 
@@ -327,7 +319,7 @@ def _hidden_bottom_band(n=300, angle=1e-4):
     data[2:, 1] = np.concatenate([[0.01, 0.5, 0.6, 0.7, 0.8], np.geomspace(5.5, 1000.0, n - 7)])
     data[0, 1], data[1, 1] = block[0, 0], block[1, 1]
     data[1, 0] = data[0, 2] = block[0, 1]
-    return OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), mode=None, data=data)
+    return OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
 
 
 def test_ritz_guard_waits_for_a_hidden_bottom(monkeypatch):
@@ -355,7 +347,7 @@ def test_bottom_eigenvalue_holds_the_chosen_pair_to_1e14():
     n = 100
     data = np.zeros((n, 3), dtype=complex)
     data[:, 1] = np.concatenate([[-3.0, 0.5, 0.6, 0.7, 0.8, 0.9], np.geomspace(6.0, 100.0, n - 6)])
-    band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), mode=None, data=data)
+    band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
     assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(-3.0, rel=1e-12)
 
 
@@ -371,7 +363,7 @@ def test_start_vector_is_cached_and_read_only():
 
 def test_banded_smin_exact_singularity_raises():
     grid = make_grid(32, 10.0)
-    zero = OperatorMatrix(kind="L1_band", grid=grid, mode=None,
+    zero = OperatorMatrix(kind="L1_band", grid=grid,
                           data=np.zeros((32, 3), dtype=complex))
     with pytest.raises(solver.SolverError):
         solver.smallest_singular_value(zero, 0.0)
@@ -382,7 +374,7 @@ def test_all_zero_band_raises_solver_error(kind, rows, cols):
     # the LU's info != 0 branch: an exactly singular band stops at the
     # first zero pivot, which the bindings report and the solver raises
     n = 32
-    zero = OperatorMatrix(kind=kind, grid=make_grid(n, 10.0), mode=None,
+    zero = OperatorMatrix(kind=kind, grid=make_grid(n, 10.0),
                           data=np.zeros((rows * n, cols), dtype=complex))
     with pytest.raises(solver.SolverError, match="band LU failed"):
         solver.smallest_singular_value(zero, 0.0)

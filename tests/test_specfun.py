@@ -43,6 +43,14 @@ def test_sigma_prime_frozen_values():
     assert_allclose(sf.sigma_prime(1.0), SIGMA_PRIME_1, rtol=1e-14)
 
 
+@pytest.mark.parametrize("r", [1e-80, 1e-100, 1e-110, 1e-200])
+def test_sigma_prime_near_the_origin(r):
+    # sigma' = -r/4 + O(r^3): a form with u^2 over r^3 underflowed to
+    # -2.53e-81 at 1e-80, to -0.0 at 1e-100, and divided by zero at 1e-110
+    assert_allclose(sf.sigma_prime(r), -r / 4, rtol=1e-15)
+    assert_allclose(sf.sigma_prime(np.array([r, 2.0])), [-r / 4, SIGMA_PRIME_2], rtol=1e-14)
+
+
 def test_f_frozen_values():
     assert_allclose(sf.f(0.5), F_HALF, rtol=1e-13)
     assert_allclose(sf.f(1.0), F_1, rtol=1e-13)
