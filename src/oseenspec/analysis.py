@@ -33,18 +33,20 @@ brackets it at every beta_k surveyed, |k| up to 24.  Psi is a property of
 the straight operator (rotation does not preserve resolvent norms), so
 that path stays unrotated; it runs on the banded form of the straight
 operator, assembled once per grid level, where each shift costs one O(n)
-band LU.  Every level runs one safeguarded secant on s'(lam) = 0, with
-the window's ends as its bracket: smallest_singular_value measures s cold
-to 1e-14 together with its slope, read from the top singular vector the
-inverse Lanczos already holds.  The first level starts it at r_c, each
-refined level at the coarser level's lambda* and curvature, and a level
-stops only on a curvature measured on its own grid.  The peak has width
-|beta_k|^{-1/6} in r, so the first level runs on at least
-r_max |beta_k|^{1/6} points: on a coarser grid the secant from r_c can
-settle on a minimum the grid does not resolve and report it converged
-(up to 1.7% under the finer grids' Psi, |beta_k| >= 1.3e7 from
-n = 300).  The window and the refinement's width, 1e-3 max(|lambda*|, 1),
-are fixed.
+band LU.  Every level of every Psi bound, beta_k = 0 included, is one
+safeguarded secant on s'(lam) = 0, with the window's ends as its bracket
+(one shift at beta_k = 0) and no other path: a level whose slopes find
+no minimum inside reports the lowest s it measured, not converged.
+smallest_singular_value measures s cold to 1e-14 together with its
+slope, read from the top singular vector the inverse Lanczos already
+holds.  The first level starts it at r_c, each refined level at the
+coarser level's lambda* and curvature, and a level stops only on a
+curvature measured on its own grid.  The peak has width |beta_k|^{-1/6}
+in r, so the first level runs on at least r_max |beta_k|^{1/6} points:
+on a coarser grid the secant from r_c can settle on a minimum the grid
+does not resolve and report it converged (up to 1.7% under the finer
+grids' Psi, |beta_k| >= 1.3e7 from n = 300).  The window and the
+refinement's width, 1e-3 max(|lambda*|, 1), are fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
 bound functions' defaults and for the command line alike, and
@@ -212,13 +214,14 @@ def _slope_min(fn, a, b, x, curvature=None):
     tol = _REFINE_TOL max(|lam|, 1): the width is relative to lambda*, not
     to the bracket's ends.  A given curvature scales the first step only,
     so a coarser grid's minimum is never kept on its word.  Returns
-    (s, lam, c) at the lowest s evaluated, c the curvature the next grid
-    level starts from.  Where the bracket closes on a or b before any
-    slope was measured there, one more cold measurement at that edge
-    decides: a slope pointing into the bracket brackets the zero of s',
-    one pointing out means s' has no zero inside, and None is returned.
-    An [a, b] under 2 tol from the start is resolved by one slope, and its
-    measured point is returned."""
+    (s, lam, c, inside) at the lowest s evaluated, c the curvature the
+    next grid level starts from and inside whether s' has a zero in
+    [a, b].  Where the bracket closes on a or b before any slope was
+    measured there, one more measurement at that edge decides: a slope
+    pointing into the bracket brackets the zero of s', one pointing out
+    means s' has no zero inside, and (s, lam, None, False) is returned.
+    An [a, b] under 2 tol from the start, [0, 0] at beta_k = 0 among them,
+    is resolved by one slope, and its measured point is returned."""
     lo, hi = a, b
     lo_ds = hi_ds = None    # the slopes at lo and hi, once measured
     x = float(x)
@@ -251,7 +254,7 @@ def _slope_min(fn, a, b, x, curvature=None):
                 if s < best[0]:
                     best = (s, edge)
                 if ds > 0.0 if edge == a else ds < 0.0:
-                    return None
+                    return float(best[0]), float(best[1]), None, False
                 curvature = (ds - old[1]) / (edge - old[0])
             break
         step = -ds / curvature if curvature is not None and curvature > 0.0 else math.inf
@@ -260,12 +263,7 @@ def _slope_min(fn, a, b, x, curvature=None):
         done = local and abs(step) < 0.5 * tol
         before, last = last, step
         x += step
-    return float(best[0]), float(best[1]), curvature
-
-
-def _cold_slope(matrix):
-    """lam -> (s_min, its slope), each call a cold smallest_singular_value."""
-    return lambda lam: solver.smallest_singular_value(matrix, lam, slope=True)
+    return float(best[0]), float(best[1]), curvature, True
 
 
 def _psi_window(mode):
@@ -281,14 +279,16 @@ def _psi_window(mode):
 def pseudospectral_bound(mode, grid=None):
     """Psi(alpha, k) = min over real lam of s_min(H - i lam), with lam*.
 
-    For beta_k = 0 the operator is self-adjoint and the minimum sits at
-    lam = 0 (distance to the real spectrum).  Otherwise every level runs
-    _slope_min, a secant on the slope of s_min measured cold, to within
-    1e-3 max(|lambda*|, 1), bracketed by the ends of _psi_window: the
-    first level from the shift of the critical radius r_c with no
-    curvature, each refined level from the coarser level's lambda* and
-    curvature.  A level whose slopes find no minimum inside the window
-    reports s_min at its 0.65 r_c end, flagged as not converged.  Every
+    Every level runs _slope_min, a secant on the slope of s_min measured
+    cold, to within 1e-3 max(|lambda*|, 1), bracketed by the ends of
+    _psi_window: the first level from the shift of the critical radius
+    r_c with no curvature, each refined level from the coarser level's
+    lambda* and curvature.  At beta_k = 0 the operator is self-adjoint,
+    the window is the one shift 0, and one slope settles each level at
+    lambda* = 0: Psi is the distance to the real spectrum, Sigma to
+    rounding.  A level whose slopes find no minimum inside the window
+    reports the lowest s_min they measured, and the bound is then flagged
+    as not converged whatever the finer levels find.  Every
     value returned is measured by smallest_singular_value, and like any
     scan of lam the search probes finitely many shifts, those the secant
     measures: nothing uniform in lam is claimed.  The grid
@@ -300,11 +300,6 @@ def pseudospectral_bound(mode, grid=None):
     """
     if grid is None:
         grid = bound_grid(mode, "psi")
-    if mode.beta_k == 0.0:
-        res = spectral_bound(mode, grid)
-        return BoundResult(mode=mode, grid_n=res.grid_n, converged=res.converged,
-                           sigma_bound=res.sigma_bound, psi_bound=res.sigma_bound,
-                           lambda_star=0.0)
     floor = math.ceil(grid.r_max * abs(mode.beta_k) ** (1.0 / 6.0))
     if grid.n < floor:
         grid = make_grid(floor, grid.r_max)
@@ -314,12 +309,13 @@ def pseudospectral_bound(mode, grid=None):
     def step(g, prev):
         matrix = operators.assemble_banded(ModeSpec(alpha=mode.alpha, k=mode.k), g)
         start, curvature, inside = (centre, None, True) if prev is None else prev[1:]
-        hit = _slope_min(_cold_slope(matrix), *window, start, curvature)
-        if hit is None:
+        s, lam, curvature, found = _slope_min(
+            lambda shift: solver.smallest_singular_value(matrix, shift),
+            *window, start, curvature)
+        if not found:
             logger.warning("no interior resolvent minimum for alpha=%g k=%d",
                            mode.alpha, mode.k)
-            return solver.smallest_singular_value(matrix, edge), edge, None, False
-        return hit + (inside,)
+        return s, lam, curvature, inside and found
 
     (psi, lam_star, _, inside), n, converged = _grid_doubling(grid, step, "psi", mode)
     return BoundResult(mode=mode, grid_n=n, converged=converged and inside,

@@ -14,9 +14,10 @@ shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
 bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
 |k| >= 2 by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures
 a shift cold, from a fixed start vector, to relative 1e-14, and so
-measures every shift of Psi's secant and every value a Psi bound reports,
-with the slope ds/dshift that the secant runs on, read from the top Ritz
-vector at the cost of one more band solve.  bottom_eigenvalue,
+measures every shift of Psi's secant and every value a Psi bound reports;
+smallest_singular_value returns each s with the slope ds/dshift that the
+secant runs on, read from the top Ritz vector at the cost of one more
+band solve.  bottom_eigenvalue,
 smallest_singular_value and hermitian_part_min_eig take band operators
 only and raise ValueError on anything else.  verify reads tridiagonal
 bottoms by the same bisection and the top of a symmetric operator given
@@ -98,19 +99,17 @@ def _check_band(m, routine):
         raise ValueError("%s needs a banded operator (kind in %s)" % (routine, BANDED_KINDS))
 
 
-def smallest_singular_value(m, shift=0.0, slope=False):
-    """s_min(M - i shift I) = 1/||(M - i shift)^{-1}|| of a banded operator,
-    through one band LU and the inverse Lanczos iteration, with no size
-    cap; for the pencil kind this is s_min of its Schur complement
-    H - i shift.  With slope, returns (s_min, ds_min/dshift), the slope
-    from the top Ritz vector y of X^H X, X = (M - i shift)^{-1}, and one
-    more band solve: with w = X y / ||X y||, ds/dshift = Im(y^H w).  It
-    holds for both kinds, since the shift acts on the x rows only.  Psi's
-    refinement measures every shift this way, and the value is bitwise
-    the one without the slope.  An exactly singular M - i shift raises
-    SolverError."""
+def smallest_singular_value(m, shift=0.0):
+    """(s_min, ds_min/dshift) of M - i shift I for a banded operator, where
+    s_min = 1/||(M - i shift)^{-1}||, through one band LU and the inverse
+    Lanczos iteration, with no size cap; for the pencil kind this is s_min
+    of its Schur complement H - i shift.  The slope comes from the top Ritz
+    vector y of X^H X, X = (M - i shift)^{-1}, and one more band solve:
+    with w = X y / ||X y||, ds/dshift = Im(y^H w).  It holds for both
+    kinds, since the shift acts on the x rows only.  An exactly singular
+    M - i shift raises SolverError."""
     _check_band(m, "smallest_singular_value")
-    return _banded_smin(m, shift, slope=slope)
+    return _banded_smin(m, shift)
 
 
 def _band_lu(m, z):
@@ -224,11 +223,11 @@ def _lanczos(apply, start, vector=False):
     return theta, _checked(tri.vector(), "tridiagonal eigenvector") @ basis[:j + 1]
 
 
-def _banded_smin(m, shift, slope=False):
+def _banded_smin(m, shift):
     """Inverse Lanczos: _lanczos on X^H X, X the x-row block of
     (M - i shift)^{-1}, from the fixed start vector, to relative change
-    _LANCZOS_RTOL; returns theta^{-1/2} for the top Ritz value theta, and
-    with slope (theta^{-1/2}, ds/dshift).
+    _LANCZOS_RTOL; returns (theta^{-1/2}, ds/dshift) for the top Ritz
+    value theta and its Ritz vector.
 
     Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
     which is 0.998 at shifts far from the resolvent peak, where the bottom
@@ -237,11 +236,8 @@ def _banded_smin(m, shift, slope=False):
     where Psi's secant measures.
     """
     solve = _band_lu(m, 1j * shift)
-    out = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n),
-                   vector=slope)
-    if not slope:
-        return 1.0 / math.sqrt(out)
-    theta, y = out
+    theta, y = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n),
+                        vector=True)
     # s = 1/sigma_max(X) and dX/dshift = i X^2 give ds = Im(y^H X y)/||X y||
     w = solve(y, False)
     return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag

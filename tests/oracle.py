@@ -26,6 +26,7 @@ array as before:
   the bound did before its secant started at the critical radius.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -140,13 +141,15 @@ def psi_scan(m, shifts):
     cold slopes within its two neighbours, from that shift; None if no
     shift is an interior minimum, or if the slopes find none inside."""
     shifts = np.asarray(shifts, dtype=float)
-    vals = np.array([solver.smallest_singular_value(m, lam) for lam in shifts])
+    vals = np.array([solver.smallest_singular_value(m, lam)[0] for lam in shifts])
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if inner.size == 0:
         return None
     i = inner[np.argmin(vals[inner])]
     a, b = sorted((shifts[i - 1], shifts[i + 1]))
-    return analysis._slope_min(analysis._cold_slope(m), a, b, shifts[i])
+    hit = analysis._slope_min(functools.partial(solver.smallest_singular_value, m), a, b,
+                              shifts[i])
+    return hit[:3] if hit[3] else None
 
 
 def psi_window_scan(m, mode):

@@ -2,12 +2,14 @@
 
 A case (k, beta_k, n) is the mode k at alpha = 8 pi beta_k / k, each bound
 run by the library's protocol from bound_grid at base resolution n.  Every
-case is held to four properties, each a check that can fail:
+case is held to five properties, each a check that can fail:
 
 - psi_above_scan: (Psi - P)/P <= 1e-6, P what oracle.psi_window_scan, a
   cold scan of 16 shifts over the window r_c [0.65, 1.35] on the bound's
   own final grid, refines to (inf if that scan finds no interior minimum);
 - lambda_ratio: 0 < lambda*/beta_k < 1;
+- psi_interior: every level's secant (analysis._slope_min) found a minimum
+  inside the window; the value counts the levels whose secant did not;
 - psi_over_sigma: Psi/Sigma <= 1;
 - range_over_sigma: R/Sigma <= 1, R the numerical-range bound.
 
@@ -60,6 +62,7 @@ LISTS = {"LARGE": LARGE, "SMALL": SMALL, "FLOOR": FLOOR, "SLICE": SLICE}
 PROPERTIES = {
     "psi_above_scan": lambda v: v <= 1e-6,
     "lambda_ratio": lambda v: 0.0 < v < 1.0,
+    "psi_interior": lambda v: v == 0,
     "psi_over_sigma": lambda v: v <= 1.0,
     "range_over_sigma": lambda v: v <= 1.0,
 }
@@ -71,11 +74,11 @@ def measure(k, beta_k, n):
     calls of its Psi bound."""
     mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
     grid = analysis.bound_grid(mode, "psi", n)
-    psi, calls = _counted_psi(mode, grid)
+    psi, calls, outside = _counted_psi(mode, grid)
     band = operators.assemble_banded(mode, make_grid(psi.grid_n, grid.r_max))
     fresh = oracle.psi_window_scan(band, mode)
     out = {"psi_above_scan": math.inf if fresh is None else (psi.psi_bound - fresh[0]) / fresh[0],
-           "lambda_ratio": psi.lambda_star / mode.beta_k}
+           "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside}
     if abs(beta_k) >= 1:
         sigma = analysis.sweep_point(mode, "sigma", analysis.bound_grid(mode, "sigma", n)).value
         rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n)).value
@@ -84,19 +87,27 @@ def measure(k, beta_k, n):
 
 
 def _counted_psi(mode, grid):
-    """pseudospectral_bound(mode, grid) and its number of cold
-    smallest_singular_value calls."""
+    """pseudospectral_bound(mode, grid), its number of cold
+    smallest_singular_value calls, and the number of its levels whose
+    secant found no minimum inside the window."""
     cold, calls = solver.smallest_singular_value, []
+    secant, outside = analysis._slope_min, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return cold(*args, **kwargs)
 
-    solver.smallest_singular_value = counted
+    def recorded(*args, **kwargs):
+        hit = secant(*args, **kwargs)
+        if not hit[3]:
+            outside.append(args)
+        return hit
+
+    solver.smallest_singular_value, analysis._slope_min = counted, recorded
     try:
-        return analysis.pseudospectral_bound(mode, grid), len(calls)
+        return analysis.pseudospectral_bound(mode, grid), len(calls), len(outside)
     finally:
-        solver.smallest_singular_value = cold
+        solver.smallest_singular_value, analysis._slope_min = cold, secant
 
 
 def failures(case, values):

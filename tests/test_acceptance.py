@@ -130,7 +130,7 @@ def test_criterion_07_quasimode_sharpness():
         scaled[b] = ratio / b ** (1.0 / 3.0)
         lam_q = b * specfun.sigma(r1)
         mode = ModeSpec(alpha=EIGHT_PI * b, k=1)
-        s_min = solver.smallest_singular_value(operators.assemble_banded(mode, grid), lam_q)
+        s_min, _ = solver.smallest_singular_value(operators.assemble_banded(mode, grid), lam_q)
         if grid.n <= 1200:
             # the dense oracle where it is cheap: levels 767 and 1122
             dense = oracle.smallest_singular_value(operators.assemble_L1(mode, grid), lam_q)

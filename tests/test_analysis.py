@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -86,11 +87,19 @@ def test_sigma_explicit_grid_is_respected():
     assert abs(res.sigma_bound - 1.5) < 2e-3
 
 
-def test_psi_selfadjoint_delegates_to_sigma():
-    res = analysis.pseudospectral_bound(ModeSpec(alpha=0.0, k=1))
-    assert res.lambda_star == 0.0
-    assert res.psi_bound == res.sigma_bound
-    assert abs(res.psi_bound - 1.5) < 2e-3
+def test_psi_selfadjoint_matches_sigma():
+    # at beta_k = 0 the window is the one shift 0 and one slope settles each
+    # level: Psi is Sigma on the same grid to rounding, at lambda* = 0 and
+    # on the same finest grid, for the tridiagonal kind (k = 1) and the
+    # pencil kind (k = 2)
+    for k, ground in ((1, 1.5), (2, 1.0)):
+        mode = ModeSpec(alpha=0.0, k=k)
+        res = analysis.pseudospectral_bound(mode)
+        sig = analysis.spectral_bound(mode, analysis.bound_grid(mode, "psi"))
+        assert abs(res.psi_bound - sig.sigma_bound) <= 1e-12 * sig.sigma_bound
+        assert res.lambda_star == 0.0
+        assert res.grid_n == sig.grid_n
+        assert abs(res.psi_bound - ground) < 2e-3
 
 
 def test_psi_golden_value(psi_1e2):
@@ -207,50 +216,51 @@ def test_psi_levels_start_at_the_critical_radius_then_at_the_coarser_minimum(
     edge, far, centre = analysis._psi_window(mode)
     assert len(calls) == 2 and all(call[0] == (far, edge) for call in calls)
     assert calls[0][1:3] == (centre, None)
-    assert calls[1][1:3] == calls[0][3][1:]
+    assert calls[1][1:3] == calls[0][3][1:3]
     assert (res.psi_bound, res.lambda_star) == calls[1][3][:2]
     assert (res.psi_bound, res.lambda_star, res.grid_n) == (
         psi_1e2.psi_bound, psi_1e2.lambda_star, psi_1e2.grid_n)
 
 
-def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch):
-    # a level whose secant finds no minimum inside the window reports
-    # s_min at the window's 0.65 r_c end, beta_k sigma(0.65 r_c) with
-    # r_c = 2.7 beta_1^{1/6}, measured cold, and flags the bound
+def test_psi_window_below_the_minimum_reports_its_lowest_measured_point(monkeypatch,
+                                                                        caplog):
+    # a window wholly below lambda*, where s descends to its top end: each
+    # level's secant closes its bracket on that end, whose slope points out
+    # of the window, and reports the lowest s_min it measured there; no
+    # cold call is made beyond the secants' own, the next level starts at
+    # the reported lambda* with no curvature, and the bound is flagged
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
-    monkeypatch.setattr(analysis, "_slope_min", lambda fn, a, b, x, curvature=None: None)
-    res = analysis.pseudospectral_bound(mode, grid)
-    edge = 1e2 * specfun.sigma(0.65 * 2.7 * 1e2 ** (1 / 6))
-    assert not res.converged
-    assert res.lambda_star == pytest.approx(edge, rel=1e-14)
-    band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
-    assert res.psi_bound == solver.smallest_singular_value(band, res.lambda_star)
+    lam = analysis.pseudospectral_bound(mode, grid).lambda_star
+    monkeypatch.setattr(analysis, "_psi_window", lambda m: (0.8 * lam, 0.6 * lam, 0.7 * lam))
+    cold, secant, calls, levels = solver.smallest_singular_value, analysis._slope_min, [], []
 
+    def counted(matrix, shift):
+        calls.append((cold(matrix, shift), shift))
+        return calls[-1][0]
 
-def test_psi_secant_from_the_window_edge_finds_the_minimum(monkeypatch):
-    # with the first level's secant stubbed to find nothing, that level
-    # reports the window's 0.65 r_c end, and the next level starts the
-    # secant there, with no curvature and the whole window as its bracket:
-    # it finds the minimum inside the window, the value a bound started on
-    # that level's grid reports, and the bound stays flagged
-    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
-    edge, far, _ = analysis._psi_window(mode)
-    secant, starts = analysis._slope_min, []
+    def recorded(fn, a, b, x, curvature=None):
+        first = len(calls)
+        hit = secant(fn, a, b, x, curvature)
+        levels.append(((x, curvature), calls[first:], hit))
+        return hit
 
-    def first_fails(fn, a, b, x, curvature=None):
-        starts.append((x, curvature))
-        return None if len(starts) == 1 else secant(fn, a, b, x, curvature)
-
-    monkeypatch.setattr(analysis, "_slope_min", first_fails)
+    monkeypatch.setattr(solver, "smallest_singular_value", counted)
+    monkeypatch.setattr(analysis, "_slope_min", recorded)
     res = analysis.pseudospectral_bound(mode, grid)
     monkeypatch.undo()
-    assert starts[1] == (edge, None)
-    ref = analysis.pseudospectral_bound(mode, default_grid(n=600))
-    assert not res.converged and ref.converged
-    assert res.grid_n == ref.grid_n == 1200
-    assert far < res.lambda_star < edge
-    assert abs(res.psi_bound - ref.psi_bound) <= 1e-6 * ref.psi_bound
-    assert abs(res.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * ref.lambda_star
+    assert not res.converged
+    assert "no interior resolvent minimum" in caplog.text
+    assert sum(len(measured) for _, measured, _ in levels) == len(calls)
+    assert len(levels) >= 2
+    for _, measured, hit in levels:
+        assert hit[2:] == (None, False)
+        assert hit[:2] == min((s, shift) for (s, _), shift in measured)
+    for (_, _, hit), (start, _, _) in zip(levels, levels[1:]):
+        assert start == (hit[1], None)
+    assert (res.psi_bound, res.lambda_star) == levels[-1][2][:2]
+    assert res.lambda_star == 0.8 * lam
+    band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
+    assert res.psi_bound == solver.smallest_singular_value(band, res.lambda_star)[0]
 
 
 def _first_level(mode, grid):
@@ -258,7 +268,8 @@ def _first_level(mode, grid):
     # cold slope secant from the critical radius, bracketed by the window
     band = operators.assemble_banded(mode, grid)
     edge, far, centre = analysis._psi_window(mode)
-    return analysis._slope_min(analysis._cold_slope(band), *sorted((edge, far)), centre)
+    return analysis._slope_min(functools.partial(solver.smallest_singular_value, band),
+                               *sorted((edge, far)), centre)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -270,14 +281,14 @@ def test_psi_lowest_scan_minimum_is_the_refined_minimum(k):
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e6 / k, k=k), default_grid(n=300)
     band = operators.assemble_banded(mode, grid)
     lams = mode.beta_k * np.linspace(-0.2, 1.2, 64)
-    vals = np.array([solver.smallest_singular_value(band, lam) for lam in lams])
+    vals = np.array([solver.smallest_singular_value(band, lam)[0] for lam in lams])
     inner = np.where((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     assert inner.size >= 10
-    psi, _, _ = _first_level(mode, grid)
+    psi, _, _, _ = _first_level(mode, grid)
     measured = []
 
     def cold(lam):
-        s, ds = solver.smallest_singular_value(band, lam, slope=True)
+        s, ds = solver.smallest_singular_value(band, lam)
         measured.append(s)
         return s, ds
 
@@ -371,13 +382,13 @@ def test_slope_min_reaches_the_refine_width_in_fewer_calls_than_golden(fn, dfn, 
         calls.append((t, fn(t), dfn(t)))
         return calls[-1][1:]
 
-    val, lam, curvature = analysis._slope_min(counted, a, b, x)
+    val, lam, curvature, inside = analysis._slope_min(counted, a, b, x)
     tol = analysis._REFINE_TOL * max(abs(argmin), 1.0)
     assert calls[0][0] == x
     assert all(a <= t <= b for t, _, _ in calls)
     assert (lam, val) == min(calls, key=lambda c: c[1])[:2]
     assert abs(lam - argmin) <= tol
-    assert curvature > 0.0
+    assert curvature > 0.0 and inside
     assert len(calls) < _golden_evaluations(a, b, tol)
 
 
@@ -416,7 +427,7 @@ def test_psi_lambda_star_is_the_zero_of_the_slope():
         band = operators.assemble_banded(mode, make_grid(res.grid_n, r_max))
 
         def slope(lam):
-            return solver.smallest_singular_value(band, lam, slope=True)[1]
+            return solver.smallest_singular_value(band, lam)[1]
 
         lo, hi = 0.9 * res.lambda_star, 1.1 * res.lambda_star
         assert slope(lo) < 0.0 < slope(hi)
@@ -454,7 +465,7 @@ def test_psi_scan_endpoints_exceed_interior(psi_1e2):
     mode = ModeSpec(alpha=EIGHT_PI * 1e2, k=1)
     matrix = operators.assemble_banded(mode, make_grid(600, 30.0))
     for edge in (-0.2 * 1e2, 1.2 * 1e2):
-        smin = solver.smallest_singular_value(matrix, edge)
+        smin, _ = solver.smallest_singular_value(matrix, edge)
         assert smin > 2.0 * psi_1e2.psi_bound
 
 
@@ -488,8 +499,11 @@ def test_combined_bounds_at_zero_alpha():
     sig, res = analysis.combined_bounds(0.0, k_max=3)
     assert res.mode.k == 2
     assert abs(sig.sigma_bound - 1.0) < 2e-3
-    assert res.psi_bound == sig.sigma_bound
+    # both default grids are n = 600 on r_max = 30 at beta_k = 0
+    assert analysis.bound_grid(res.mode, "psi") == analysis.bound_grid(sig.mode, "sigma")
+    assert abs(res.psi_bound - sig.sigma_bound) <= 1e-12 * sig.sigma_bound
     assert res.lambda_star == 0.0
+    assert res.grid_n == sig.grid_n
 
 
 def test_combined_bounds_label_each_bound_with_its_own_mode():
@@ -595,7 +609,7 @@ def test_quasimode_certifies_resolvent_at_its_shift():
     r1 = 1e3 ** (1.0 / 6.0)
     lam_q = 1e3 * specfun.sigma(r1)
     matrix = operators.assemble_banded(ModeSpec(alpha=EIGHT_PI * 1e3, k=1), grid)
-    assert solver.smallest_singular_value(matrix, lam_q) <= ratio
+    assert solver.smallest_singular_value(matrix, lam_q)[0] <= ratio
 
 
 def test_quasimode_guards():
@@ -688,7 +702,7 @@ def test_psi_row_is_its_own_cold_measurement(k, alpha_per_8pi, scale):
     grid = analysis.bound_grid(mode, "psi", 300)
     row = analysis.sweep_point(mode, "psi", grid)
     band = operators.assemble_banded(mode, make_grid(row.grid_n, grid.r_max))
-    assert row.value == solver.smallest_singular_value(band, row.lambda_star)
+    assert row.value == solver.smallest_singular_value(band, row.lambda_star)[0]
     assert 0.0 < row.lambda_star / mode.beta_k < 1.0
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -66,12 +67,12 @@ def _tridiagonal_band(grid, diag, off):
 def test_smallest_singular_value_identity():
     grid = make_grid(40, 10.0)
     eye = _tridiagonal_band(grid, np.ones(40), np.zeros(39))
-    assert solver.smallest_singular_value(eye, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert solver.smallest_singular_value(eye, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_smallest_singular_value_hermitian(grid600):
     band = _tridiagonal_band(grid600, *operators.harmonic_bands(1, grid600))
-    smin = solver.smallest_singular_value(band, 0.0)
+    smin, _ = solver.smallest_singular_value(band, 0.0)
     lo = sla.eigvalsh(operators.assemble_A(1, grid600).data, subset_by_index=(0, 0))[0]
     assert abs(smin - lo) < 1e-10
 
@@ -82,10 +83,10 @@ def test_resolvent_distance_at_zero_rotation(grid600):
     mode = ModeSpec(alpha=0.0, k=1, lam=0.0)
     l1 = operators.assemble_banded(mode, grid600)
     assert l1.kind == "L1_band"
-    s0 = solver.smallest_singular_value(l1, 0.0)
+    s0, _ = solver.smallest_singular_value(l1, 0.0)
     assert abs(s0 - 1.5) < 1e-3
-    assert solver.smallest_singular_value(l1, 0.4) > s0
-    assert solver.smallest_singular_value(l1, -0.7) > s0
+    assert solver.smallest_singular_value(l1, 0.4)[0] > s0
+    assert solver.smallest_singular_value(l1, -0.7)[0] > s0
 
 
 def test_smallest_singular_value_lipschitz_in_shift():
@@ -94,7 +95,7 @@ def test_smallest_singular_value_lipschitz_in_shift():
         band = operators.assemble_banded(ModeSpec(alpha=8 * math.pi * 10 / k, k=k),
                                          make_grid(300, 30.0))
         assert band.kind == kind
-        vals = [solver.smallest_singular_value(band, lam) for lam in lams]
+        vals = [solver.smallest_singular_value(band, lam)[0] for lam in lams]
         for i in range(len(lams)):
             for j in range(i + 1, len(lams)):
                 assert abs(vals[i] - vals[j]) <= abs(lams[i] - lams[j]) + 1e-10
@@ -158,7 +159,7 @@ def test_banded_smin_matches_dense_svd(n, k, sign):
                 assert abs(ref - svd) <= 1e-12 * svd, (lam, ref, svd)
         else:
             ref = oracle.smallest_singular_value(dense, lam)
-        got = solver.smallest_singular_value(band, lam)
+        got, _ = solver.smallest_singular_value(band, lam)
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
 
@@ -177,7 +178,8 @@ def test_scan_smin_matches_cold_smin(k, sign, beta, n):
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
     band = operators.assemble_banded(mode, default_grid(n=n))
     edge, far, centre = analysis._psi_window(mode)
-    psi, lam, _ = analysis._slope_min(analysis._cold_slope(band), *sorted((edge, far)), centre)
+    psi, lam, _, _ = analysis._slope_min(functools.partial(solver.smallest_singular_value, band),
+                                         *sorted((edge, far)), centre)
     ref, ref_lam, _ = oracle.psi_scan(band, mode.beta_k * np.linspace(-0.2, 1.2, 64))
     assert abs(psi - ref) <= 1e-7 * ref
     assert abs(lam - ref_lam) <= analysis._REFINE_TOL * max(abs(ref_lam), 1.0)
@@ -193,7 +195,7 @@ def test_dilated_banded_smin_matches_dense_svd(k, sign):
     dense = operators.assemble_H_deformed(mode, grid)
     for lam in [nu * mode.beta_k for nu in (-0.2, 0.05, 0.25, 0.75, 1.2)]:
         ref = oracle.smallest_singular_value(dense, lam)
-        got = solver.smallest_singular_value(band, lam)
+        got, _ = solver.smallest_singular_value(band, lam)
         assert abs(got - ref) <= 1e-10 * ref, (lam, got, ref)
 
 

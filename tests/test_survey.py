@@ -13,7 +13,7 @@ def test_survey_slice_holds_every_property(case):
     values, calls = survey.measure(*case)
     sigma_read = abs(case[1]) >= 1
     assert set(values) == (set(survey.PROPERTIES) if sigma_read
-                           else {"psi_above_scan", "lambda_ratio"})
+                           else {"psi_above_scan", "lambda_ratio", "psi_interior"})
     assert survey.failures(case, values) == [] and calls > 0
 
 
@@ -22,12 +22,12 @@ def test_survey_properties_can_fail():
     # surveys' 220 and 252 cases and the floor's 105 at least, and the
     # slice is drawn from them
     case = (1, 1e2, 300)
-    bad = {"psi_above_scan": 1.1e-6, "lambda_ratio": 1.0, "psi_over_sigma": 1.0 + 1e-12,
-           "range_over_sigma": math.inf}
-    assert len(survey.failures(case, bad)) == 4
+    bad = {"psi_above_scan": 1.1e-6, "lambda_ratio": 1.0, "psi_interior": 1,
+           "psi_over_sigma": 1.0 + 1e-12, "range_over_sigma": math.inf}
+    assert len(survey.failures(case, bad)) == 5
     assert len(survey.failures(case, {"lambda_ratio": 0.0})) == 1
-    good = {"psi_above_scan": 1e-6, "lambda_ratio": 0.5, "psi_over_sigma": 1.0,
-            "range_over_sigma": 0.9}
+    good = {"psi_above_scan": 1e-6, "lambda_ratio": 0.5, "psi_interior": 0,
+            "psi_over_sigma": 1.0, "range_over_sigma": 0.9}
     assert survey.failures(case, good) == []
     assert len(survey.LARGE) >= 220 and len(survey.SMALL) >= 252
     assert len(survey.FLOOR) >= 105

@@ -148,6 +148,13 @@ def test_trig_identity_residual_tiny():
     assert rep.measured <= 1e-14
 
 
+def test_sigma_identity_measures_more_than_rounding():
+    # (r^3 sigma')' = -r^3 g^2 by a fourth-order difference at step 1e-3
+    # reads 4.0e-10, its truncation; a central difference at step 1e-5
+    # read 4.0e-8, mostly rounding, which said little of sigma''s accuracy
+    assert verify.run_check("sigma.identity").measured < 1e-8
+
+
 def test_taylor_coefficients_exact():
     rep = verify.run_check("taylor.h")
     assert rep.measured <= 1e-12
