@@ -222,13 +222,13 @@ def test_psi_levels_start_at_the_critical_radius_then_at_the_coarser_minimum(
         psi_1e2.psi_bound, psi_1e2.lambda_star, psi_1e2.grid_n)
 
 
-def test_psi_window_below_the_minimum_reports_its_lowest_measured_point(monkeypatch,
-                                                                        caplog):
-    # a window wholly below lambda*, where s descends to its top end: each
-    # level's secant closes its bracket on that end, whose slope points out
-    # of the window, and reports the lowest s_min it measured there; no
-    # cold call is made beyond the secants' own, the next level starts at
-    # the reported lambda* with no curvature, and the bound is flagged
+def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch, caplog):
+    # a window wholly below lambda*, where s descends to its top end, the
+    # end at 0.65 r_c: each level's secant closes its bracket on that end,
+    # whose slope points out of the window, and reports the lowest s_min it
+    # measured, at that edge; no cold call is made beyond the secants' own,
+    # the next level starts at the reported lambda* with no curvature, and
+    # the bound is flagged
     mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
     lam = analysis.pseudospectral_bound(mode, grid).lambda_star
     monkeypatch.setattr(analysis, "_psi_window", lambda m: (0.8 * lam, 0.6 * lam, 0.7 * lam))
@@ -262,6 +262,34 @@ def test_psi_window_below_the_minimum_reports_its_lowest_measured_point(monkeypa
     band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
     assert res.psi_bound == solver.smallest_singular_value(band, res.lambda_star)[0]
 
+
+def test_psi_secant_from_the_window_edge_finds_the_minimum(monkeypatch):
+    # with the first level stubbed to find no interior minimum, that level
+    # reports s_min measured at the window's 0.65 r_c end, and the next
+    # level starts the secant there, with no curvature and the whole window
+    # as its bracket: it finds the minimum inside the window, the value a
+    # bound started on that level's grid reports, and the bound stays
+    # flagged
+    mode, grid = ModeSpec(alpha=EIGHT_PI * 1e2, k=1), default_grid(n=300)
+    edge, far, _ = analysis._psi_window(mode)
+    secant, starts = analysis._slope_min, []
+
+    def first_finds_none(fn, a, b, x, curvature=None):
+        starts.append((x, curvature))
+        if len(starts) == 1:
+            return fn(edge)[0], edge, None, False
+        return secant(fn, a, b, x, curvature)
+
+    monkeypatch.setattr(analysis, "_slope_min", first_finds_none)
+    res = analysis.pseudospectral_bound(mode, grid)
+    monkeypatch.undo()
+    assert starts[1] == (edge, None)
+    ref = analysis.pseudospectral_bound(mode, default_grid(n=600))
+    assert not res.converged and ref.converged
+    assert res.grid_n == ref.grid_n == 1200
+    assert far < res.lambda_star < edge
+    assert abs(res.psi_bound - ref.psi_bound) <= 1e-6 * ref.psi_bound
+    assert abs(res.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * ref.lambda_star
 
 def _first_level(mode, grid):
     # (Psi, lambda*, curvature) of a bound's first level on the grid: the
