@@ -182,18 +182,19 @@ def spectral_bound(mode, grid=None):
     The lam and theta components of the mode are ignored: the shift
     translates only imaginary parts, and _sigma_mode fixes the angle.
     Runs the grid-doubling protocol from the given grid (default:
-    bound_grid, sigma_grid at n = 600); each level runs shift-invert
-    Arnoldi on the rotated band, whose point spectrum matches the straight
-    operator's, from the asymptote on the first level and the previous
-    eigenvalue on the next.
+    bound_grid, sigma_grid at n = 600) on the rotated band, whose point
+    spectrum matches the straight operator's: shift-invert Arnoldi from the
+    asymptote on the first level, then solver.follow_eigenvalue from the
+    previous eigenvalue, or the Arnoldi where the follow declines.
     """
     if grid is None:
         grid = bound_grid(mode, "sigma")
     rotated, seed = _sigma_mode(mode)
 
     def step(g, prev):
-        mu = solver.bottom_eigenvalue(operators.assemble_banded(rotated, g),
-                                      seed if prev is None else prev[1])
+        band, shift = operators.assemble_banded(rotated, g), seed if prev is None else prev[1]
+        mu = None if prev is None else solver.follow_eigenvalue(band, shift)
+        mu = solver.bottom_eigenvalue(band, shift) if mu is None else mu
         return mu.real, mu
 
     (sig, _), n, converged = _grid_doubling(grid, step, "sigma", mode)

@@ -29,16 +29,16 @@ assemble_H_deformed (dense).
 
 The same structure gives every product in O(n): apply_A is the
 tridiagonal product with harmonic_bands, apply_K two cumulative sums
-over K_k's semiseparable generators, and apply_B and apply_H are built
-from these two; apply_T and apply_Tstar read a quadrature rule built once
-per grid.  Every product acts along the last axis of a Field's values,
-so a stack of fields is one call, and each row equals, bit for bit, the
-product of that field alone.  The dense assemblies, assemble_A, _K, _B,
-_H, _L1 and _H_deformed, build the operators as (n, n) matrices from
-sigma, g and f instead; they are the benchmark's oracle (and the
-tests'), and no library path calls them.  Integral parts carry the
-midpoint quadrature weight h so that matrices act on plain node-value
-vectors.
+over K_k's semiseparable generators (built once per k and grid with its
+tridiagonal inverse), and apply_B and apply_H are built from these two;
+apply_T and apply_Tstar read a quadrature rule built once per grid.
+Every product acts along the last axis of a Field's values, so a stack
+of fields is one call, and each row equals, bit for bit, the product of
+that field alone.  The dense assemblies, assemble_A, _K, _B, _H, _L1 and
+_H_deformed, build the operators as (n, n) matrices from sigma, g and f
+instead; they are the benchmark's oracle (and the tests'), and no
+library path calls them.  Integral parts carry the midpoint quadrature
+weight h so that matrices act on plain node-value vectors.
 """
 
 import cmath
@@ -84,7 +84,14 @@ def assemble_K(k, grid):
 
 
 def kernel_inverse_bands(k, grid):
-    """Closed-form tridiagonal inverse of assemble_K(k, grid): (diag, off).
+    """Closed-form tridiagonal inverse of assemble_K(k, grid): (diag, off)."""
+    return _kernel(abs(_check_k(k)), grid)[2:]
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel(k, grid):
+    """(u, v, diag, off) of K_k, k = |k|, once per (k, grid) and read-only,
+    for apply_K and kernel_inverse_bands.
 
     K_k has entries u_min(i,j) v_max(i,j) with generators
     u = (h/2k) r^{k+1/2} and v = r^{-k+1/2}, so its inverse is
@@ -93,9 +100,9 @@ def kernel_inverse_bands(k, grid):
     and end entries u_2/(u_1 w_1), v_{n-1}/(v_n w_{n-1}).  Each
     generator difference is evaluated as
     u_j v_i - u_i v_j = (h/k) (r_i r_j)^{1/2} sinh(k log(r_j/r_i)),
-    which keeps full relative accuracy where r_j/r_i is close to 1.
+    and each end ratio as a power of r_2/r_1 or r_n/r_{n-1}, which keeps
+    full relative accuracy where r_j/r_i is close to 1.
     """
-    k = abs(_check_k(k))
     r, h = grid.nodes, grid.h
 
     def wronskian(ri, rj):
@@ -106,7 +113,10 @@ def kernel_inverse_bands(k, grid):
     diag[1:-1] = wronskian(r[:-2], r[2:]) / (w[:-1] * w[1:])
     diag[0] = (r[1] / r[0]) ** (k + 0.5) / w[0]
     diag[-1] = (r[-1] / r[-2]) ** (k - 0.5) / w[-1]
-    return diag, -1.0 / w
+    parts = ((h / (2 * k)) * r ** (k + 0.5), r ** (0.5 - k), diag, -1.0 / w)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
 
 
 def assemble_B(k, grid):
@@ -164,13 +174,10 @@ def apply_A(k, w):
 
 def apply_K(k, w):
     """K_k w in O(n).  K_k has entries u_min(i,j) v_max(i,j) with the
-    generators u = (h/2k) r^{k+1/2}, v = r^{-k+1/2} of kernel_inverse_bands,
-    so (K w)_i = v_i sum_{j <= i} u_j w_j + u_i sum_{j > i} v_j w_j:
-    two cumulative sums along the last axis."""
-    k = abs(_check_k(k))
-    r, x = w.grid.nodes, w.values
-    u = (w.grid.h / (2 * k)) * r ** (k + 0.5)
-    v = r ** (0.5 - k)
+    generators u, v of _kernel, so (K w)_i = v_i sum_{j <= i} u_j w_j
+    + u_i sum_{j > i} v_j w_j: two cumulative sums along the last axis."""
+    u, v = _kernel(abs(_check_k(k)), w.grid)[:2]
+    x = w.values
     vx = v * x
     above = np.zeros_like(vx)
     above[..., :-1] = np.cumsum(vx[..., :0:-1], axis=-1)[..., ::-1]

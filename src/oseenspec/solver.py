@@ -9,21 +9,21 @@ the algorithm.
 
 Every bound runs on the banded operators of operators.assemble_banded, one
 band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
-shift-invert Arnoldi, Psi's s_min(M - i shift) by inverse Lanczos (Wright
-& Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range
-bound's bottom of (M + M^H)/2 by bisection on its tridiagonal, then for
-|k| >= 2 by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures
-a shift cold, from a fixed start vector, to relative 1e-14, and so
-measures every shift of Psi's secant and every value a Psi bound reports;
+shift-invert Arnoldi on the first level, then by inverse iteration from
+the coarser level's eigenvalue (follow_eigenvalue, or the Arnoldi where it
+declines), Psi's s_min(M - i shift) by inverse Lanczos (Wright &
+Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range bound's
+bottom of (M + M^H)/2 by bisection on its tridiagonal, then for |k| >= 2
+by the same Arnoldi on a 3n pencil.  Inverse Lanczos measures a shift
+cold, from a fixed start vector, to relative 1e-14, and so measures every
+shift of Psi's secant and every value a Psi bound reports;
 smallest_singular_value returns each s with the slope ds/dshift that the
-secant runs on, read from the top Ritz vector at the cost of one more
-band solve.  bottom_eigenvalue,
-smallest_singular_value and hermitian_part_min_eig take band operators
-only and raise ValueError on anything else.  verify reads tridiagonal
-bottoms by the same bisection and the top of a symmetric operator given
-by its product by inverse Lanczos's own loop (_lanczos, through
-_top_eigenvalue).  The one dense
-routine left, eigenvalues (n <= 4000), is the benchmark's oracle; no
+secant runs on, read from the top Ritz vector at the cost of one more band
+solve.  The four public routines take band operators only and raise
+ValueError on anything else.  verify reads tridiagonal bottoms by the same
+bisection and the top of a symmetric operator given by its product by
+inverse Lanczos's own loop (_lanczos, through _top_eigenvalue).  The one
+dense routine left, eigenvalues (n <= 4000), is the benchmark's oracle; no
 library or verify path calls it.
 """
 
@@ -59,6 +59,12 @@ _ARNOLDI_COUNT = 6      # eigenvalues nearest the shift, among which the bottom 
 _RITZ_EVERY = 4
 _RITZ_GUARD = 1e-4
 _ARNOLDI_MAX = 200
+# follow_eigenvalue's residual falls per solve by about the ratio of the
+# nearest eigenvalue's distance to the shift to the next one's, so 1e-14 in 8
+# solves puts every other eigenvalue about 50 times farther.  Of the 337
+# refined Sigma levels of tests/survey.py's lists, 216 take 5 to 8 solves, 56
+# take 9 to 25 (the Arnoldi 16 to 24) and 65 more than 78, or never converge.
+_FOLLOW_SOLVES = 8
 
 
 @dataclass
@@ -286,6 +292,22 @@ def bottom_eigenvalue(m, shift):
         basis[size] = w / hess[size, j]
     raise SolverError("Arnoldi did not converge for %s (n=%d) in %d steps"
                       % (m.kind, n, steps))
+
+
+def follow_eigenvalue(m, shift):
+    """The eigenvalue shift + 1/mu of a banded operator nearest the shift, by
+    inverse iteration from the fixed start vector (Saad, 2011, ch. 4), once
+    ||w - mu v|| <= _LANCZOS_RTOL |mu| (bottom_eigenvalue's bar), w = (M -
+    shift)^{-1} v, mu = v^H w, v unit; None past _FOLLOW_SOLVES solves."""
+    _check_band(m, "follow_eigenvalue")
+    solve, w = _band_lu(m, shift), _start_vector(m.grid.n)
+    for _ in range(_FOLLOW_SOLVES):
+        v = w / np.linalg.norm(w)
+        w = solve(v, False)
+        mu = np.vdot(v, w)
+        if np.linalg.norm(w - mu * v) <= _LANCZOS_RTOL * abs(mu):
+            return complex(shift + 1.0 / mu)
+    return None
 
 
 def _top_eigenvalue(matvec, n):

@@ -23,9 +23,11 @@ below their finer grids' as converged.  SLICE is the tier-1 test's share
 (tests/test_survey.py).  Lists only grow; a case whose property fails is
 fixed in the program, never by editing the case.
 
-The full lists run as a script, which prints the worst value of each
-property and the cold smallest_singular_value calls per Psi bound (mean
-and max) per list, and exits 1 if any property fails:
+The full lists run as a script, which prints per list the worst value of
+each property, the cold smallest_singular_value calls per Psi bound (mean
+and max), and how many refined Sigma levels solver.follow_eigenvalue
+settled and how many it declined to the Arnoldi, with the band solves
+per settled level (mean and max), and exits 1 if any property fails:
 
     PYTHONPATH=src python tests/survey.py [LARGE] [SMALL] [FLOOR] [SLICE]
 """
@@ -69,9 +71,10 @@ PROPERTIES = {
 
 
 def measure(k, beta_k, n):
-    """(values, calls): the property values of one case, by name (the Sigma
-    ones only where |beta_k| >= 1), and the cold smallest_singular_value
-    calls of its Psi bound."""
+    """(values, calls, follows): the property values of one case, by name
+    (the Sigma ones only where |beta_k| >= 1), the cold
+    smallest_singular_value calls of its Psi bound, and the band solves of
+    each refined Sigma level's follow, None where it declined."""
     mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
     grid = analysis.bound_grid(mode, "psi", n)
     psi, calls, outside = _counted_psi(mode, grid)
@@ -79,11 +82,12 @@ def measure(k, beta_k, n):
     fresh = oracle.psi_window_scan(band, mode)
     out = {"psi_above_scan": math.inf if fresh is None else (psi.psi_bound - fresh[0]) / fresh[0],
            "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside}
+    follows = []
     if abs(beta_k) >= 1:
-        sigma = analysis.sweep_point(mode, "sigma", analysis.bound_grid(mode, "sigma", n)).value
+        sigma, follows = _counted_sigma(mode, analysis.bound_grid(mode, "sigma", n))
         rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n)).value
         out.update(psi_over_sigma=psi.psi_bound / sigma, range_over_sigma=rng / sigma)
-    return out, calls
+    return out, calls, follows
 
 
 def _counted_psi(mode, grid):
@@ -110,6 +114,37 @@ def _counted_psi(mode, grid):
         solver.smallest_singular_value, analysis._slope_min = cold, secant
 
 
+def _counted_sigma(mode, grid):
+    """The Sigma of sweep_point(mode, "sigma", grid), and per refined level
+    the band solves its solver.follow_eigenvalue took, None where it
+    declined."""
+    follow, lu, solves, follows = solver.follow_eigenvalue, solver._band_lu, [], []
+
+    def counting_lu(m, z):
+        solve = lu(m, z)
+
+        def counted(v, adjoint):
+            solves.append(adjoint)
+            return solve(v, adjoint)
+        return counted
+
+    def recorded(band, shift):
+        solves.clear()
+        solver._band_lu = counting_lu
+        try:
+            got = follow(band, shift)
+        finally:
+            solver._band_lu = lu
+        follows.append(None if got is None else len(solves))
+        return got
+
+    solver.follow_eigenvalue = recorded
+    try:
+        return analysis.sweep_point(mode, "sigma", grid).value, follows
+    finally:
+        solver.follow_eigenvalue = follow
+
+
 def failures(case, values):
     return ["%s %s = %.6g" % (case, name, v) for name, v in values.items()
             if not PROPERTIES[name](v)]
@@ -119,14 +154,20 @@ def main(names):
     failed = False
     for name in names or LISTS:
         runs = {case: measure(*case) for case in LISTS[name]}
-        values = {case: v for case, (v, _) in runs.items()}
+        values = {case: v for case, (v, _, _) in runs.items()}
         for prop in PROPERTIES:
             seen = [(v[prop], case) for case, v in values.items() if prop in v]
             print("%-6s %-16s %3d cases  min %.6g at %s  max %.6g at %s"
                   % ((name, prop, len(seen)) + min(seen) + max(seen)))
-        calls = [c for _, c in runs.values()]
+        calls = [c for _, c, _ in runs.values()]
         print("%-6s cold s_min calls per Psi bound: mean %.2f  max %d"
               % (name, sum(calls) / len(calls), max(calls)))
+        follows = [f for _, _, fs in runs.values() for f in fs]
+        settled = [f for f in follows if f is not None]
+        print("%-6s refined Sigma levels: %d followed, %d declined; band solves per "
+              "followed level: mean %.2f  max %d"
+              % (name, len(settled), len(follows) - len(settled),
+                 sum(settled) / max(len(settled), 1), max(settled, default=0)))
         bad = {case: failures(case, v) for case, v in values.items() if failures(case, v)}
         print("%s: %d of %d cases fail" % (name, len(bad), len(values)))
         for msgs in bad.values():

@@ -219,6 +219,75 @@ def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
     assert abs(got - ref.real.min()) <= 1e-10 * ref.real.min(), (got, ref.real.min())
 
 
+def _sigma_levels(monkeypatch, mode, grid):
+    """spectral_bound(mode, grid) and its refined levels' follow calls, as
+    (band, shift, returned)."""
+    follow, calls = solver.follow_eigenvalue, []
+
+    def recorded(band, shift):
+        calls.append((band, shift, follow(band, shift)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(solver, "follow_eigenvalue", recorded)
+    return analysis.spectral_bound(mode, grid), calls
+
+
+@pytest.mark.parametrize("k,sign", ORACLE_MODES)
+def test_followed_sigma_matches_dense_eig(monkeypatch, k, sign):
+    # a whole Sigma bound, its refined level followed from the first level's
+    # eigenvalue, against the dense eig of the rotated operator on its
+    # final grid (n = 600)
+    mode = ModeSpec(alpha=sign * 8 * math.pi * 1e3 / abs(k), k=k)
+    grid = analysis.sigma_grid(mode, n=300)
+    res, calls = _sigma_levels(monkeypatch, mode, grid)
+    assert res.grid_n == 600 and res.converged
+    assert len(calls) == 1 and calls[0][2] is not None
+    rotated, _ = analysis._sigma_mode(mode)
+    ref = np.linalg.eigvals(operators.assemble_H_deformed(
+        rotated, make_grid(600, grid.r_max)).data).real.min()
+    assert abs(res.sigma_bound - ref) <= 1e-10 * ref, (res.sigma_bound, ref)
+
+
+@pytest.mark.parametrize("k,sign,beta,n", [case for case in SIGMA_CASES if case[3] == 300])
+def test_followed_level_matches_bottom_eigenvalue(monkeypatch, k, sign, beta, n):
+    # every refined level the follow settles returns what the Arnoldi
+    # returns from the same shift on the same band
+    mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
+    _, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=n))
+    assert calls and all(got is not None for _, _, got in calls)
+    for band, shift, got in calls:
+        ref = solver.bottom_eigenvalue(band, shift)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (shift, got, ref)
+
+
+def test_follow_declines_between_two_eigenvalues():
+    # eigenvalues -1 and 1 equally far from the shift 0, the rest from 5
+    # east: inverse iteration cannot choose and declines, while from 0.99
+    # it settles on 1 and the Arnoldi from 0 finds the bottom -1
+    n = 100
+    data = np.zeros((n, 3), dtype=complex)
+    data[:, 1] = np.concatenate([[-1.0, 1.0], np.geomspace(5.0, 100.0, n - 2)])
+    band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
+    assert solver.follow_eigenvalue(band, 0.0) is None
+    assert solver.follow_eigenvalue(band, 0.99) == pytest.approx(1.0, rel=1e-12)
+    assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(-1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="banded operator"):
+        solver.follow_eigenvalue(np.eye(20, dtype=complex), 0.0)
+
+
+def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
+    # k = 1, beta_1 = 1 from n = 600: the refined level at n = 1200 needs 9
+    # solves to 1e-14, one over the budget, so the follow declines and the
+    # level reports bitwise what bottom_eigenvalue reports from its shift
+    mode = ModeSpec(alpha=8 * math.pi, k=1)
+    res, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=600))
+    assert res.grid_n == 1200 and res.converged
+    assert len(calls) == 1 and calls[0][2] is None
+    band, shift, _ = calls[0]
+    assert band.grid.n == 1200
+    assert res.sigma_bound == solver.bottom_eigenvalue(band, shift).real
+
+
 # the numerical-range bound on the band against dense eigvalsh of the same
 # tilted operator on the same grid: the oracle modes and (5, +) across
 # beta_k = 0..1e5 at n = 300, and the widest k = 1, 2 cases at n = 1200

@@ -10,11 +10,15 @@ import survey
 
 @pytest.mark.parametrize("case", survey.SLICE, ids=lambda c: "k%d-beta%g-n%d" % c)
 def test_survey_slice_holds_every_property(case):
-    values, calls = survey.measure(*case)
+    values, calls, follows = survey.measure(*case)
     sigma_read = abs(case[1]) >= 1
     assert set(values) == (set(survey.PROPERTIES) if sigma_read
                            else {"psi_above_scan", "lambda_ratio", "psi_interior"})
     assert survey.failures(case, values) == [] and calls > 0
+    # each Sigma bound refines at least once, and a settled follow took
+    # one band solve at least
+    assert bool(follows) == sigma_read
+    assert all(f is None or f > 0 for f in follows)
 
 
 def test_survey_properties_can_fail():
