@@ -278,14 +278,23 @@ def test_follow_declines_between_two_eigenvalues():
 def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     # k = 1, beta_1 = 1 from n = 600: the refined level at n = 1200 needs 9
     # solves to 1e-14, one over the budget, so the follow declines and the
-    # level reports bitwise what bottom_eigenvalue reports from its shift
+    # level runs bottom_eigenvalue on its band from the follow's shift, the
+    # first level's eigenvalue, and reports that call's value bitwise
+    arnoldi, runs = solver.bottom_eigenvalue, []
+
+    def recorded(band, shift):
+        runs.append((band, shift, arnoldi(band, shift)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
     mode = ModeSpec(alpha=8 * math.pi, k=1)
     res, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=600))
     assert res.grid_n == 1200 and res.converged
-    assert len(calls) == 1 and calls[0][2] is None
+    assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
     band, shift, _ = calls[0]
-    assert band.grid.n == 1200
-    assert res.sigma_bound == solver.bottom_eigenvalue(band, shift).real
+    assert band.grid.n == 1200 and shift == runs[0][2]
+    assert runs[1][0] is band and runs[1][1] == shift
+    assert runs[1][2] == arnoldi(band, shift) and res.sigma_bound == runs[1][2].real
 
 
 # the numerical-range bound on the band against dense eigvalsh of the same
