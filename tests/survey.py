@@ -2,7 +2,7 @@
 
 A case (k, beta_k, n) is the mode k at alpha = 8 pi beta_k / k, each bound
 run by the library's protocol from bound_grid at base resolution n.  Every
-case is held to five properties, each a check that can fail:
+case is held to six properties, each a check that can fail:
 
 - psi_above_scan: (Psi - P)/P <= 1e-6, P what oracle.psi_window_scan, a
   cold scan of 16 shifts over the window r_c [0.65, 1.35] on the bound's
@@ -11,9 +11,15 @@ case is held to five properties, each a check that can fail:
 - psi_interior: every level's secant (analysis._slope_min) found a minimum
   inside the window; the value counts the levels whose secant did not;
 - psi_over_sigma: Psi/Sigma <= 1;
-- range_over_sigma: R/Sigma <= 1, R the numerical-range bound.
+- range_over_sigma: R/Sigma <= 1, R the numerical-range bound;
+- off_record: how many of the case's Sigma and Psi bounds end on another
+  grid_n or converged flag than RECORDED holds for the case, a case not
+  recorded counting both; passes at 0.
 
-Sigma and R are read only where |beta_k| >= 1.  The lists are the hand
+The ratios to Sigma are read only where |beta_k| >= 1.  RECORDED,
+tests/survey_grids.json, holds every case of LARGE, SMALL and FLOOR as
+recorded at commit 602010f; like the goldens it is never refrozen to
+absorb a change, and a change that moves an entry says so.  The lists are the hand
 surveys the Psi fixes were checked on: LARGE, the 220 bounds of the
 secant-stop survey (|beta_k| up to 3e7), and SMALL, the 252 small-beta
 bounds (|k| up to 8).  FLOOR holds |beta_k| = 5e5 to 1e8, where Psi's
@@ -32,7 +38,9 @@ per settled level (mean and max), and exits 1 if any property fails:
     PYTHONPATH=src python tests/survey.py [LARGE] [SMALL] [FLOOR] [SLICE]
 """
 
+import json
 import math
+import os
 import sys
 
 import oracle
@@ -60,6 +68,11 @@ SLICE = [(1, 3e7, 600), (2, -3e7, 300), (5, 1e7, 300), (-1, 3e6, 300), (5, 1e-2,
          (1, 1.51e7, 300), (3, -1.65e7, 300)]
 LISTS = {"LARGE": LARGE, "SMALL": SMALL, "FLOOR": FLOOR, "SLICE": SLICE}
 
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "survey_grids.json")) as fh:
+    # (k, beta_k, n) -> ((grid_n, converged) of Sigma, the same of Psi)
+    RECORDED = {tuple(row[:3]): (tuple(row[3:5]), tuple(row[5:]))
+                for row in json.load(fh)["cases"]}
+
 # property -> whether a value passes
 PROPERTIES = {
     "psi_above_scan": lambda v: v <= 1e-6,
@@ -67,12 +80,13 @@ PROPERTIES = {
     "psi_interior": lambda v: v == 0,
     "psi_over_sigma": lambda v: v <= 1.0,
     "range_over_sigma": lambda v: v <= 1.0,
+    "off_record": lambda v: v == 0,
 }
 
 
 def measure(k, beta_k, n):
     """(values, calls, follows): the property values of one case, by name
-    (the Sigma ones only where |beta_k| >= 1), the cold
+    (the ratios to Sigma only where |beta_k| >= 1), the cold
     smallest_singular_value calls of its Psi bound, and the band solves of
     each refined Sigma level's follow, None where it declined."""
     mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
@@ -80,14 +94,22 @@ def measure(k, beta_k, n):
     psi, calls, outside = _counted_psi(mode, grid)
     band = operators.assemble_banded(mode, make_grid(psi.grid_n, grid.r_max))
     fresh = oracle.psi_window_scan(band, mode)
+    sigma, follows = _counted_sigma(mode, analysis.bound_grid(mode, "sigma", n))
     out = {"psi_above_scan": math.inf if fresh is None else (psi.psi_bound - fresh[0]) / fresh[0],
-           "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside}
-    follows = []
+           "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside,
+           "off_record": off_record((k, beta_k, n), sigma, psi)}
     if abs(beta_k) >= 1:
-        sigma, follows = _counted_sigma(mode, analysis.bound_grid(mode, "sigma", n))
         rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n)).value
-        out.update(psi_over_sigma=psi.psi_bound / sigma, range_over_sigma=rng / sigma)
+        out.update(psi_over_sigma=psi.psi_bound / sigma.value,
+                   range_over_sigma=rng / sigma.value)
     return out, calls, follows
+
+
+def off_record(case, sigma, psi):
+    """How many of the Sigma and Psi results' (grid_n, converged) differ
+    from the case's RECORDED entry; both, for a case not recorded."""
+    got = ((sigma.grid_n, sigma.converged), (psi.grid_n, psi.converged))
+    return sum(want != have for want, have in zip(RECORDED.get(case, (None, None)), got))
 
 
 def _counted_psi(mode, grid):
@@ -115,9 +137,8 @@ def _counted_psi(mode, grid):
 
 
 def _counted_sigma(mode, grid):
-    """The Sigma of sweep_point(mode, "sigma", grid), and per refined level
-    the band solves its solver.follow_eigenvalue took, None where it
-    declined."""
+    """sweep_point(mode, "sigma", grid), and per refined level the band
+    solves its solver.follow_eigenvalue took, None where it declined."""
     follow, lu, solves, follows = solver.follow_eigenvalue, solver._band_lu, [], []
 
     def counting_lu(m, z):
@@ -140,7 +161,7 @@ def _counted_sigma(mode, grid):
 
     solver.follow_eigenvalue = recorded
     try:
-        return analysis.sweep_point(mode, "sigma", grid).value, follows
+        return analysis.sweep_point(mode, "sigma", grid), follows
     finally:
         solver.follow_eigenvalue = follow
 

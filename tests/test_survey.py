@@ -2,6 +2,7 @@
 its SLICE holds every property; the full lists run as a script."""
 
 import math
+import types
 
 import pytest
 
@@ -11,14 +12,12 @@ import survey
 @pytest.mark.parametrize("case", survey.SLICE, ids=lambda c: "k%d-beta%g-n%d" % c)
 def test_survey_slice_holds_every_property(case):
     values, calls, follows = survey.measure(*case)
-    sigma_read = abs(case[1]) >= 1
-    assert set(values) == (set(survey.PROPERTIES) if sigma_read
-                           else {"psi_above_scan", "lambda_ratio", "psi_interior"})
+    assert set(values) == (set(survey.PROPERTIES) if abs(case[1]) >= 1 else
+                           {"psi_above_scan", "lambda_ratio", "psi_interior", "off_record"})
     assert survey.failures(case, values) == [] and calls > 0
     # each Sigma bound refines at least once, and a settled follow took
     # one band solve at least
-    assert bool(follows) == sigma_read
-    assert all(f is None or f > 0 for f in follows)
+    assert follows and all(f is None or f > 0 for f in follows)
 
 
 def test_survey_properties_can_fail():
@@ -27,12 +26,30 @@ def test_survey_properties_can_fail():
     # slice is drawn from them
     case = (1, 1e2, 300)
     bad = {"psi_above_scan": 1.1e-6, "lambda_ratio": 1.0, "psi_interior": 1,
-           "psi_over_sigma": 1.0 + 1e-12, "range_over_sigma": math.inf}
-    assert len(survey.failures(case, bad)) == 5
+           "psi_over_sigma": 1.0 + 1e-12, "range_over_sigma": math.inf, "off_record": 1}
+    assert len(survey.failures(case, bad)) == 6
     assert len(survey.failures(case, {"lambda_ratio": 0.0})) == 1
     good = {"psi_above_scan": 1e-6, "lambda_ratio": 0.5, "psi_interior": 0,
-            "psi_over_sigma": 1.0, "range_over_sigma": 0.9}
+            "psi_over_sigma": 1.0, "range_over_sigma": 0.9, "off_record": 0}
     assert survey.failures(case, good) == []
     assert len(survey.LARGE) >= 220 and len(survey.SMALL) >= 252
     assert len(survey.FLOOR) >= 105
     assert set(survey.SLICE) <= set(survey.LARGE) | set(survey.SMALL) | set(survey.FLOOR)
+
+
+def test_survey_record_covers_every_case_and_counts_each_change():
+    # every case of the lists has its recorded grid_n and converged, for
+    # Sigma and for Psi, and off_record counts each pair that moved
+    cases = set(survey.LARGE) | set(survey.SMALL) | set(survey.FLOOR)
+    assert set(survey.RECORDED) == cases
+    case = (1, 1e2, 300)
+    (sigma_n, sigma_ok), (psi_n, psi_ok) = survey.RECORDED[case]
+
+    def result(n, ok):
+        return types.SimpleNamespace(grid_n=n, converged=ok)
+
+    assert survey.off_record(case, result(sigma_n, sigma_ok), result(psi_n, psi_ok)) == 0
+    assert survey.off_record(case, result(2 * sigma_n, sigma_ok), result(psi_n, psi_ok)) == 1
+    assert survey.off_record(case, result(sigma_n, sigma_ok), result(psi_n, not psi_ok)) == 1
+    assert survey.off_record((1, 1e2, 333), result(sigma_n, sigma_ok),
+                             result(psi_n, psi_ok)) == 2
