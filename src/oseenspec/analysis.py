@@ -5,10 +5,9 @@ operator.  Psi(alpha, k) is the reciprocal of the resolvent-norm supremum
 along the imaginary axis, computed as the minimum over real shifts lam of
 s_min(H - i lam).  Sigma, Psi and the numerical-range bound share one
 grid-doubling convergence protocol: levels n, 2n, 4n on the caller's
-r_max, stopping once two consecutive levels agree to relative 1e-2, and
-reporting the level where the protocol stopped.  A range point whose
-first two levels disagree therefore goes on to 4n, like sigma and psi,
-instead of stopping at 2n with converged=false.
+r_max, stopping once two consecutive levels agree to relative 1e-2.  It
+reports all three in one BoundResult: the value and n of the level where
+it stopped, and the (n, value) of every level it ran.
 
 Sigma is computed from the rotated operator rather than the straight one.
 The two have the same point spectrum (rotation moves only the essential
@@ -49,10 +48,13 @@ grids' Psi, |beta_k| >= 1.3e7 from n = 300).  The window and the
 refinement's width, 1e-3 max(|lambda*|, 1), are fixed.
 
 bound_grid is the one grid policy of the three quantities, for the
-bound functions' defaults and for the command line alike, and
-sweep_point is the one row every bound command prints.
+bound functions' defaults and for the command line alike.  sweep_point
+runs a quantity's protocol function, spectral_bound, pseudospectral_bound
+or range_bound, and the BoundResult it returns is the row every bound
+command prints.
 """
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -70,7 +72,9 @@ _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
 _SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
-QUANTITIES = ("sigma", "psi", "range")
+# each quantity's protocol function, looked up by name at call time
+_BOUNDS = {"sigma": "spectral_bound", "psi": "pseudospectral_bound", "range": "range_bound"}
+QUANTITIES = tuple(_BOUNDS)
 _SIGMA_RADIUS = 4.4     # Sigma's and range's r_max over |beta_k|^{1/4}
 _PSI_RADIUS = 3.8       # Psi's r_max over |beta_k|^{1/6}, 1.34 times the least that holds
 _CRITICAL = 2.7         # Psi's window centre r_c over |beta_k|^{1/6} at large |beta_k|
@@ -82,12 +86,19 @@ GRID_POLICY = ("r_max = %g; sigma and range paths raise it to %g |beta_k|^{1/4},
 
 @dataclass
 class BoundResult:
+    """A quantity of QUANTITIES on one mode, as _grid_doubling left it: the
+    last level's value and n on r_max, whether two levels agreed (for psi,
+    also whether every secant found an interior minimum), lambda* for psi,
+    and levels, the (n, value) of each level run, in order."""
     mode: ModeSpec
-    grid_n: int
+    quantity: str
+    value: float
     converged: bool
-    sigma_bound: float = None
-    psi_bound: float = None
+    grid_n: int
+    r_max: float
     lambda_star: float = None
+    levels: tuple = ()
+    sigma_bound = property(lambda self: self.value)  # read only by perfbench's PsiSweep.sigma
 
 
 @dataclass
@@ -99,33 +110,28 @@ class FitResult:
     excluded_alphas: tuple = ()
 
 
-@dataclass
-class SweepPoint:
-    mode: ModeSpec
-    quantity: str
-    value: float
-    converged: bool
-    grid_n: int
-    r_max: float
-    lambda_star: float = None
-
-
-def _grid_doubling(grid, step, name, mode):
+def _grid_doubling(grid, step, quantity, mode):
     """Convergence protocol of sigma, psi and range: runs step(g, prev) on
     n, 2n, 4n points at grid.r_max until two consecutive values agree to
     relative 1e-2.  step returns a tuple, value first, and gets prev, the
     previous level's tuple (None on the first), to pass on psi's minimizer or
-    sigma's next shift.  Returns (result, n, converged) of the last level run."""
-    prev = None
+    sigma's next shift.  Returns the BoundResult of the last level run, with
+    every level's (n, value), and that level's tuple."""
+    prev, levels = None, []
     for level in range(3):
         g = grid if level == 0 else make_grid(grid.n * 2 ** level, grid.r_max)
         out = step(g, prev)
-        if prev is not None and abs(prev[0] - out[0]) / max(abs(out[0]), 1e-300) < 1e-2:
-            return out, g.n, True
+        levels.append((g.n, out[0]))
+        converged = prev is not None and bool(
+            abs(prev[0] - out[0]) / max(abs(out[0]), 1e-300) < 1e-2)
+        if converged:
+            break
         prev = out
-    logger.warning("%s bound not converged at n=%d (alpha=%g, k=%d)",
-                   name, g.n, mode.alpha, mode.k)
-    return out, g.n, False
+    else:
+        logger.warning("%s bound not converged at n=%d (alpha=%g, k=%d)",
+                       quantity, g.n, mode.alpha, mode.k)
+    return BoundResult(mode=mode, quantity=quantity, value=out[0], converged=converged,
+                       grid_n=g.n, r_max=grid.r_max, levels=tuple(levels)), out
 
 
 def _dilation_angle(mode):
@@ -197,8 +203,7 @@ def spectral_bound(mode, grid=None):
         mu = solver.bottom_eigenvalue(band, shift) if mu is None else mu
         return mu.real, mu
 
-    (sig, _), n, converged = _grid_doubling(grid, step, "sigma", mode)
-    return BoundResult(mode=mode, grid_n=n, converged=converged, sigma_bound=sig)
+    return _grid_doubling(grid, step, "sigma", mode)[0]
 
 
 def _slope_min(fn, a, b, x, curvature=None):
@@ -318,9 +323,8 @@ def pseudospectral_bound(mode, grid=None):
                            mode.alpha, mode.k)
         return s, lam, curvature, inside and found
 
-    (psi, lam_star, _, inside), n, converged = _grid_doubling(grid, step, "psi", mode)
-    return BoundResult(mode=mode, grid_n=n, converged=converged and inside,
-                       psi_bound=psi, lambda_star=lam_star)
+    res, (_, lam_star, _, inside) = _grid_doubling(grid, step, "psi", mode)
+    return dataclasses.replace(res, lambda_star=lam_star, converged=res.converged and inside)
 
 
 def combined_bounds(alpha, k_max=8, grid=None):
@@ -331,10 +335,8 @@ def combined_bounds(alpha, k_max=8, grid=None):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     modes = [ModeSpec(alpha=alpha, k=k) for k in range(1, k_max + 1)]
-    return (min((spectral_bound(mode, grid) for mode in modes),
-                key=lambda res: res.sigma_bound),
-            min((pseudospectral_bound(mode, grid) for mode in modes),
-                key=lambda res: res.psi_bound))
+    return (min((spectral_bound(mode, grid) for mode in modes), key=lambda res: res.value),
+            min((pseudospectral_bound(mode, grid) for mode in modes), key=lambda res: res.value))
 
 
 def quasimode_shift(beta_1):
@@ -426,28 +428,22 @@ def numerical_range_bound(mode, grid=None):
     return solver.hermitian_part_min_eig(operators.assemble_banded(tilted, grid))
 
 
-def sweep_point(mode, quantity, grid=None):
-    """One row for the given quantity of QUANTITIES: value, convergence
-    flag, the finest grid the protocol ran and, for psi, lambda*.  Every
-    bound command of the command line prints this row.  The protocol
-    starts from grid (default: bound_grid at n = 600)."""
+def range_bound(mode, grid=None):
+    """numerical_range_bound by the grid-doubling protocol, from the given
+    grid (default: bound_grid, sigma_grid at n = 600)."""
     if grid is None:
-        grid = bound_grid(mode, quantity)
-    lam = None
-    if quantity == "sigma":
-        res = spectral_bound(mode, grid)
-        value, converged, grid_n = res.sigma_bound, res.converged, res.grid_n
-    elif quantity == "psi":
-        res = pseudospectral_bound(mode, grid)
-        value, converged, grid_n = res.psi_bound, res.converged, res.grid_n
-        lam = res.lambda_star
-    elif quantity == "range":
-        (value,), grid_n, converged = _grid_doubling(
-            grid, lambda g, prev: (float(numerical_range_bound(mode, g)),), "range", mode)
-    else:
+        grid = bound_grid(mode, "range")
+    return _grid_doubling(grid, lambda g, prev: (float(numerical_range_bound(mode, g)),),
+                          "range", mode)[0]
+
+
+def sweep_point(mode, quantity, grid=None):
+    """The BoundResult of the given quantity of QUANTITIES, from its
+    protocol function on grid (default: bound_grid at n = 600).  Every
+    bound command of the command line prints it as its row."""
+    if quantity not in QUANTITIES:
         raise ValueError("unknown quantity %r" % (quantity,))
-    return SweepPoint(mode=mode, quantity=quantity, value=value, converged=converged,
-                      grid_n=grid_n, r_max=grid.r_max, lambda_star=lam)
+    return globals()[_BOUNDS[quantity]](mode, grid)
 
 
 def check_fit_alphas(alphas):

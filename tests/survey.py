@@ -95,12 +95,12 @@ def measure(k, beta_k, n):
     band = operators.assemble_banded(mode, make_grid(psi.grid_n, grid.r_max))
     fresh = oracle.psi_window_scan(band, mode)
     sigma, follows = _counted_sigma(mode, analysis.bound_grid(mode, "sigma", n))
-    out = {"psi_above_scan": math.inf if fresh is None else (psi.psi_bound - fresh[0]) / fresh[0],
+    out = {"psi_above_scan": math.inf if fresh is None else (psi.value - fresh[0]) / fresh[0],
            "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside,
            "off_record": off_record((k, beta_k, n), sigma, psi)}
     if abs(beta_k) >= 1:
         rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n)).value
-        out.update(psi_over_sigma=psi.psi_bound / sigma.value,
+        out.update(psi_over_sigma=psi.value / sigma.value,
                    range_over_sigma=rng / sigma.value)
     return out, calls, follows
 

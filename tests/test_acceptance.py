@@ -155,8 +155,8 @@ def test_criterion_08_ordering_invariants():
              ModeSpec(alpha=EIGHT_PI * 1e2, k=1), ModeSpec(alpha=EIGHT_PI * 1e3, k=2)]
     worst = -np.inf
     for mode in modes:
-        sig = analysis.spectral_bound(mode).sigma_bound
-        psi = analysis.pseudospectral_bound(mode).psi_bound
+        sig = analysis.spectral_bound(mode).value
+        psi = analysis.pseudospectral_bound(mode).value
         worst = max(worst, psi - sig)
         assert psi <= sig + 1e-6, "mode (%g, %d): psi %.6g above sigma %.6g" % (
             mode.alpha, mode.k, psi, sig)

@@ -43,8 +43,8 @@ def psi_1e2():
 def test_sigma_selfadjoint_ground_values():
     r1 = analysis.spectral_bound(ModeSpec(alpha=0.0, k=1))
     r2 = analysis.spectral_bound(ModeSpec(alpha=0.0, k=2))
-    assert abs(r1.sigma_bound - 1.5) < 2e-3
-    assert abs(r2.sigma_bound - 1.0) < 2e-3
+    assert abs(r1.value - 1.5) < 2e-3
+    assert abs(r2.value - 1.0) < 2e-3
     assert r1.converged and r2.converged
 
 
@@ -52,7 +52,7 @@ def test_sigma_golden_ladder(sigma_ladder):
     for b, res in sigma_ladder.items():
         ref = golden_value("sigma", EIGHT_PI * b, 1)
         assert res.converged
-        assert abs(res.sigma_bound - ref) / ref < 1e-2
+        assert abs(res.value - ref) / ref < 1e-2
 
 
 def test_sigma_golden_k2_and_k3():
@@ -60,31 +60,31 @@ def test_sigma_golden_k2_and_k3():
         res = analysis.spectral_bound(ModeSpec(alpha=alpha, k=k))
         ref = golden_value("sigma", alpha, k)
         assert res.converged
-        assert abs(res.sigma_bound - ref) / ref < 1e-2
+        assert abs(res.value - ref) / ref < 1e-2
 
 
 def test_sigma_monotone_in_beta(sigma_ladder):
-    vals = [sigma_ladder[b].sigma_bound for b in (1e2, 1e3, 1e4, 1e5)]
+    vals = [sigma_ladder[b].value for b in (1e2, 1e3, 1e4, 1e5)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= 0.98 * lo
 
 
 def test_sigma_symmetry(sigma_ladder):
     # the bound is even under alpha -> -alpha and k -> -k separately
-    base1 = sigma_ladder[1e3].sigma_bound
-    base2 = analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e3, k=2)).sigma_bound
+    base1 = sigma_ladder[1e3].value
+    base2 = analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e3, k=2)).value
     for k, base in ((1, base1), (2, base2)):
         neg_a = analysis.spectral_bound(ModeSpec(alpha=-EIGHT_PI * 1e3, k=k))
         neg_k = analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e3, k=-k))
-        assert abs(neg_a.sigma_bound - base) <= 1e-10 * base
-        assert abs(neg_k.sigma_bound - base) <= 1e-10 * base
+        assert abs(neg_a.value - base) <= 1e-10 * base
+        assert abs(neg_k.value - base) <= 1e-10 * base
 
 
 def test_sigma_explicit_grid_is_respected():
     grid = make_grid(300, 30.0)
     res = analysis.spectral_bound(ModeSpec(alpha=0.0, k=1), grid)
     assert res.grid_n in (600, 1200)
-    assert abs(res.sigma_bound - 1.5) < 2e-3
+    assert abs(res.value - 1.5) < 2e-3
 
 
 def test_psi_selfadjoint_matches_sigma():
@@ -96,16 +96,16 @@ def test_psi_selfadjoint_matches_sigma():
         mode = ModeSpec(alpha=0.0, k=k)
         res = analysis.pseudospectral_bound(mode)
         sig = analysis.spectral_bound(mode, analysis.bound_grid(mode, "psi"))
-        assert abs(res.psi_bound - sig.sigma_bound) <= 1e-12 * sig.sigma_bound
+        assert abs(res.value - sig.value) <= 1e-12 * sig.value
         assert res.lambda_star == 0.0
         assert res.grid_n == sig.grid_n
-        assert abs(res.psi_bound - ground) < 2e-3
+        assert abs(res.value - ground) < 2e-3
 
 
 def test_psi_golden_value(psi_1e2):
     ref = golden_value("psi", EIGHT_PI * 1e2, 1)
     assert psi_1e2.converged
-    assert abs(psi_1e2.psi_bound - ref) / ref < 1e-2
+    assert abs(psi_1e2.value - ref) / ref < 1e-2
 
 
 def test_psi_past_the_dense_cap():
@@ -115,7 +115,7 @@ def test_psi_past_the_dense_cap():
     res = analysis.pseudospectral_bound(mode, default_grid(n=4800))
     ref = golden_value("psi", EIGHT_PI * 1e2, 1)
     assert res.converged and res.grid_n >= 4800
-    assert abs(res.psi_bound - ref) / ref < 1e-2
+    assert abs(res.value - ref) / ref < 1e-2
 
 
 def test_sigma_past_the_old_dense_cap():
@@ -125,7 +125,7 @@ def test_sigma_past_the_old_dense_cap():
     res = analysis.spectral_bound(mode, analysis.sigma_grid(mode, n=4800))
     ref = golden_value("sigma", EIGHT_PI * 1e3, 1)
     assert res.converged and res.grid_n >= 4800
-    assert abs(res.sigma_bound - ref) / ref < 1e-2
+    assert abs(res.value - ref) / ref < 1e-2
 
 
 def test_sigma_never_calls_the_dense_eigensolver(monkeypatch):
@@ -168,7 +168,7 @@ def test_sigma_is_not_a_wall_mode(k, beta_k):
     far = analysis.spectral_bound(mode, make_grid(grid.n * 3 // 2, 1.5 * grid.r_max))
     assert near.converged and far.converged
     assert far.grid_n == near.grid_n * 3 // 2
-    assert abs(near.sigma_bound - far.sigma_bound) < 1e-9 * far.sigma_bound
+    assert abs(near.value - far.value) < 1e-9 * far.value
 
 
 def test_psi_independent_of_r_max():
@@ -179,7 +179,7 @@ def test_psi_independent_of_r_max():
     far = analysis.pseudospectral_bound(mode, make_grid(1300, 65.0))
     assert near.converged and far.converged
     assert specfun.sigma_inverse(near.lambda_star / mode.beta_k) > 18.0
-    assert abs(near.psi_bound - far.psi_bound) <= 1e-12 * far.psi_bound
+    assert abs(near.value - far.value) <= 1e-12 * far.value
     assert abs(near.lambda_star - far.lambda_star) <= 1e-3 * abs(far.lambda_star)
 
 
@@ -196,7 +196,7 @@ def test_psi_grid_contains_the_critical_radius(beta_1):
     far = analysis.pseudospectral_bound(mode, make_grid(n, n * h))
     assert res.converged and far.converged
     assert far.grid_n // n == res.grid_n // 600
-    assert abs(res.psi_bound - far.psi_bound) <= 1e-5 * far.psi_bound
+    assert abs(res.value - far.value) <= 1e-5 * far.value
 
 
 def test_psi_levels_start_at_the_critical_radius_then_at_the_coarser_minimum(
@@ -217,9 +217,9 @@ def test_psi_levels_start_at_the_critical_radius_then_at_the_coarser_minimum(
     assert len(calls) == 2 and all(call[0] == (far, edge) for call in calls)
     assert calls[0][1:3] == (centre, None)
     assert calls[1][1:3] == calls[0][3][1:3]
-    assert (res.psi_bound, res.lambda_star) == calls[1][3][:2]
-    assert (res.psi_bound, res.lambda_star, res.grid_n) == (
-        psi_1e2.psi_bound, psi_1e2.lambda_star, psi_1e2.grid_n)
+    assert (res.value, res.lambda_star) == calls[1][3][:2]
+    assert (res.value, res.lambda_star, res.grid_n) == (
+        psi_1e2.value, psi_1e2.lambda_star, psi_1e2.grid_n)
 
 
 def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch, caplog):
@@ -257,10 +257,10 @@ def test_psi_without_an_interior_minimum_reports_the_window_edge(monkeypatch, ca
         assert hit[:2] == min((s, shift) for (s, _), shift in measured)
     for (_, _, hit), (start, _, _) in zip(levels, levels[1:]):
         assert start == (hit[1], None)
-    assert (res.psi_bound, res.lambda_star) == levels[-1][2][:2]
+    assert (res.value, res.lambda_star) == levels[-1][2][:2]
     assert res.lambda_star == 0.8 * lam
     band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
-    assert res.psi_bound == solver.smallest_singular_value(band, res.lambda_star)[0]
+    assert res.value == solver.smallest_singular_value(band, res.lambda_star)[0]
 
 
 def test_psi_secant_from_the_window_edge_finds_the_minimum(monkeypatch):
@@ -288,7 +288,7 @@ def test_psi_secant_from_the_window_edge_finds_the_minimum(monkeypatch):
     assert not res.converged and ref.converged
     assert res.grid_n == ref.grid_n == 1200
     assert far < res.lambda_star < edge
-    assert abs(res.psi_bound - ref.psi_bound) <= 1e-6 * ref.psi_bound
+    assert abs(res.value - ref.value) <= 1e-6 * ref.value
     assert abs(res.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * ref.lambda_star
 
 def _first_level(mode, grid):
@@ -376,7 +376,7 @@ def test_psi_window_of_three_refine_widths_measures_its_edge():
         assert res.converged and res.grid_n == 600
         band = operators.assemble_banded(mode, make_grid(res.grid_n, grid.r_max))
         psi, lam, _ = oracle.psi_window_scan(band, mode)
-        assert abs(res.psi_bound - psi) <= 1e-7 * psi
+        assert abs(res.value - psi) <= 1e-7 * psi
         assert abs(res.lambda_star - lam) <= analysis._REFINE_TOL
 
 
@@ -480,7 +480,7 @@ def test_psi_small_beta_converges(k, beta_k, psi, lam):
     # the 1e-7 and _REFINE_TOL the slope refinement keeps on the surveys
     res = analysis.pseudospectral_bound(ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k))
     assert res.converged and res.grid_n == 1200
-    assert abs(res.psi_bound - psi) <= 1e-7 * psi
+    assert abs(res.value - psi) <= 1e-7 * psi
     assert abs(res.lambda_star - lam) <= analysis._REFINE_TOL * max(abs(lam), 1.0)
 
 
@@ -494,11 +494,11 @@ def test_psi_scan_endpoints_exceed_interior(psi_1e2):
     matrix = operators.assemble_banded(mode, make_grid(600, 30.0))
     for edge in (-0.2 * 1e2, 1.2 * 1e2):
         smin, _ = solver.smallest_singular_value(matrix, edge)
-        assert smin > 2.0 * psi_1e2.psi_bound
+        assert smin > 2.0 * psi_1e2.value
 
 
 def test_psi_below_sigma(sigma_ladder, psi_1e2):
-    assert psi_1e2.psi_bound <= sigma_ladder[1e2].sigma_bound + 1e-6
+    assert psi_1e2.value <= sigma_ladder[1e2].value + 1e-6
 
 
 @pytest.mark.parametrize("k,beta_k", [(1, 3.0), (1, 1e2), (1, -1e5), (-1, 1e3),
@@ -516,7 +516,7 @@ def test_psi_reported_values_do_not_depend_on_the_scan(monkeypatch, k, beta_k):
     scan = oracle.psi_window_scan(operators.assemble_banded(mode, grid), mode)
     monkeypatch.setattr(analysis, "_psi_window", lambda m: (edge, far, scan[1]))
     ref = analysis.pseudospectral_bound(mode, grid)
-    assert abs(got.psi_bound - ref.psi_bound) <= 1e-7 * ref.psi_bound
+    assert abs(got.value - ref.value) <= 1e-7 * ref.value
     assert abs(got.lambda_star - ref.lambda_star) <= analysis._REFINE_TOL * abs(ref.lambda_star)
     assert (got.grid_n, got.converged) == (ref.grid_n, ref.converged)
 
@@ -526,10 +526,10 @@ def test_combined_bounds_at_zero_alpha():
     # higher k only grow, so k_max = 3 already exhibits the attainment
     sig, res = analysis.combined_bounds(0.0, k_max=3)
     assert res.mode.k == 2
-    assert abs(sig.sigma_bound - 1.0) < 2e-3
+    assert abs(sig.value - 1.0) < 2e-3
     # both default grids are n = 600 on r_max = 30 at beta_k = 0
     assert analysis.bound_grid(res.mode, "psi") == analysis.bound_grid(sig.mode, "sigma")
-    assert abs(res.psi_bound - sig.sigma_bound) <= 1e-12 * sig.sigma_bound
+    assert abs(res.value - sig.value) <= 1e-12 * sig.value
     assert res.lambda_star == 0.0
     assert res.grid_n == sig.grid_n
 
@@ -545,14 +545,14 @@ def test_combined_bounds_label_each_bound_with_its_own_mode():
     assert psi == analysis.pseudospectral_bound(ModeSpec(alpha=alpha, k=2), grid)
     for k in (1, 3):
         other = analysis.pseudospectral_bound(ModeSpec(alpha=alpha, k=k), grid)
-        assert psi.psi_bound < other.psi_bound
+        assert psi.value < other.value
 
 
 def test_combined_attainment_moves_to_k1():
     # beta_k grows with k, so for alpha >= 8 pi 1e2 the k = 1 mode is lowest
     s1 = analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=1))
     s2 = analysis.spectral_bound(ModeSpec(alpha=EIGHT_PI * 1e2, k=2))
-    assert s1.sigma_bound < s2.sigma_bound
+    assert s1.value < s2.value
 
 
 def test_combined_rejects_bad_kmax():
@@ -576,7 +576,7 @@ def test_range_golden_table(sigma_ladder):
         ref = golden_value("range", EIGHT_PI * b, 1)
         assert abs(val - ref) / ref < 1e-2
         # the certified bound sits below the spectral value
-        assert val <= sigma_ladder[b].sigma_bound + 2e-2
+        assert val <= sigma_ladder[b].value + 2e-2
 
 
 def test_sigma_grid_policy():
@@ -701,10 +701,28 @@ def test_grid_doubling_protocol(values, grid_n, converged, steps):
         seen.append(g.n)
         return (values[len(seen) - 1],)
 
-    out, n, ok = analysis._grid_doubling(grid, step, "stub", ModeSpec(alpha=0.0, k=1))
-    assert (n, ok, len(seen)) == (grid_n, converged, steps)
+    res, out = analysis._grid_doubling(grid, step, "stub", ModeSpec(alpha=0.0, k=1))
+    assert (res.grid_n, res.converged, len(seen)) == (grid_n, converged, steps)
     assert seen == [300, 600, 1200][:steps]
-    assert out == (values[steps - 1],)
+    assert out == (values[steps - 1],) and res.value == values[steps - 1]
+    assert (res.quantity, res.r_max, res.lambda_star) == ("stub", 30.0, None)
+    assert res.levels == tuple(zip(seen, values))
+
+
+@pytest.mark.parametrize("quantity", analysis.QUANTITIES)
+@pytest.mark.parametrize("k,beta_k", [(1, 1e3), (2, -1e4)])
+def test_levels_agree_with_the_flag(quantity, k, beta_k):
+    # every level the protocol ran, n doubling from the first, the last
+    # one the reported value and grid; converged is the last two levels'
+    # 1e-2 agreement, which for psi also needs an interior minimum
+    mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
+    res = analysis.sweep_point(mode, quantity, analysis.bound_grid(mode, quantity, 300))
+    assert res.quantity == quantity and res.levels[-1] == (res.grid_n, res.value)
+    ns = [n for n, _ in res.levels]
+    assert 2 <= len(ns) <= 3 and all(b == 2 * a for a, b in zip(ns, ns[1:]))
+    (_, before), (_, last) = res.levels[-2:]
+    agree = abs(before - last) / abs(last) < 1e-2
+    assert res.converged == agree if quantity != "psi" else agree or not res.converged
 
 
 def test_sweep_point_psi_row():

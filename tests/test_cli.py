@@ -315,9 +315,8 @@ def test_domain_errors_exit_one(capsys, monkeypatch):
     assert code == 1 and err.startswith("error:") and "band LU failed" in err
 
     def unconverged_point(mode, quantity, grid=None):
-        return analysis.SweepPoint(mode=mode, quantity=quantity, value=math.nan,
-                                   converged=False, grid_n=grid.n, r_max=30.0,
-                                   lambda_star=None)
+        return analysis.BoundResult(mode=mode, quantity=quantity, value=math.nan,
+                                    converged=False, grid_n=grid.n, r_max=30.0)
 
     monkeypatch.setattr(analysis, "sweep_point", unconverged_point)
     code, _, err = run_cli(capsys, "sweep", "--alphas", "1e3,1e4,1e5,1e6",

@@ -245,7 +245,7 @@ def test_followed_sigma_matches_dense_eig(monkeypatch, k, sign):
     rotated, _ = analysis._sigma_mode(mode)
     ref = np.linalg.eigvals(operators.assemble_H_deformed(
         rotated, make_grid(600, grid.r_max)).data).real.min()
-    assert abs(res.sigma_bound - ref) <= 1e-10 * ref, (res.sigma_bound, ref)
+    assert abs(res.value - ref) <= 1e-10 * ref, (res.value, ref)
 
 
 @pytest.mark.parametrize("k,sign,beta,n", [case for case in SIGMA_CASES if case[3] == 300])
@@ -294,7 +294,7 @@ def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     band, shift, _ = calls[0]
     assert band.grid.n == 1200 and shift == runs[0][2]
     assert runs[1][0] is band and runs[1][1] == shift
-    assert runs[1][2] == arnoldi(band, shift) and res.sigma_bound == runs[1][2].real
+    assert runs[1][2] == arnoldi(band, shift) and res.value == runs[1][2].real
 
 
 # the numerical-range bound on the band against dense eigvalsh of the same
