@@ -12,22 +12,22 @@ case is held to six properties, each a check that can fail:
   inside the window; the value counts the levels whose secant did not;
 - psi_over_sigma: Psi/Sigma <= 1;
 - range_over_sigma: R/Sigma <= 1, R the numerical-range bound;
-- off_record: how many of the case's Sigma and Psi bounds end on another
-  grid_n or converged flag than RECORDED holds for the case, a case not
-  recorded counting both; passes at 0.
+- off_record: how many of the case's Sigma, Psi and range bounds end on
+  another grid_n or converged flag than RECORDED holds for the case, a
+  case not recorded counting all three; passes at 0.
 
 The ratios to Sigma are read only where |beta_k| >= 1.  RECORDED,
 tests/survey_grids.json, holds every case of LARGE, SMALL and FLOOR as
-recorded at commit 602010f; like the goldens it is never refrozen to
-absorb a change, and a change that moves an entry says so.  The lists are the hand
-surveys the Psi fixes were checked on: LARGE, the 220 bounds of the
-secant-stop survey (|beta_k| up to 3e7), and SMALL, the 252 small-beta
-bounds (|k| up to 8).  FLOOR holds |beta_k| = 5e5 to 1e8, where Psi's
-first level runs on more than the base n points so that h <=
-|beta_k|^{-1/6}; without that floor its last nine cases report a Psi
-below their finer grids' as converged.  SLICE is the tier-1 test's share
-(tests/test_survey.py).  Lists only grow; a case whose property fails is
-fixed in the program, never by editing the case.
+recorded at commit 602010f, range's columns at ccbc347; like the goldens
+it is never refrozen to absorb a change, and a change that moves an
+entry says so.  The lists are the hand surveys the Psi fixes were
+checked on: LARGE, the 220 bounds of the secant-stop survey (|beta_k| up
+to 3e7), and SMALL, the 252 small-beta bounds (|k| up to 8).  FLOOR holds
+|beta_k| = 5e5 to 1e8, where Psi's first level runs on more than the
+base n points so that h <= |beta_k|^{-1/6}; without that floor its last
+nine cases report a Psi below their finer grids' as converged.  SLICE is
+the tier-1 test's share (tests/test_survey.py).  Lists only grow; a case
+whose property fails is fixed in the program, never by editing the case.
 
 The full lists run as a script, which prints per list the worst value of
 each property, the cold smallest_singular_value calls per Psi bound (mean
@@ -69,8 +69,8 @@ SLICE = [(1, 3e7, 600), (2, -3e7, 300), (5, 1e7, 300), (-1, 3e6, 300), (5, 1e-2,
 LISTS = {"LARGE": LARGE, "SMALL": SMALL, "FLOOR": FLOOR, "SLICE": SLICE}
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "survey_grids.json")) as fh:
-    # (k, beta_k, n) -> ((grid_n, converged) of Sigma, the same of Psi)
-    RECORDED = {tuple(row[:3]): (tuple(row[3:5]), tuple(row[5:]))
+    # (k, beta_k, n) -> ((grid_n, converged) of Sigma, the same of Psi, of range)
+    RECORDED = {tuple(row[:3]): (tuple(row[3:5]), tuple(row[5:7]), tuple(row[7:]))
                 for row in json.load(fh)["cases"]}
 
 # property -> whether a value passes
@@ -95,21 +95,22 @@ def measure(k, beta_k, n):
     band = operators.assemble_banded(mode, make_grid(psi.grid_n, grid.r_max))
     fresh = oracle.psi_window_scan(band, mode)
     sigma, follows = _counted_sigma(mode, analysis.bound_grid(mode, "sigma", n))
+    rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n))
     out = {"psi_above_scan": math.inf if fresh is None else (psi.value - fresh[0]) / fresh[0],
            "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside,
-           "off_record": off_record((k, beta_k, n), sigma, psi)}
+           "off_record": off_record((k, beta_k, n), sigma, psi, rng)}
     if abs(beta_k) >= 1:
-        rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n)).value
         out.update(psi_over_sigma=psi.value / sigma.value,
-                   range_over_sigma=rng / sigma.value)
+                   range_over_sigma=rng.value / sigma.value)
     return out, calls, follows
 
 
-def off_record(case, sigma, psi):
-    """How many of the Sigma and Psi results' (grid_n, converged) differ
-    from the case's RECORDED entry; both, for a case not recorded."""
-    got = ((sigma.grid_n, sigma.converged), (psi.grid_n, psi.converged))
-    return sum(want != have for want, have in zip(RECORDED.get(case, (None, None)), got))
+def off_record(case, sigma, psi, rng):
+    """How many of the Sigma, Psi and range results' (grid_n, converged)
+    differ from the case's RECORDED entry; all three, for a case not
+    recorded."""
+    got = [(res.grid_n, res.converged) for res in (sigma, psi, rng)]
+    return sum(want != have for want, have in zip(RECORDED.get(case, (None,) * 3), got))
 
 
 def _counted_psi(mode, grid):

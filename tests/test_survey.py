@@ -39,17 +39,21 @@ def test_survey_properties_can_fail():
 
 def test_survey_record_covers_every_case_and_counts_each_change():
     # every case of the lists has its recorded grid_n and converged, for
-    # Sigma and for Psi, and off_record counts each pair that moved
+    # Sigma, Psi and range, and off_record counts each pair that moved
     cases = set(survey.LARGE) | set(survey.SMALL) | set(survey.FLOOR)
     assert set(survey.RECORDED) == cases
     case = (1, 1e2, 300)
-    (sigma_n, sigma_ok), (psi_n, psi_ok) = survey.RECORDED[case]
+    (sigma_n, sigma_ok), (psi_n, psi_ok), (range_n, range_ok) = survey.RECORDED[case]
 
     def result(n, ok):
         return types.SimpleNamespace(grid_n=n, converged=ok)
 
-    assert survey.off_record(case, result(sigma_n, sigma_ok), result(psi_n, psi_ok)) == 0
-    assert survey.off_record(case, result(2 * sigma_n, sigma_ok), result(psi_n, psi_ok)) == 1
-    assert survey.off_record(case, result(sigma_n, sigma_ok), result(psi_n, not psi_ok)) == 1
-    assert survey.off_record((1, 1e2, 333), result(sigma_n, sigma_ok),
-                             result(psi_n, psi_ok)) == 2
+    sigma, psi, rng = result(sigma_n, sigma_ok), result(psi_n, psi_ok), result(range_n, range_ok)
+    assert survey.off_record(case, sigma, psi, rng) == 0
+    assert survey.off_record(case, result(2 * sigma_n, sigma_ok), psi, rng) == 1
+    assert survey.off_record(case, sigma, result(psi_n, not psi_ok), rng) == 1
+    assert survey.off_record(case, sigma, psi, result(2 * range_n, range_ok)) == 1
+    assert survey.off_record(case, sigma, psi, result(range_n, not range_ok)) == 1
+    assert survey.off_record(case, result(2 * sigma_n, sigma_ok), psi,
+                             result(range_n, not range_ok)) == 2
+    assert survey.off_record((1, 1e2, 333), sigma, psi, rng) == 3
