@@ -55,6 +55,7 @@ command prints.
 """
 
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -141,6 +142,11 @@ def _dilation_angle(mode):
     return sgn * (math.pi / 12 if abs(mode.k) == 1 else math.pi / 24)
 
 
+def _tilted_mode(mode):
+    """The mode of the numerical-range bound: rotated by _dilation_angle, at lam = 0."""
+    return ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0, theta=_dilation_angle(mode))
+
+
 def _sigma_mode(mode):
     """(rotated mode, first Arnoldi shift) of the Sigma path: the angle
     sgn(beta_k) _SIGMA_ANGLE and the asymptote sqrt(|beta_k|/2)
@@ -182,6 +188,14 @@ def bound_grid(mode, quantity, n=600, r_max=None):
     return sigma_grid(mode, n)
 
 
+def _follow_or_locate(band, near, locate):
+    """A refined level's eigenvalue, Sigma's or range's: the one of band
+    nearest near, the coarser level's, as solver.follow_eigenvalue settles
+    it, or locate() where the follow declines."""
+    mu = solver.follow_eigenvalue(band, near)
+    return locate() if mu is None else mu
+
+
 def spectral_bound(mode, grid=None):
     """Sigma(alpha, k) = min Re spec of the mode operator, at lam = 0.
 
@@ -190,8 +204,8 @@ def spectral_bound(mode, grid=None):
     Runs the grid-doubling protocol from the given grid (default:
     bound_grid, sigma_grid at n = 600) on the rotated band, whose point
     spectrum matches the straight operator's: shift-invert Arnoldi from the
-    asymptote on the first level, then solver.follow_eigenvalue from the
-    previous eigenvalue, or the Arnoldi where the follow declines.
+    asymptote on the first level, then _follow_or_locate from the previous
+    eigenvalue, the Arnoldi from there where the follow declines.
     """
     if grid is None:
         grid = bound_grid(mode, "sigma")
@@ -199,8 +213,8 @@ def spectral_bound(mode, grid=None):
 
     def step(g, prev):
         band, shift = operators.assemble_banded(rotated, g), seed if prev is None else prev[1]
-        mu = None if prev is None else solver.follow_eigenvalue(band, shift)
-        mu = solver.bottom_eigenvalue(band, shift) if mu is None else mu
+        locate = functools.partial(solver.bottom_eigenvalue, band, shift)
+        mu = locate() if prev is None else _follow_or_locate(band, shift, locate)
         return mu.real, mu
 
     return _grid_doubling(grid, step, "sigma", mode)[0]
@@ -418,23 +432,36 @@ def numerical_range_bound(mode, grid=None):
     analytic-dilation angle sgn(beta_k) pi/12 for |k| = 1 and
     sgn(beta_k) pi/24 otherwise and returns the smallest eigenvalue of the
     Hermitian part, which lower-bounds the numerical range and hence the
-    spectrum, read from the band form of the rotated operator.  The grid
-    defaults to bound_grid (sigma_grid at n = 600).
+    spectrum, read from the band form of the rotated operator on the one
+    grid given (solver.hermitian_part_min_eig: bisection, then for
+    |k| >= 2 the Arnoldi on its pencil).  The grid defaults to bound_grid
+    (sigma_grid at n = 600); range_bound runs it on first levels.
     """
     if grid is None:
         grid = bound_grid(mode, "range")
-    tilted = ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0,
-                      theta=_dilation_angle(mode))
-    return solver.hermitian_part_min_eig(operators.assemble_banded(tilted, grid))
+    return solver.hermitian_part_min_eig(operators.assemble_banded(_tilted_mode(mode), grid))
 
 
 def range_bound(mode, grid=None):
-    """numerical_range_bound by the grid-doubling protocol, from the given
-    grid (default: bound_grid, sigma_grid at n = 600)."""
+    """The numerical-range bound by the grid-doubling protocol, from the
+    given grid (default: bound_grid, sigma_grid at n = 600).  The first
+    level, and every level at |k| = 1, where bisection alone reads it, is
+    numerical_range_bound; for |k| >= 2 a refined level runs
+    _follow_or_locate on the Hermitian part's pencil
+    (solver._hermitian_pencil) from the coarser level's value, and
+    numerical_range_bound where the follow declines."""
     if grid is None:
         grid = bound_grid(mode, "range")
-    return _grid_doubling(grid, lambda g, prev: (float(numerical_range_bound(mode, g)),),
-                          "range", mode)[0]
+    tilted = _tilted_mode(mode)
+
+    def step(g, prev):
+        locate = functools.partial(numerical_range_bound, mode, g)
+        if prev is None or abs(mode.k) == 1:
+            return (float(locate()),)
+        pencil = solver._hermitian_pencil(operators.assemble_banded(tilted, g))
+        return (float(_follow_or_locate(pencil, prev[0], locate).real),)
+
+    return _grid_doubling(grid, step, "range", mode)[0]
 
 
 def sweep_point(mode, quantity, grid=None):

@@ -402,6 +402,19 @@ def _wave_rule(grid):
     return _WaveRule(h, lam, lamp, chi, pref, full, half)
 
 
+def _real_divide(x, y, out, where=True):
+    """out = x / y where where, for a real y: a complex x by its real and
+    imaginary parts apart, which numpy would divide as complex by complex,
+    at about twice the cost.  T and T* are real-linear, so on a complex
+    field this moves only the last bits."""
+    if np.iscomplexobj(x):
+        _real_divide(x.real, y, out.real, where)
+        _real_divide(x.imag, y, out.imag, where)
+    else:
+        np.divide(x, y, out=out, where=where)
+    return out
+
+
 def _scaled_fit(w, rule):
     """q = w/(r^{3/2} g) and its local fit on the basis {1, r, Lam}.
 
@@ -420,10 +433,10 @@ def _scaled_fit(w, rule):
     carry no field content and get q = 0 rather than inf.
     """
     chi, h, lam = rule.chi, rule.h, rule.lam
-    q = np.divide(w, chi, out=np.zeros(np.shape(w), np.result_type(w, chi)), where=chi > 0)
+    q = _real_divide(w, chi, np.zeros(np.shape(w), np.result_type(w, chi)), chi > 0)
     c = np.empty_like(q)
     b = np.zeros_like(q)
-    d1 = (q[..., 2:] - q[..., :-2]) / (2 * h)
+    d1 = _real_divide(q[..., 2:] - q[..., :-2], 2 * h, np.empty_like(q[..., 1:-1]))
     d2 = q[..., 2:] - 2 * q[..., 1:-1] + q[..., :-2]
     e1 = (lam[2:] - lam[:-2]) / (2 * h)
     e2 = lam[2:] - 2 * lam[1:-1] + lam[:-2]

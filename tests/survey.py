@@ -31,9 +31,10 @@ whose property fails is fixed in the program, never by editing the case.
 
 The full lists run as a script, which prints per list the worst value of
 each property, the cold smallest_singular_value calls per Psi bound (mean
-and max), and how many refined Sigma levels solver.follow_eigenvalue
-settled and how many it declined to the Arnoldi, with the band solves
-per settled level (mean and max), and exits 1 if any property fails:
+and max), and, for Sigma and for range, how many refined levels
+solver.follow_eigenvalue settled and how many it declined to the
+Arnoldi, with the band solves per settled level (mean and max), and
+exits 1 if any property fails:
 
     PYTHONPATH=src python tests/survey.py [LARGE] [SMALL] [FLOOR] [SLICE]
 """
@@ -87,22 +88,23 @@ PROPERTIES = {
 def measure(k, beta_k, n):
     """(values, calls, follows): the property values of one case, by name
     (the ratios to Sigma only where |beta_k| >= 1), the cold
-    smallest_singular_value calls of its Psi bound, and the band solves of
-    each refined Sigma level's follow, None where it declined."""
+    smallest_singular_value calls of its Psi bound, and per quantity,
+    "sigma" and "range", the band solves of each refined level's follow,
+    None where it declined (range follows only for |k| >= 2)."""
     mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
     grid = analysis.bound_grid(mode, "psi", n)
     psi, calls, outside = _counted_psi(mode, grid)
     band = operators.assemble_banded(mode, make_grid(psi.grid_n, grid.r_max))
     fresh = oracle.psi_window_scan(band, mode)
-    sigma, follows = _counted_sigma(mode, analysis.bound_grid(mode, "sigma", n))
-    rng = analysis.sweep_point(mode, "range", analysis.bound_grid(mode, "range", n))
+    sigma, sigma_follows = _followed(mode, "sigma", analysis.bound_grid(mode, "sigma", n))
+    rng, range_follows = _followed(mode, "range", analysis.bound_grid(mode, "range", n))
     out = {"psi_above_scan": math.inf if fresh is None else (psi.value - fresh[0]) / fresh[0],
            "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside,
            "off_record": off_record((k, beta_k, n), sigma, psi, rng)}
     if abs(beta_k) >= 1:
         out.update(psi_over_sigma=psi.value / sigma.value,
                    range_over_sigma=rng.value / sigma.value)
-    return out, calls, follows
+    return out, calls, {"sigma": sigma_follows, "range": range_follows}
 
 
 def off_record(case, sigma, psi, rng):
@@ -137,8 +139,8 @@ def _counted_psi(mode, grid):
         solver.smallest_singular_value, analysis._slope_min = cold, secant
 
 
-def _counted_sigma(mode, grid):
-    """sweep_point(mode, "sigma", grid), and per refined level the band
+def _followed(mode, quantity, grid):
+    """sweep_point(mode, quantity, grid), and per refined level the band
     solves its solver.follow_eigenvalue took, None where it declined."""
     follow, lu, solves, follows = solver.follow_eigenvalue, solver._band_lu, [], []
 
@@ -162,7 +164,7 @@ def _counted_sigma(mode, grid):
 
     solver.follow_eigenvalue = recorded
     try:
-        return analysis.sweep_point(mode, "sigma", grid), follows
+        return analysis.sweep_point(mode, quantity, grid), follows
     finally:
         solver.follow_eigenvalue = follow
 
@@ -184,12 +186,13 @@ def main(names):
         calls = [c for _, c, _ in runs.values()]
         print("%-6s cold s_min calls per Psi bound: mean %.2f  max %d"
               % (name, sum(calls) / len(calls), max(calls)))
-        follows = [f for _, _, fs in runs.values() for f in fs]
-        settled = [f for f in follows if f is not None]
-        print("%-6s refined Sigma levels: %d followed, %d declined; band solves per "
-              "followed level: mean %.2f  max %d"
-              % (name, len(settled), len(follows) - len(settled),
-                 sum(settled) / max(len(settled), 1), max(settled, default=0)))
+        for quantity, label in (("sigma", "Sigma"), ("range", "range")):
+            follows = [f for _, _, fs in runs.values() for f in fs[quantity]]
+            settled = [f for f in follows if f is not None]
+            print("%-6s refined %s levels: %d followed, %d declined; band solves per "
+                  "followed level: mean %.2f  max %d"
+                  % (name, label, len(settled), len(follows) - len(settled),
+                     sum(settled) / max(len(settled), 1), max(settled, default=0)))
         bad = {case: failures(case, v) for case, v in values.items() if failures(case, v)}
         print("%s: %d of %d cases fail" % (name, len(bad), len(values)))
         for msgs in bad.values():

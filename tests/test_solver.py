@@ -276,10 +276,11 @@ def test_follow_declines_between_two_eigenvalues():
 
 
 def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
-    # k = 1, beta_1 = 1 from n = 600: the refined level at n = 1200 needs 9
-    # solves to 1e-14, one over the budget, so the follow declines and the
-    # level runs bottom_eigenvalue on its band from the follow's shift, the
-    # first level's eigenvalue, and reports that call's value bitwise
+    # k = 1, beta_1 = 3e6 from n = 300: on the refined level at n = 600 the
+    # follow's residual falls by about 8 per solve and is still near 1e-6
+    # after 8, so the follow declines and the level runs bottom_eigenvalue
+    # on its band from the follow's shift, the first level's eigenvalue, and
+    # reports that call's value bitwise
     arnoldi, runs = solver.bottom_eigenvalue, []
 
     def recorded(band, shift):
@@ -287,14 +288,31 @@ def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
         return runs[-1][2]
 
     monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
+    mode = ModeSpec(alpha=8 * math.pi * 3e6, k=1)
+    res, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=300))
+    assert res.grid_n == 600 and res.converged
+    assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
+    band, shift, _ = calls[0]
+    assert band.grid.n == 600 and shift == runs[0][2]
+    assert runs[1][0] is band and runs[1][1] == shift
+    assert runs[1][2] == arnoldi(band, shift) and res.value == runs[1][2].real
+
+
+def test_follow_stops_at_its_rounding_floor(monkeypatch):
+    # k = 1, beta_1 = 1 from n = 600: on the 1200-point level the residual
+    # per solve reads 65, 3.1e-5, 1.2e-9, 6.7e-14, 1.2e-14, 2.2e-14, ...,
+    # never under 1e-14 within the budget; it stopped falling at 2.2e-14,
+    # under _FOLLOW_FLOOR, so the follow settles there, on the Arnoldi's
+    # eigenvalue from the same shift.  Without the floor it declines.
     mode = ModeSpec(alpha=8 * math.pi, k=1)
     res, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=600))
     assert res.grid_n == 1200 and res.converged
-    assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
-    band, shift, _ = calls[0]
-    assert band.grid.n == 1200 and shift == runs[0][2]
-    assert runs[1][0] is band and runs[1][1] == shift
-    assert runs[1][2] == arnoldi(band, shift) and res.value == runs[1][2].real
+    (band, shift, got), = calls
+    assert band.grid.n == 1200 and got is not None and res.value == got.real
+    ref = solver.bottom_eigenvalue(band, shift)
+    assert abs(got - ref) <= 1e-14 * abs(ref), (got, ref)
+    monkeypatch.setattr(solver, "_FOLLOW_FLOOR", 0.0)
+    assert solver.follow_eigenvalue(band, shift) is None
 
 
 # the numerical-range bound on the band against dense eigvalsh of the same
@@ -313,6 +331,51 @@ def test_banded_range_matches_dense_eigvalsh(k, sign, beta, n):
     tilted = ModeSpec(alpha=mode.alpha, k=k, theta=analysis._dilation_angle(mode))
     ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(tilted, grid))
     assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+
+
+def _range_levels(monkeypatch, mode, grid, follow=solver.follow_eigenvalue):
+    """range_bound(mode, grid) with follow in place of
+    solver.follow_eigenvalue, and what each call returned."""
+    calls = []
+
+    def recorded(band, shift):
+        calls.append(follow(band, shift))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "follow_eigenvalue", recorded)
+    return analysis.range_bound(mode, grid), calls
+
+
+@pytest.mark.parametrize("beta", [1.0, 10.0, 1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_range_bound_matches_dense_eigvalsh(monkeypatch, k, sign, beta):
+    # a whole range bound from n = 300, its refined level followed from the
+    # first level's value, against dense eigvalsh of the Hermitian part of
+    # the tilted operator on its final grid
+    mode = ModeSpec(alpha=sign * 8 * math.pi * beta / k, k=k)
+    grid = analysis.sigma_grid(mode, n=300)
+    res, calls = _range_levels(monkeypatch, mode, grid)
+    assert res.converged and calls and all(got is not None for got in calls)
+    tilted = ModeSpec(alpha=mode.alpha, k=k, theta=analysis._dilation_angle(mode))
+    ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
+        tilted, make_grid(res.grid_n, grid.r_max)))
+    assert abs(res.value - ref) <= 1e-10 * abs(ref), (res.value, ref)
+
+
+@pytest.mark.parametrize("k,beta", [(1, 1e3), (-1, -10.0), (2, 1e2), (2, -1e4), (3, 1.0),
+                                    (5, 1e5)])
+def test_range_bound_without_the_follow_is_numerical_range_bound(monkeypatch, k, beta):
+    # where every follow declines, each level's value is
+    # numerical_range_bound on that level's grid, bitwise; |k| = 1 never
+    # follows, |k| >= 2 tries once per refined level
+    mode = ModeSpec(alpha=8 * math.pi * beta / k, k=k)
+    grid = analysis.sigma_grid(mode, n=300)
+    res, calls = _range_levels(monkeypatch, mode, grid, follow=lambda band, shift: None)
+    assert len(calls) == (0 if abs(k) == 1 else len(res.levels) - 1)
+    assert res.levels == tuple((n, float(analysis.numerical_range_bound(
+        mode, make_grid(n, grid.r_max)))) for n, _ in res.levels)
+    assert (res.grid_n, res.value) == res.levels[-1]
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -15,9 +15,10 @@ def test_survey_slice_holds_every_property(case):
     assert set(values) == (set(survey.PROPERTIES) if abs(case[1]) >= 1 else
                            {"psi_above_scan", "lambda_ratio", "psi_interior", "off_record"})
     assert survey.failures(case, values) == [] and calls > 0
-    # each Sigma bound refines at least once, and a settled follow took
-    # one band solve at least
-    assert follows and all(f is None or f > 0 for f in follows)
+    # each Sigma bound refines at least once, range follows only for
+    # |k| >= 2, and a settled follow took one band solve at least
+    assert follows["sigma"] and bool(follows["range"]) == (abs(case[0]) >= 2)
+    assert all(f is None or f > 0 for fs in follows.values() for f in fs)
 
 
 def test_survey_properties_can_fail():
