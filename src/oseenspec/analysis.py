@@ -135,16 +135,12 @@ def _grid_doubling(grid, step, quantity, mode):
                        grid_n=g.n, r_max=grid.r_max, levels=tuple(levels)), out
 
 
-def _dilation_angle(mode):
-    """Rotation angle of the numerical-range bound: sgn(beta_k) pi/12 for
-    |k| = 1, sgn(beta_k) pi/24 otherwise."""
+def _range_mode(mode):
+    """The mode of the numerical-range bound: lam = 0 and the rotation angle
+    sgn(beta_k) pi/12 for |k| = 1, sgn(beta_k) pi/24 otherwise."""
     sgn = 1.0 if mode.beta_k >= 0 else -1.0
-    return sgn * (math.pi / 12 if abs(mode.k) == 1 else math.pi / 24)
-
-
-def _tilted_mode(mode):
-    """The mode of the numerical-range bound: rotated by _dilation_angle, at lam = 0."""
-    return ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0, theta=_dilation_angle(mode))
+    theta = sgn * (math.pi / 12 if abs(mode.k) == 1 else math.pi / 24)
+    return ModeSpec(alpha=mode.alpha, k=mode.k, lam=0.0, theta=theta)
 
 
 def _sigma_mode(mode):
@@ -439,7 +435,7 @@ def numerical_range_bound(mode, grid=None):
     """
     if grid is None:
         grid = bound_grid(mode, "range")
-    return solver.hermitian_part_min_eig(operators.assemble_banded(_tilted_mode(mode), grid))
+    return solver.hermitian_part_min_eig(operators.assemble_banded(_range_mode(mode), grid))
 
 
 def range_bound(mode, grid=None):
@@ -452,7 +448,7 @@ def range_bound(mode, grid=None):
     numerical_range_bound where the follow declines."""
     if grid is None:
         grid = bound_grid(mode, "range")
-    tilted = _tilted_mode(mode)
+    tilted = _range_mode(mode)
 
     def step(g, prev):
         locate = functools.partial(numerical_range_bound, mode, g)

@@ -275,6 +275,18 @@ def test_follow_declines_between_two_eigenvalues():
         solver.follow_eigenvalue(np.eye(20, dtype=complex), 0.0)
 
 
+def test_follow_declines_a_residual_that_stalls_above_its_floor():
+    # eigenvalues 1 and 1 + 1e-9 seen from the shift 0, the rest from 200
+    # east: from the sixth solve the residual sits at 5e-10, the pair's
+    # mixing, not rounding; it has stopped falling, but 5000 times above
+    # _FOLLOW_FLOOR, so the follow declines rather than report the mix
+    n = 100
+    data = np.zeros((n, 3), dtype=complex)
+    data[:, 1] = np.concatenate([[1.0, 1.0 + 1e-9], np.geomspace(200.0, 1000.0, n - 2)])
+    band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
+    assert solver.follow_eigenvalue(band, 0.0) is None
+
+
 def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     # k = 1, beta_1 = 3e6 from n = 300: on the refined level at n = 600 the
     # follow's residual falls by about 8 per solve and is still near 1e-6
@@ -328,7 +340,7 @@ def test_banded_range_matches_dense_eigvalsh(k, sign, beta, n):
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
     grid = analysis.sigma_grid(mode, n=n)
     got = analysis.numerical_range_bound(mode, grid)
-    tilted = ModeSpec(alpha=mode.alpha, k=k, theta=analysis._dilation_angle(mode))
+    tilted = analysis._range_mode(mode)
     ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(tilted, grid))
     assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
 
@@ -357,7 +369,7 @@ def test_range_bound_matches_dense_eigvalsh(monkeypatch, k, sign, beta):
     grid = analysis.sigma_grid(mode, n=300)
     res, calls = _range_levels(monkeypatch, mode, grid)
     assert res.converged and calls and all(got is not None for got in calls)
-    tilted = ModeSpec(alpha=mode.alpha, k=k, theta=analysis._dilation_angle(mode))
+    tilted = analysis._range_mode(mode)
     ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
         tilted, make_grid(res.grid_n, grid.r_max)))
     assert abs(res.value - ref) <= 1e-10 * abs(ref), (res.value, ref)
