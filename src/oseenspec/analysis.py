@@ -55,7 +55,6 @@ command prints.
 """
 
 import dataclasses
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -184,12 +183,24 @@ def bound_grid(mode, quantity, n=600, r_max=None):
     return sigma_grid(mode, n)
 
 
-def _follow_or_locate(band, near, locate):
-    """A refined level's eigenvalue, Sigma's or range's: the one of band
-    nearest near, the coarser level's, as solver.follow_eigenvalue settles
-    it, or locate() where the follow declines."""
-    mu = solver.follow_eigenvalue(band, near)
-    return locate() if mu is None else mu
+def _bottom_step(first, band):
+    """The level step of Sigma's protocol, and of range's at |k| >= 2:
+    first(g), the first level's eigenvalue, then on each refined level the
+    eigenvalue of band(g) nearest the coarser level's, as
+    solver.follow_eigenvalue settles it, or where the follow declines
+    solver.bottom_eigenvalue on that same band from that same shift.  The
+    step returns (Re mu, mu), and the next level shifts by mu."""
+    def step(g, prev):
+        if prev is None:
+            mu = first(g)
+        else:
+            matrix = band(g)
+            mu = solver.follow_eigenvalue(matrix, prev[1])
+            if mu is None:
+                mu = solver.bottom_eigenvalue(matrix, prev[1])
+        return float(mu.real), mu
+
+    return step
 
 
 def spectral_bound(mode, grid=None):
@@ -200,19 +211,15 @@ def spectral_bound(mode, grid=None):
     Runs the grid-doubling protocol from the given grid (default:
     bound_grid, sigma_grid at n = 600) on the rotated band, whose point
     spectrum matches the straight operator's: shift-invert Arnoldi from the
-    asymptote on the first level, then _follow_or_locate from the previous
+    asymptote on the first level, then _bottom_step from the previous
     eigenvalue, the Arnoldi from there where the follow declines.
     """
     if grid is None:
         grid = bound_grid(mode, "sigma")
     rotated, seed = _sigma_mode(mode)
-
-    def step(g, prev):
-        band, shift = operators.assemble_banded(rotated, g), seed if prev is None else prev[1]
-        locate = functools.partial(solver.bottom_eigenvalue, band, shift)
-        mu = locate() if prev is None else _follow_or_locate(band, shift, locate)
-        return mu.real, mu
-
+    step = _bottom_step(
+        lambda g: solver.bottom_eigenvalue(operators.assemble_banded(rotated, g), seed),
+        lambda g: operators.assemble_banded(rotated, g))
     return _grid_doubling(grid, step, "sigma", mode)[0]
 
 
@@ -430,8 +437,9 @@ def numerical_range_bound(mode, grid=None):
     Hermitian part, which lower-bounds the numerical range and hence the
     spectrum, read from the band form of the rotated operator on the one
     grid given (solver.hermitian_part_min_eig: bisection, then for
-    |k| >= 2 the Arnoldi on its pencil).  The grid defaults to bound_grid
-    (sigma_grid at n = 600); range_bound runs it on first levels.
+    |k| >= 2 the Arnoldi on its pencil from the bisection's value).  The
+    grid defaults to bound_grid (sigma_grid at n = 600); range_bound runs
+    it on its first level, and on every level at |k| = 1.
     """
     if grid is None:
         grid = bound_grid(mode, "range")
@@ -441,22 +449,20 @@ def numerical_range_bound(mode, grid=None):
 def range_bound(mode, grid=None):
     """The numerical-range bound by the grid-doubling protocol, from the
     given grid (default: bound_grid, sigma_grid at n = 600).  The first
-    level, and every level at |k| = 1, where bisection alone reads it, is
-    numerical_range_bound; for |k| >= 2 a refined level runs
-    _follow_or_locate on the Hermitian part's pencil
-    (solver._hermitian_pencil) from the coarser level's value, and
-    numerical_range_bound where the follow declines."""
+    level, and every level at |k| = 1, where bisection certifies the
+    bottom, is numerical_range_bound; for |k| >= 2 a refined level runs
+    _bottom_step, spectral_bound's, on the Hermitian part's pencil
+    (solver._hermitian_pencil), built once per level: the coarser level's
+    value followed, and the Arnoldi on the same pencil from that value
+    where the follow declines, with no bisection."""
     if grid is None:
         grid = bound_grid(mode, "range")
-    tilted = _range_mode(mode)
-
-    def step(g, prev):
-        locate = functools.partial(numerical_range_bound, mode, g)
-        if prev is None or abs(mode.k) == 1:
-            return (float(locate()),)
-        pencil = solver._hermitian_pencil(operators.assemble_banded(tilted, g))
-        return (float(_follow_or_locate(pencil, prev[0], locate).real),)
-
+    if abs(mode.k) == 1:
+        step = lambda g, prev: (numerical_range_bound(mode, g),)
+    else:
+        tilted = _range_mode(mode)
+        step = _bottom_step(lambda g: numerical_range_bound(mode, g), lambda g: (
+            solver._hermitian_pencil(operators.assemble_banded(tilted, g))))
     return _grid_doubling(grid, step, "range", mode)[0]
 
 

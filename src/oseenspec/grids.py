@@ -109,8 +109,10 @@ class OperatorMatrix:
     are what every bound runs on: "L1_band" (the tridiagonal L1, data of
     shape (n, 3)) and "H_band" (the interleaved 2n pencil whose Schur
     complement is H_deformed, which is H_full at theta = 0, data of shape
-    (2n, 5)); row i of their data holds the matrix entries of row i from
-    column i - b to i + b.  The dense kinds, (n, n) data, are the
+    (2n, 5)); solver._hermitian_pencil builds, under kind "H_band", the
+    3n pencil of an H_band's Hermitian part, data of shape (3n, 7).  Row
+    i of their data holds the matrix entries of row i from column i - b
+    to i + b, b = 1, 2, 3.  The dense kinds, (n, n) data, are the
     benchmark's oracle: "A_k", "K_k", "B_k" (real) and "H_full",
     "L1_model", "H_deformed" (complex symmetric, equal to their
     transpose, not their adjoint).

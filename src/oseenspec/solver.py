@@ -14,8 +14,8 @@ the coarser level's eigenvalue (follow_eigenvalue, or the Arnoldi where it
 declines), Psi's s_min(M - i shift) by inverse Lanczos (Wright &
 Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range bound's
 bottom of (M + M^H)/2 by bisection on its tridiagonal, then for |k| >= 2
-on a 3n pencil by the same Arnoldi on the first level and the same follow
-on refined ones.  Inverse Lanczos measures a shift cold, from a fixed
+on a 3n pencil by the same Arnoldi on the first level and the same follow,
+or the Arnoldi where it declines, on refined ones.  Inverse Lanczos measures a shift cold, from a fixed
 start vector, to relative 1e-14, and so measures every shift of Psi's
 secant and every value a Psi bound reports;
 smallest_singular_value returns each s with the slope ds/dshift that the
@@ -118,15 +118,30 @@ def _check_band(m, routine):
 
 def smallest_singular_value(m, shift=0.0):
     """(s_min, ds_min/dshift) of M - i shift I for a banded operator, where
-    s_min = 1/||(M - i shift)^{-1}||, through one band LU and the inverse
-    Lanczos iteration, with no size cap; for the pencil kind this is s_min
-    of its Schur complement H - i shift.  The slope comes from the top Ritz
-    vector y of X^H X, X = (M - i shift)^{-1}, and one more band solve:
-    with w = X y / ||X y||, ds/dshift = Im(y^H w).  It holds for both
-    kinds, since the shift acts on the x rows only.  An exactly singular
-    M - i shift raises SolverError."""
+    s_min = 1/||(M - i shift)^{-1}||, with no size cap; for the pencil kind
+    this is s_min of its Schur complement H - i shift.  Inverse Lanczos:
+    _lanczos on X^H X, X the x-row block of (M - i shift)^{-1} through one
+    band LU, from the fixed start vector, to relative change
+    _LANCZOS_RTOL, gives s_min = theta^{-1/2} for the top Ritz value
+    theta.  The slope comes from its Ritz vector y and one more band
+    solve: with w = X y / ||X y||, ds/dshift = Im(y^H w).  It holds for
+    both kinds, since the shift acts on the x rows only.  An exactly
+    singular M - i shift raises SolverError.
+
+    Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
+    which is 0.998 at shifts far from the resolvent peak, where the bottom
+    singular values cluster.  From the fixed start, Lanczos reaches 1e-14
+    there in about 30 to 260 steps, and in 7 to 10 steps near the peak,
+    where Psi's secant measures.
+    """
     _check_band(m, "smallest_singular_value")
-    return _banded_smin(m, shift)
+    solve = _band_lu(m, 1j * shift)
+    theta, y = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n),
+                        vector=True)
+    # s = 1/sigma_max(X) and dX/dshift = i X^2 give ds = Im(y^H X y)/||X y||
+    w = solve(y, False)
+    return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag
+                                         / (np.linalg.norm(y) * np.linalg.norm(w)))
 
 
 def _band_lu(m, z):
@@ -238,27 +253,6 @@ def _lanczos(apply, start, vector=False):
     if j == 0:
         return theta, basis[0].copy()
     return theta, _checked(tri.vector(), "tridiagonal eigenvector") @ basis[:j + 1]
-
-
-def _banded_smin(m, shift):
-    """Inverse Lanczos: _lanczos on X^H X, X the x-row block of
-    (M - i shift)^{-1}, from the fixed start vector, to relative change
-    _LANCZOS_RTOL; returns (theta^{-1/2}, ds/dshift) for the top Ritz
-    value theta and its Ritz vector.
-
-    Plain inverse iteration converges at the rate (s_1/s_2)^2 per sweep,
-    which is 0.998 at shifts far from the resolvent peak, where the bottom
-    singular values cluster.  From the fixed start, Lanczos reaches 1e-14
-    there in about 30 to 260 steps, and in 7 to 10 steps near the peak,
-    where Psi's secant measures.
-    """
-    solve = _band_lu(m, 1j * shift)
-    theta, y = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n),
-                        vector=True)
-    # s = 1/sigma_max(X) and dX/dshift = i X^2 give ds = Im(y^H X y)/||X y||
-    w = solve(y, False)
-    return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag
-                                         / (np.linalg.norm(y) * np.linalg.norm(w)))
 
 
 def bottom_eigenvalue(m, shift):

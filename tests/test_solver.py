@@ -219,17 +219,18 @@ def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
     assert abs(got - ref.real.min()) <= 1e-10 * ref.real.min(), (got, ref.real.min())
 
 
-def _sigma_levels(monkeypatch, mode, grid):
-    """spectral_bound(mode, grid) and its refined levels' follow calls, as
+def _levels(monkeypatch, quantity, mode, grid, follow=solver.follow_eigenvalue):
+    """sweep_point(mode, quantity, grid) with follow in place of
+    solver.follow_eigenvalue, and each refined level's follow call, as
     (band, shift, returned)."""
-    follow, calls = solver.follow_eigenvalue, []
+    calls = []
 
     def recorded(band, shift):
         calls.append((band, shift, follow(band, shift)))
         return calls[-1][2]
 
     monkeypatch.setattr(solver, "follow_eigenvalue", recorded)
-    return analysis.spectral_bound(mode, grid), calls
+    return analysis.sweep_point(mode, quantity, grid), calls
 
 
 @pytest.mark.parametrize("k,sign", ORACLE_MODES)
@@ -239,7 +240,7 @@ def test_followed_sigma_matches_dense_eig(monkeypatch, k, sign):
     # final grid (n = 600)
     mode = ModeSpec(alpha=sign * 8 * math.pi * 1e3 / abs(k), k=k)
     grid = analysis.sigma_grid(mode, n=300)
-    res, calls = _sigma_levels(monkeypatch, mode, grid)
+    res, calls = _levels(monkeypatch, "sigma", mode, grid)
     assert res.grid_n == 600 and res.converged
     assert len(calls) == 1 and calls[0][2] is not None
     rotated, _ = analysis._sigma_mode(mode)
@@ -253,7 +254,7 @@ def test_followed_level_matches_bottom_eigenvalue(monkeypatch, k, sign, beta, n)
     # every refined level the follow settles returns what the Arnoldi
     # returns from the same shift on the same band
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
-    _, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=n))
+    _, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=n))
     assert calls and all(got is not None for _, _, got in calls)
     for band, shift, got in calls:
         ref = solver.bottom_eigenvalue(band, shift)
@@ -301,7 +302,7 @@ def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
 
     monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
     mode = ModeSpec(alpha=8 * math.pi * 3e6, k=1)
-    res, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=300))
+    res, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=300))
     assert res.grid_n == 600 and res.converged
     assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
     band, shift, _ = calls[0]
@@ -317,7 +318,7 @@ def test_follow_stops_at_its_rounding_floor(monkeypatch):
     # under _FOLLOW_FLOOR, so the follow settles there, on the Arnoldi's
     # eigenvalue from the same shift.  Without the floor it declines.
     mode = ModeSpec(alpha=8 * math.pi, k=1)
-    res, calls = _sigma_levels(monkeypatch, mode, analysis.sigma_grid(mode, n=600))
+    res, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=600))
     assert res.grid_n == 1200 and res.converged
     (band, shift, got), = calls
     assert band.grid.n == 1200 and got is not None and res.value == got.real
@@ -345,19 +346,6 @@ def test_banded_range_matches_dense_eigvalsh(k, sign, beta, n):
     assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
 
 
-def _range_levels(monkeypatch, mode, grid, follow=solver.follow_eigenvalue):
-    """range_bound(mode, grid) with follow in place of
-    solver.follow_eigenvalue, and what each call returned."""
-    calls = []
-
-    def recorded(band, shift):
-        calls.append(follow(band, shift))
-        return calls[-1]
-
-    monkeypatch.setattr(solver, "follow_eigenvalue", recorded)
-    return analysis.range_bound(mode, grid), calls
-
-
 @pytest.mark.parametrize("beta", [1.0, 10.0, 1e2, 1e3, 1e4, 1e5])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -367,8 +355,8 @@ def test_range_bound_matches_dense_eigvalsh(monkeypatch, k, sign, beta):
     # the tilted operator on its final grid
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / k, k=k)
     grid = analysis.sigma_grid(mode, n=300)
-    res, calls = _range_levels(monkeypatch, mode, grid)
-    assert res.converged and calls and all(got is not None for got in calls)
+    res, calls = _levels(monkeypatch, "range", mode, grid)
+    assert res.converged and calls and all(got is not None for _, _, got in calls)
     tilted = analysis._range_mode(mode)
     ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
         tilted, make_grid(res.grid_n, grid.r_max)))
@@ -377,17 +365,65 @@ def test_range_bound_matches_dense_eigvalsh(monkeypatch, k, sign, beta):
 
 @pytest.mark.parametrize("k,beta", [(1, 1e3), (-1, -10.0), (2, 1e2), (2, -1e4), (3, 1.0),
                                     (5, 1e5)])
-def test_range_bound_without_the_follow_is_numerical_range_bound(monkeypatch, k, beta):
-    # where every follow declines, each level's value is
-    # numerical_range_bound on that level's grid, bitwise; |k| = 1 never
-    # follows, |k| >= 2 tries once per refined level
+def test_range_bound_without_the_follow(monkeypatch, k, beta):
+    # where every follow declines: at |k| = 1 the follow is never called and
+    # each level is numerical_range_bound on its grid, bitwise; at |k| >= 2
+    # it is tried once per refined level, and each such level is
+    # bottom_eigenvalue on the pencil the follow got, from the coarser
+    # level's value, bitwise; either way the bound is dense eigvalsh of the
+    # tilted operator's Hermitian part on the final grid
     mode = ModeSpec(alpha=8 * math.pi * beta / k, k=k)
     grid = analysis.sigma_grid(mode, n=300)
-    res, calls = _range_levels(monkeypatch, mode, grid, follow=lambda band, shift: None)
-    assert len(calls) == (0 if abs(k) == 1 else len(res.levels) - 1)
-    assert res.levels == tuple((n, float(analysis.numerical_range_bound(
-        mode, make_grid(n, grid.r_max)))) for n, _ in res.levels)
+    res, calls = _levels(monkeypatch, "range", mode, grid, follow=lambda band, shift: None)
+    assert res.levels[0] == (300, analysis.numerical_range_bound(mode, grid))
+    if abs(k) == 1:
+        assert not calls and res.levels == tuple((n, analysis.numerical_range_bound(
+            mode, make_grid(n, grid.r_max))) for n, _ in res.levels)
+    else:
+        assert len(calls) == len(res.levels) - 1
+        for (band, shift, _), (_, coarser), (n, value) in zip(calls, res.levels,
+                                                              res.levels[1:]):
+            assert band.grid.n == n and shift == coarser
+            assert value == solver.bottom_eigenvalue(band, shift).real
     assert (res.grid_n, res.value) == res.levels[-1]
+    ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
+        analysis._range_mode(mode), make_grid(res.grid_n, grid.r_max)))
+    assert abs(res.value - ref) <= 1e-10 * abs(ref), (res.value, ref)
+
+
+def test_declined_range_level_runs_the_arnoldi_on_its_pencil(monkeypatch):
+    # k = 2, beta_2 = 3e7 from n = 300: the follow declines on the 600-point
+    # level, which then runs bottom_eigenvalue on the very pencil the follow
+    # got, from the first level's value, and reports that call's value
+    # bitwise; the level assembles its band once and bisects nothing
+    arnoldi, runs = solver.bottom_eigenvalue, []
+    assemble, assembled = operators.assemble_banded, []
+    bisect, bisected = solver._tridiagonal_eigenvalue, []
+
+    def recorded(band, shift):
+        runs.append((band, shift, arnoldi(band, shift)))
+        return runs[-1][2]
+
+    def counted(mode, grid):
+        assembled.append(grid.n)
+        return assemble(mode, grid)
+
+    def counted_bisection(diag, off, index):
+        bisected.append(len(diag))
+        return bisect(diag, off, index)
+
+    monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
+    monkeypatch.setattr(operators, "assemble_banded", counted)
+    monkeypatch.setattr(solver, "_tridiagonal_eigenvalue", counted_bisection)
+    mode = ModeSpec(alpha=8 * math.pi * 3e7 / 2, k=2)
+    res, calls = _levels(monkeypatch, "range", mode, analysis.sigma_grid(mode, n=300))
+    assert res.grid_n == 600 and res.converged
+    assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
+    band, shift, _ = calls[0]
+    assert band.grid.n == 600 and shift == res.levels[0][1] == runs[0][2].real
+    assert runs[1][0] is band and runs[1][1] == shift
+    assert res.value == runs[1][2].real
+    assert assembled == [300, 600] and bisected == [300]
 
 
 @pytest.mark.parametrize("k", [1, 2])
