@@ -185,19 +185,13 @@ def bound_grid(mode, quantity, n=600, r_max=None):
 
 def _bottom_step(first, band):
     """The level step of Sigma's protocol, and of range's at |k| >= 2:
-    first(g), the first level's eigenvalue, then on each refined level the
-    eigenvalue of band(g) nearest the coarser level's, as
-    solver.follow_eigenvalue settles it, or where the follow declines
-    solver.bottom_eigenvalue on that same band from that same shift.  The
-    step returns (Re mu, mu), and the next level shifts by mu."""
+    first(g), the first level's eigenvalue, then on each refined level
+    solver.follow_eigenvalue(band(g), mu), mu the coarser level's
+    eigenvalue: the eigenvalue of the band nearest mu, or where its inverse
+    iteration declines, the Arnoldi's from mu on the same band.  The step
+    returns (Re mu, mu), and the next level shifts by mu."""
     def step(g, prev):
-        if prev is None:
-            mu = first(g)
-        else:
-            matrix = band(g)
-            mu = solver.follow_eigenvalue(matrix, prev[1])
-            if mu is None:
-                mu = solver.bottom_eigenvalue(matrix, prev[1])
+        mu = first(g) if prev is None else solver.follow_eigenvalue(band(g), prev[1])
         return float(mu.real), mu
 
     return step
@@ -211,8 +205,8 @@ def spectral_bound(mode, grid=None):
     Runs the grid-doubling protocol from the given grid (default:
     bound_grid, sigma_grid at n = 600) on the rotated band, whose point
     spectrum matches the straight operator's: shift-invert Arnoldi from the
-    asymptote on the first level, then _bottom_step from the previous
-    eigenvalue, the Arnoldi from there where the follow declines.
+    asymptote on the first level, then _bottom_step's follow from the
+    previous eigenvalue.
     """
     if grid is None:
         grid = bound_grid(mode, "sigma")
@@ -453,8 +447,7 @@ def range_bound(mode, grid=None):
     bottom, is numerical_range_bound; for |k| >= 2 a refined level runs
     _bottom_step, spectral_bound's, on the Hermitian part's pencil
     (solver._hermitian_pencil), built once per level: the coarser level's
-    value followed, and the Arnoldi on the same pencil from that value
-    where the follow declines, with no bisection."""
+    value followed on it, with no bisection."""
     if grid is None:
         grid = bound_grid(mode, "range")
     if abs(mode.k) == 1:

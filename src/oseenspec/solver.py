@@ -9,15 +9,17 @@ the algorithm.
 
 Every bound runs on the banded operators of operators.assemble_banded, one
 band LU of M - z per shift and no size cap: Sigma's bottom eigenvalue by
-shift-invert Arnoldi on the first level, then by inverse iteration from
-the coarser level's eigenvalue (follow_eigenvalue, or the Arnoldi where it
-declines), Psi's s_min(M - i shift) by inverse Lanczos (Wright &
-Trefethen, SIAM J. Sci. Comput. 23, 2001), and the numerical-range bound's
-bottom of (M + M^H)/2 by bisection on its tridiagonal, then for |k| >= 2
-on a 3n pencil by the same Arnoldi on the first level and the same follow,
-or the Arnoldi where it declines, on refined ones.  Inverse Lanczos measures a shift cold, from a fixed
-start vector, to relative 1e-14, and so measures every shift of Psi's
-secant and every value a Psi bound reports;
+shift-invert Arnoldi on the first level, then by follow_eigenvalue from
+the coarser level's eigenvalue, Psi's s_min(M - i shift) by inverse
+Lanczos (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001), and the
+numerical-range bound's bottom of (M + M^H)/2 by bisection on its
+tridiagonal, then for |k| >= 2 on a 3n pencil by the same Arnoldi on the
+first level and the same follow on refined ones.  follow_eigenvalue is
+inverse iteration, and where that does not settle within its budget it
+declines and returns the Arnoldi's eigenvalue itself, so a refined level
+is one call whatever happens.  Inverse Lanczos measures a shift cold,
+from a fixed start vector, to relative 1e-14, and so measures every
+shift of Psi's secant and every value a Psi bound reports;
 smallest_singular_value returns each s with the slope ds/dshift that the
 secant runs on, read from the top Ritz vector at the cost of one more band
 solve.  The four public routines take band operators only and raise
@@ -305,8 +307,9 @@ def follow_eigenvalue(m, shift):
     the residual ||w - mu v|| is at most _LANCZOS_RTOL |mu|
     (bottom_eigenvalue's bar), w = (M - shift)^{-1} v, mu = v^H w, v unit,
     or once it has stopped falling at its rounding floor: over half the
-    residual before it and at most _FOLLOW_FLOOR |mu|; None past
-    _FOLLOW_SOLVES solves."""
+    residual before it and at most _FOLLOW_FLOOR |mu|.  Past _FOLLOW_SOLVES
+    solves it declines, and returns bottom_eigenvalue(m, shift) on the same
+    band from the same shift."""
     _check_band(m, "follow_eigenvalue")
     solve, w = _band_lu(m, shift), _start_vector(m.grid.n)
     last = math.inf
@@ -318,7 +321,7 @@ def follow_eigenvalue(m, shift):
         if resid <= _LANCZOS_RTOL * abs(mu) or 0.5 * last < resid <= _FOLLOW_FLOOR * abs(mu):
             return complex(shift + 1.0 / mu)
         last = resid
-    return None
+    return bottom_eigenvalue(m, shift)
 
 
 def _top_eigenvalue(matvec, n):

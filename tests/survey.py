@@ -32,9 +32,9 @@ whose property fails is fixed in the program, never by editing the case.
 The full lists run as a script, which prints per list the worst value of
 each property, the cold smallest_singular_value calls per Psi bound (mean
 and max), and, for Sigma and for range, how many refined levels
-solver.follow_eigenvalue settled and how many it declined to the
-Arnoldi, with the band solves per settled level (mean and max), and
-exits 1 if any property fails:
+solver.follow_eigenvalue settled by inverse iteration and how many it
+declined to its Arnoldi, with the band solves per settled level (mean
+and max), and exits 1 if any property fails:
 
     PYTHONPATH=src python tests/survey.py [LARGE] [SMALL] [FLOOR] [SLICE]
 """
@@ -141,25 +141,28 @@ def _counted_psi(mode, grid):
 
 def _followed(mode, quantity, grid):
     """sweep_point(mode, quantity, grid), and per refined level the band
-    solves its solver.follow_eigenvalue took, None where it declined."""
-    follow, lu, solves, follows = solver.follow_eigenvalue, solver._band_lu, [], []
-
-    def counting_lu(m, z):
-        solve = lu(m, z)
-
-        def counted(v, adjoint):
-            solves.append(adjoint)
-            return solve(v, adjoint)
-        return counted
+    solves its solver.follow_eigenvalue took, None where it declined: a
+    follow that declines runs the Arnoldi on a second band LU."""
+    follow, lu, follows = solver.follow_eigenvalue, solver._band_lu, []
 
     def recorded(band, shift):
-        solves.clear()
+        lus, solves = [], []
+
+        def counting_lu(m, z):
+            lus.append(z)
+            solve = lu(m, z)
+
+            def counted(v, adjoint):
+                solves.append(adjoint)
+                return solve(v, adjoint)
+            return counted
+
         solver._band_lu = counting_lu
         try:
             got = follow(band, shift)
         finally:
             solver._band_lu = lu
-        follows.append(None if got is None else len(solves))
+        follows.append(len(solves) if len(lus) == 1 else None)
         return got
 
     solver.follow_eigenvalue = recorded

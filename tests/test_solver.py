@@ -219,14 +219,27 @@ def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
     assert abs(got - ref.real.min()) <= 1e-10 * ref.real.min(), (got, ref.real.min())
 
 
-def _levels(monkeypatch, quantity, mode, grid, follow=solver.follow_eigenvalue):
-    """sweep_point(mode, quantity, grid) with follow in place of
-    solver.follow_eigenvalue, and each refined level's follow call, as
-    (band, shift, returned)."""
+def _follow(band, shift, follow=solver.follow_eigenvalue):
+    """follow(band, shift), and whether it declined: ran
+    solver.bottom_eigenvalue."""
+    arnoldi, runs = solver.bottom_eigenvalue, []
+
+    def recorded(m, z):
+        runs.append(z)
+        return arnoldi(m, z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "bottom_eigenvalue", recorded)
+        return follow(band, shift), bool(runs)
+
+
+def _levels(monkeypatch, quantity, mode, grid):
+    """sweep_point(mode, quantity, grid), and each refined level's
+    solver.follow_eigenvalue call, as (band, shift, returned, declined)."""
     calls = []
 
     def recorded(band, shift):
-        calls.append((band, shift, follow(band, shift)))
+        calls.append((band, shift) + _follow(band, shift))
         return calls[-1][2]
 
     monkeypatch.setattr(solver, "follow_eigenvalue", recorded)
@@ -242,7 +255,7 @@ def test_followed_sigma_matches_dense_eig(monkeypatch, k, sign):
     grid = analysis.sigma_grid(mode, n=300)
     res, calls = _levels(monkeypatch, "sigma", mode, grid)
     assert res.grid_n == 600 and res.converged
-    assert len(calls) == 1 and calls[0][2] is not None
+    assert len(calls) == 1 and not calls[0][3]
     rotated, _ = analysis._sigma_mode(mode)
     ref = np.linalg.eigvals(operators.assemble_H_deformed(
         rotated, make_grid(600, grid.r_max)).data).real.min()
@@ -255,23 +268,24 @@ def test_followed_level_matches_bottom_eigenvalue(monkeypatch, k, sign, beta, n)
     # returns from the same shift on the same band
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / abs(k), k=k)
     _, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=n))
-    assert calls and all(got is not None for _, _, got in calls)
-    for band, shift, got in calls:
+    assert calls and not any(declined for *_, declined in calls)
+    for band, shift, got, _ in calls:
         ref = solver.bottom_eigenvalue(band, shift)
         assert abs(got - ref) <= 1e-12 * abs(ref), (shift, got, ref)
 
 
 def test_follow_declines_between_two_eigenvalues():
     # eigenvalues -1 and 1 equally far from the shift 0, the rest from 5
-    # east: inverse iteration cannot choose and declines, while from 0.99
-    # it settles on 1 and the Arnoldi from 0 finds the bottom -1
+    # east: inverse iteration cannot choose and declines to the Arnoldi from
+    # 0, which finds the bottom -1, while from 0.99 it settles on 1
     n = 100
     data = np.zeros((n, 3), dtype=complex)
     data[:, 1] = np.concatenate([[-1.0, 1.0], np.geomspace(5.0, 100.0, n - 2)])
     band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
-    assert solver.follow_eigenvalue(band, 0.0) is None
-    assert solver.follow_eigenvalue(band, 0.99) == pytest.approx(1.0, rel=1e-12)
+    assert _follow(band, 0.0) == (solver.bottom_eigenvalue(band, 0.0), True)
     assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(-1.0, rel=1e-12)
+    got, declined = _follow(band, 0.99)
+    assert got == pytest.approx(1.0, rel=1e-12) and not declined
     with pytest.raises(ValueError, match="banded operator"):
         solver.follow_eigenvalue(np.eye(20, dtype=complex), 0.0)
 
@@ -280,20 +294,21 @@ def test_follow_declines_a_residual_that_stalls_above_its_floor():
     # eigenvalues 1 and 1 + 1e-9 seen from the shift 0, the rest from 200
     # east: from the sixth solve the residual sits at 5e-10, the pair's
     # mixing, not rounding; it has stopped falling, but 5000 times above
-    # _FOLLOW_FLOOR, so the follow declines rather than report the mix
+    # _FOLLOW_FLOOR, so the follow declines rather than report the mix,
+    # and returns the Arnoldi's eigenvalue from the same shift
     n = 100
     data = np.zeros((n, 3), dtype=complex)
     data[:, 1] = np.concatenate([[1.0, 1.0 + 1e-9], np.geomspace(200.0, 1000.0, n - 2)])
     band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
-    assert solver.follow_eigenvalue(band, 0.0) is None
+    assert _follow(band, 0.0) == (solver.bottom_eigenvalue(band, 0.0), True)
 
 
 def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     # k = 1, beta_1 = 3e6 from n = 300: on the refined level at n = 600 the
     # follow's residual falls by about 8 per solve and is still near 1e-6
-    # after 8, so the follow declines and the level runs bottom_eigenvalue
-    # on its band from the follow's shift, the first level's eigenvalue, and
-    # reports that call's value bitwise
+    # after 8, so the follow declines: it runs bottom_eigenvalue on its band
+    # from its shift, the first level's eigenvalue, and the level reports
+    # that call's value bitwise
     arnoldi, runs = solver.bottom_eigenvalue, []
 
     def recorded(band, shift):
@@ -304,11 +319,11 @@ def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     mode = ModeSpec(alpha=8 * math.pi * 3e6, k=1)
     res, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=300))
     assert res.grid_n == 600 and res.converged
-    assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
-    band, shift, _ = calls[0]
+    assert len(calls) == 1 and calls[0][3] and len(runs) == 2
+    band, shift, got, _ = calls[0]
     assert band.grid.n == 600 and shift == runs[0][2]
     assert runs[1][0] is band and runs[1][1] == shift
-    assert runs[1][2] == arnoldi(band, shift) and res.value == runs[1][2].real
+    assert got == runs[1][2] == arnoldi(band, shift) and res.value == got.real
 
 
 def test_follow_stops_at_its_rounding_floor(monkeypatch):
@@ -316,16 +331,17 @@ def test_follow_stops_at_its_rounding_floor(monkeypatch):
     # per solve reads 65, 3.1e-5, 1.2e-9, 6.7e-14, 1.2e-14, 2.2e-14, ...,
     # never under 1e-14 within the budget; it stopped falling at 2.2e-14,
     # under _FOLLOW_FLOOR, so the follow settles there, on the Arnoldi's
-    # eigenvalue from the same shift.  Without the floor it declines.
+    # eigenvalue from the same shift.  Without the floor it declines, and
+    # returns that eigenvalue bitwise.
     mode = ModeSpec(alpha=8 * math.pi, k=1)
     res, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=600))
     assert res.grid_n == 1200 and res.converged
-    (band, shift, got), = calls
-    assert band.grid.n == 1200 and got is not None and res.value == got.real
+    (band, shift, got, declined), = calls
+    assert band.grid.n == 1200 and not declined and res.value == got.real
     ref = solver.bottom_eigenvalue(band, shift)
     assert abs(got - ref) <= 1e-14 * abs(ref), (got, ref)
     monkeypatch.setattr(solver, "_FOLLOW_FLOOR", 0.0)
-    assert solver.follow_eigenvalue(band, shift) is None
+    assert _follow(band, shift) == (ref, True)
 
 
 # the numerical-range bound on the band against dense eigvalsh of the same
@@ -356,34 +372,53 @@ def test_range_bound_matches_dense_eigvalsh(monkeypatch, k, sign, beta):
     mode = ModeSpec(alpha=sign * 8 * math.pi * beta / k, k=k)
     grid = analysis.sigma_grid(mode, n=300)
     res, calls = _levels(monkeypatch, "range", mode, grid)
-    assert res.converged and calls and all(got is not None for _, _, got in calls)
+    assert res.converged and calls and not any(declined for *_, declined in calls)
     tilted = analysis._range_mode(mode)
     ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
         tilted, make_grid(res.grid_n, grid.r_max)))
     assert abs(res.value - ref) <= 1e-10 * abs(ref), (res.value, ref)
 
 
+@pytest.mark.parametrize("k,beta", [(2, 1e2), (2, -1e2), (3, 10.0)])
+def test_range_bound_follows_a_followed_level(monkeypatch, k, beta):
+    # from n = 32 the bound runs levels of 32, 64 and 128 points, so the
+    # 128-point level follows the value the 64-point level followed, on
+    # its own pencil, and the bound is dense eigvalsh of the Hermitian part
+    # of the tilted operator on its final grid (measured: 1.3e-14)
+    mode = ModeSpec(alpha=8 * math.pi * beta / k, k=k)
+    grid = analysis.sigma_grid(mode, n=32)
+    res, calls = _levels(monkeypatch, "range", mode, grid)
+    assert [n for n, _ in res.levels] == [32, 64, 128] and res.converged
+    assert [band.grid.n for band, *_ in calls] == [64, 128]
+    assert calls[1][1] == calls[0][2] and res.value == calls[1][2].real
+    ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
+        analysis._range_mode(mode), make_grid(128, grid.r_max)))
+    assert abs(res.value - ref) <= 1e-10 * abs(ref), (res.value, ref)
+
+
 @pytest.mark.parametrize("k,beta", [(1, 1e3), (-1, -10.0), (2, 1e2), (2, -1e4), (3, 1.0),
                                     (5, 1e5)])
 def test_range_bound_without_the_follow(monkeypatch, k, beta):
-    # where every follow declines: at |k| = 1 the follow is never called and
-    # each level is numerical_range_bound on its grid, bitwise; at |k| >= 2
-    # it is tried once per refined level, and each such level is
-    # bottom_eigenvalue on the pencil the follow got, from the coarser
-    # level's value, bitwise; either way the bound is dense eigvalsh of the
-    # tilted operator's Hermitian part on the final grid
+    # where every follow declines, with no inverse iteration allowed: at
+    # |k| = 1 the follow is never called and each level is
+    # numerical_range_bound on its grid, bitwise; at |k| >= 2 it is called
+    # once per refined level, and each such level is bottom_eigenvalue on
+    # the pencil the follow got, from the coarser level's value, bitwise;
+    # either way the bound is dense eigvalsh of the tilted operator's
+    # Hermitian part on the final grid
+    monkeypatch.setattr(solver, "_FOLLOW_SOLVES", 0)
     mode = ModeSpec(alpha=8 * math.pi * beta / k, k=k)
     grid = analysis.sigma_grid(mode, n=300)
-    res, calls = _levels(monkeypatch, "range", mode, grid, follow=lambda band, shift: None)
+    res, calls = _levels(monkeypatch, "range", mode, grid)
     assert res.levels[0] == (300, analysis.numerical_range_bound(mode, grid))
     if abs(k) == 1:
         assert not calls and res.levels == tuple((n, analysis.numerical_range_bound(
             mode, make_grid(n, grid.r_max))) for n, _ in res.levels)
     else:
         assert len(calls) == len(res.levels) - 1
-        for (band, shift, _), (_, coarser), (n, value) in zip(calls, res.levels,
-                                                              res.levels[1:]):
-            assert band.grid.n == n and shift == coarser
+        for (band, shift, _, declined), (_, coarser), (n, value) in zip(
+                calls, res.levels, res.levels[1:]):
+            assert band.grid.n == n and shift == coarser and declined
             assert value == solver.bottom_eigenvalue(band, shift).real
     assert (res.grid_n, res.value) == res.levels[-1]
     ref = oracle.hermitian_part_min_eig(operators.assemble_H_deformed(
@@ -393,9 +428,9 @@ def test_range_bound_without_the_follow(monkeypatch, k, beta):
 
 def test_declined_range_level_runs_the_arnoldi_on_its_pencil(monkeypatch):
     # k = 2, beta_2 = 3e7 from n = 300: the follow declines on the 600-point
-    # level, which then runs bottom_eigenvalue on the very pencil the follow
-    # got, from the first level's value, and reports that call's value
-    # bitwise; the level assembles its band once and bisects nothing
+    # level and runs bottom_eigenvalue on the very pencil it got, from the
+    # first level's value, and the level reports that call's value bitwise;
+    # the level assembles its band once and bisects nothing
     arnoldi, runs = solver.bottom_eigenvalue, []
     assemble, assembled = operators.assemble_banded, []
     bisect, bisected = solver._tridiagonal_eigenvalue, []
@@ -418,11 +453,11 @@ def test_declined_range_level_runs_the_arnoldi_on_its_pencil(monkeypatch):
     mode = ModeSpec(alpha=8 * math.pi * 3e7 / 2, k=2)
     res, calls = _levels(monkeypatch, "range", mode, analysis.sigma_grid(mode, n=300))
     assert res.grid_n == 600 and res.converged
-    assert len(calls) == 1 and calls[0][2] is None and len(runs) == 2
-    band, shift, _ = calls[0]
+    assert len(calls) == 1 and calls[0][3] and len(runs) == 2
+    band, shift, got, _ = calls[0]
     assert band.grid.n == 600 and shift == res.levels[0][1] == runs[0][2].real
     assert runs[1][0] is band and runs[1][1] == shift
-    assert res.value == runs[1][2].real
+    assert got == runs[1][2] and res.value == got.real
     assert assembled == [300, 600] and bisected == [300]
 
 
