@@ -17,8 +17,11 @@ condition number passes 1e8 already at beta_k = 1e3, so solvers return
 spurious points of the working-precision pseudospectrum near
 2.8 beta_k^{1/3} instead of the true eigenvalue near 0.71 beta_k^{1/2}.
 Near r = 0 the operator is Davies' complex oscillator, normal at theta =
-sgn(beta_k) pi/8; at beta_1 = 1e5 that condition number is 2.8 at the angle
-0.37 used here and 1.9e11 at pi/12.
+sgn(beta_k) pi/8, the angle used here.  Short of it the condition number
+still grows with |beta_k|: at beta_1 = 1e5 it is 1.9e11 at pi/12 and 2.8
+at 0.37, and at 0.37 it reaches 3.2e8 at beta_1 = 1e8, where Sigma came
+out up to 1.75e-3 under its large-beta value Re sqrt(k^2 + 4 i beta_k)/2
+and was flagged converged; at pi/8 it is 1.2 there.
 
 The minimizing shift for Psi lies at nu = lam/beta_k inside (0, 1): for
 nu outside that range the operator is coercive at the |beta|^{1/2} scale,
@@ -70,7 +73,7 @@ logger = logging.getLogger(__name__)
 # centred window reaches the origin: r1 - width/(2 r1) <= 0 iff r1^2 <= width/2
 _QUASIMODE_WIDTH = 3.0
 QUASIMODE_MIN_BETA = (_QUASIMODE_WIDTH / 2.0) ** 3
-_SIGMA_ANGLE = 0.37     # Sigma's dilation angle, short of the normal limit pi/8
+_SIGMA_ANGLE = math.pi / 8  # Sigma's dilation angle, where the operator near r = 0 is normal
 _REFINE_TOL = 1e-3      # Psi's refinement stops within this of lambda*, relatively
 # each quantity's protocol function, looked up by name at call time
 _BOUNDS = {"sigma": "spectral_bound", "psi": "pseudospectral_bound", "range": "range_bound"}

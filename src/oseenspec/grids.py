@@ -86,8 +86,8 @@ class ModeSpec:
         for name in ("alpha", "lam", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if abs(self.theta) >= math.pi / 8:
-            raise ValueError("theta must satisfy |theta| < pi/8")
+        if abs(self.theta) > math.pi / 8:
+            raise ValueError("theta must satisfy |theta| <= pi/8")
 
     @property
     def beta_k(self):

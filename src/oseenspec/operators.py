@@ -274,7 +274,7 @@ def assemble_banded(mode, grid):
 
 
 def assemble_H_deformed(mode, grid):
-    """Dilated mode operator at angle theta (|theta| < pi/8, theta = 0 allowed).
+    """Dilated mode operator at angle theta (|theta| <= pi/8, theta = 0 allowed).
 
     The dense expansion of the parts of _mode_parts: the tridiagonal
     stencil, minus c F2 K_k F2 for |k| >= 2 (both Gaussian weights

@@ -65,11 +65,10 @@ _ARNOLDI_MAX = 200
 # follow_eigenvalue's residual falls per solve by about the ratio of the
 # nearest eigenvalue's distance to the shift to the next one's, so 1e-14 in 8
 # solves puts every other eigenvalue about 50 times farther.  Over the 517
-# distinct cases of tests/survey.py's lists, 442 refined Sigma levels settle
-# in 8 (5.7 solves on average); the 75 that decline sit at |beta_k| >= 3e6,
-# their residual still 1e-6 to 1e-1 after 8.  Of the 363 refined range levels
-# (|k| >= 2, on the pencil), 345 settle (5.6 solves), the 18 others are
-# 600-point levels at |beta_k| >= 1.7e7.
+# distinct cases of tests/survey.py's lists, 492 refined Sigma levels settle
+# in 8; the 25 that decline are 600-point levels at |beta_k| >= 2.14e7.  Of
+# the 363 refined range levels (|k| >= 2, on the pencil), 345 settle (5.6
+# solves), the 18 others are 600-point levels at |beta_k| >= 1.7e7.
 _FOLLOW_SOLVES = 8
 # A follow's residual stops falling at its rounding floor, which the survey's
 # follows reach at 1.0e-14 to 4.8e-14 relative (1200-point levels mostly),

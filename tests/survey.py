@@ -2,7 +2,7 @@
 
 A case (k, beta_k, n) is the mode k at alpha = 8 pi beta_k / k, each bound
 run by the library's protocol from bound_grid at base resolution n.  Every
-case is held to six properties, each a check that can fail:
+case is held to eight properties, each a check that can fail:
 
 - psi_above_scan: (Psi - P)/P <= 1e-6, P what oracle.psi_window_scan, a
   cold scan of 16 shifts over the window r_c [0.65, 1.35] on the bound's
@@ -14,9 +14,20 @@ case is held to six properties, each a check that can fail:
 - range_over_sigma: R/Sigma <= 1, R the numerical-range bound;
 - off_record: how many of the case's Sigma, Psi and range bounds end on
   another grid_n or converged flag than RECORDED holds for the case, a
-  case not recorded counting all three; passes at 0.
+  case not recorded counting all three; passes at 0;
+- sigma_closed: |Sigma/S - 1| <= 1e-5, S = Re sqrt(k^2 + 4 i beta_k)/2
+  (closed_sigma), read where |beta_k| >= 1e3;
+- range_closed: |R/C - 1| <= 1e-5, C the same large-beta value of the
+  range bound at its angle (closed_range), read where |beta_k| >= 1e3 for
+  |k| = 1 and 1e4 for |k| >= 2.
 
-The ratios to Sigma are read only where |beta_k| >= 1.  RECORDED,
+The ratios to Sigma are read only where |beta_k| >= 1.  Far from the axis
+the mode operator is the Laguerre oscillator -d^2/dr^2 + (l^2 - 1/4)/r^2
++ r^2/16 - 1/2, l^2 = k^2 + 4 i beta_k, whose lowest eigenvalue l/2 is
+the bottom of the spectrum at large |beta_k|; the program is within 1e-6
+of S from |beta_k| = 1e3 on, and 2.4e-4 off it at 1e2, where the closed
+form stops being a reference.  C is the bottom of that oscillator's
+Hermitian part at the angle theta.  Both cost no solve.  RECORDED,
 tests/survey_grids.json, holds every case of LARGE, SMALL and FLOOR as
 recorded at commit 602010f, range's columns at ccbc347; like the goldens
 it is never refrozen to absorb a change, and a change that moves an
@@ -39,6 +50,7 @@ and max), and exits 1 if any property fails:
     PYTHONPATH=src python tests/survey.py [LARGE] [SMALL] [FLOOR] [SLICE]
 """
 
+import cmath
 import json
 import math
 import os
@@ -82,12 +94,29 @@ PROPERTIES = {
     "psi_over_sigma": lambda v: v <= 1.0,
     "range_over_sigma": lambda v: v <= 1.0,
     "off_record": lambda v: v == 0,
+    "sigma_closed": lambda v: v <= 1e-5,
+    "range_closed": lambda v: v <= 1e-5,
 }
+
+
+def closed_sigma(mode):
+    """Sigma at large |beta_k|: Re sqrt(k^2 + 4 i beta_k)/2."""
+    return cmath.sqrt(mode.k ** 2 + 4j * mode.beta_k).real / 2
+
+
+def closed_range(mode):
+    """The range bound at large |beta_k|, at the angle theta of
+    analysis._range_mode: cos 2theta (sqrt(k^2 + 4 |beta_k| tan 2theta)
+    + 1)/2 - 1/2."""
+    two = 2 * abs(analysis._range_mode(mode).theta)
+    root = math.sqrt(mode.k ** 2 + 4 * abs(mode.beta_k) * math.tan(two))
+    return math.cos(two) * (root + 1) / 2 - 0.5
 
 
 def measure(k, beta_k, n):
     """(values, calls, follows): the property values of one case, by name
-    (the ratios to Sigma only where |beta_k| >= 1), the cold
+    (the ratios to Sigma only where |beta_k| >= 1, the closed forms only
+    where |beta_k| >= 1e3, and range's at |k| >= 2 from 1e4), the cold
     smallest_singular_value calls of its Psi bound, and per quantity,
     "sigma" and "range", the band solves of each refined level's follow,
     None where it declined (range follows only for |k| >= 2)."""
@@ -104,6 +133,10 @@ def measure(k, beta_k, n):
     if abs(beta_k) >= 1:
         out.update(psi_over_sigma=psi.value / sigma.value,
                    range_over_sigma=rng.value / sigma.value)
+    if abs(beta_k) >= 1e3:
+        out["sigma_closed"] = abs(sigma.value / closed_sigma(mode) - 1)
+    if abs(beta_k) >= (1e3 if abs(k) == 1 else 1e4):
+        out["range_closed"] = abs(rng.value / closed_range(mode) - 1)
     return out, calls, {"sigma": sigma_follows, "range": range_follows}
 
 
@@ -184,8 +217,9 @@ def main(names):
         values = {case: v for case, (v, _, _) in runs.items()}
         for prop in PROPERTIES:
             seen = [(v[prop], case) for case, v in values.items() if prop in v]
-            print("%-6s %-16s %3d cases  min %.6g at %s  max %.6g at %s"
-                  % ((name, prop, len(seen)) + min(seen) + max(seen)))
+            print("%-6s %-16s %3d cases" % (name, prop, len(seen))
+                  + ("  min %.6g at %s  max %.6g at %s" % (min(seen) + max(seen))
+                     if seen else ""))
         calls = [c for _, c, _ in runs.values()]
         print("%-6s cold s_min calls per Psi bound: mean %.2f  max %d"
               % (name, sum(calls) / len(calls), max(calls)))

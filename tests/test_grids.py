@@ -94,8 +94,12 @@ def test_mode_spec_validation():
         ModeSpec(alpha=1.0, k=0)
     with pytest.raises(ValueError):
         ModeSpec(alpha=math.inf, k=1)
-    with pytest.raises(ValueError):
-        ModeSpec(alpha=1.0, k=1, theta=math.pi / 8)
+    past = math.nextafter(math.pi / 8, 1.0)
+    for theta in (past, -past):
+        with pytest.raises(ValueError, match="pi/8"):
+            ModeSpec(alpha=1.0, k=1, theta=theta)
+    ModeSpec(alpha=1.0, k=1, theta=math.pi / 8)  # the normal angle, Sigma's
+    ModeSpec(alpha=1.0, k=1, theta=-math.pi / 8)
     ModeSpec(alpha=1.0, k=-2, theta=-math.pi / 12)  # fine
 
 

@@ -304,11 +304,11 @@ def test_follow_declines_a_residual_that_stalls_above_its_floor():
 
 
 def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
-    # k = 1, beta_1 = 3e6 from n = 300: on the refined level at n = 600 the
-    # follow's residual falls by about 8 per solve and is still near 1e-6
-    # after 8, so the follow declines: it runs bottom_eigenvalue on its band
-    # from its shift, the first level's eigenvalue, and the level reports
-    # that call's value bitwise
+    # k = 1, beta_1 = 3e7 from n = 300: on the refined level at n = 600 the
+    # follow's residual falls by about 70 per solve and is still 9e-14 after
+    # 8, over 1e-14 and still falling, so the follow declines: it runs
+    # bottom_eigenvalue on its band from its shift, the first level's
+    # eigenvalue, and the level reports that call's value bitwise
     arnoldi, runs = solver.bottom_eigenvalue, []
 
     def recorded(band, shift):
@@ -316,7 +316,7 @@ def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
         return runs[-1][2]
 
     monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
-    mode = ModeSpec(alpha=8 * math.pi * 3e6, k=1)
+    mode = ModeSpec(alpha=8 * math.pi * 3e7, k=1)
     res, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=300))
     assert res.grid_n == 600 and res.converged
     assert len(calls) == 1 and calls[0][3] and len(runs) == 2

@@ -12,8 +12,12 @@ import survey
 @pytest.mark.parametrize("case", survey.SLICE, ids=lambda c: "k%d-beta%g-n%d" % c)
 def test_survey_slice_holds_every_property(case):
     values, calls, follows = survey.measure(*case)
-    assert set(values) == (set(survey.PROPERTIES) if abs(case[1]) >= 1 else
-                           {"psi_above_scan", "lambda_ratio", "psi_interior", "off_record"})
+    k, beta = case[0], abs(case[1])
+    want = {"psi_above_scan", "lambda_ratio", "psi_interior", "off_record"}
+    want |= {"psi_over_sigma", "range_over_sigma"} if beta >= 1 else set()
+    want |= {"sigma_closed"} if beta >= 1e3 else set()
+    want |= {"range_closed"} if beta >= (1e3 if abs(k) == 1 else 1e4) else set()
+    assert set(values) == want
     assert survey.failures(case, values) == [] and calls > 0
     # each Sigma bound refines at least once, range follows only for
     # |k| >= 2, and a settled follow took one band solve at least
@@ -27,11 +31,13 @@ def test_survey_properties_can_fail():
     # slice is drawn from them
     case = (1, 1e2, 300)
     bad = {"psi_above_scan": 1.1e-6, "lambda_ratio": 1.0, "psi_interior": 1,
-           "psi_over_sigma": 1.0 + 1e-12, "range_over_sigma": math.inf, "off_record": 1}
-    assert len(survey.failures(case, bad)) == 6
+           "psi_over_sigma": 1.0 + 1e-12, "range_over_sigma": math.inf, "off_record": 1,
+           "sigma_closed": 1.1e-5, "range_closed": 1.1e-5}
+    assert len(survey.failures(case, bad)) == 8 == len(survey.PROPERTIES)
     assert len(survey.failures(case, {"lambda_ratio": 0.0})) == 1
     good = {"psi_above_scan": 1e-6, "lambda_ratio": 0.5, "psi_interior": 0,
-            "psi_over_sigma": 1.0, "range_over_sigma": 0.9, "off_record": 0}
+            "psi_over_sigma": 1.0, "range_over_sigma": 0.9, "off_record": 0,
+            "sigma_closed": 1e-5, "range_closed": 1e-5}
     assert survey.failures(case, good) == []
     assert len(survey.LARGE) >= 220 and len(survey.SMALL) >= 252
     assert len(survey.FLOOR) >= 105
