@@ -24,9 +24,9 @@ case is held to eight properties, each a check that can fail:
 The ratios to Sigma are read only where |beta_k| >= 1.  Far from the axis
 the mode operator is the Laguerre oscillator -d^2/dr^2 + (l^2 - 1/4)/r^2
 + r^2/16 - 1/2, l^2 = k^2 + 4 i beta_k, whose lowest eigenvalue l/2 is
-the bottom of the spectrum at large |beta_k|; the program is within 1e-6
-of S from |beta_k| = 1e3 on, and 2.4e-4 off it at 1e2, where the closed
-form stops being a reference.  C is the bottom of that oscillator's
+the bottom of the spectrum at large |beta_k|; Sigma is within 1.25e-6
+of S on every listed case from |beta_k| = 1e3 on, and 2.4e-4 off it at
+1e2, where the closed form stops being a reference.  C is the bottom of that oscillator's
 Hermitian part at the angle theta.  Both cost no solve.  RECORDED,
 tests/survey_grids.json, holds every case of LARGE, SMALL and FLOOR as
 recorded at commit 602010f, range's columns at ccbc347; like the goldens
