@@ -111,12 +111,14 @@ _FORMS = {
 
 def _F(forms, z):
     """forms = (series below |z| = 1/2 or None, closed form above) on a real
-    or complex array z."""
+    or complex array z; a branch with no point of z is not run."""
     series, closed = forms
-    if series is None:
-        return closed(z)
-    out = np.empty_like(z)
     small = np.abs(z) < 0.5
+    if series is None or not small.any():
+        return closed(z)
+    if small.all():
+        return series(z)
+    out = np.empty_like(z)
     out[small] = series(z[small])
     out[~small] = closed(z[~small])
     return out

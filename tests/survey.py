@@ -45,7 +45,9 @@ each property, the cold smallest_singular_value calls per Psi bound (mean
 and max), and, for Sigma and for range, how many refined levels
 solver.follow_eigenvalue settled by inverse iteration and how many it
 declined to its Arnoldi, with the band solves per settled level (mean
-and max), and exits 1 if any property fails:
+and max), and the Ritz checks (eigs of the Hessenberg) per Arnoldi call
+on first levels and on declines (mean and max), and exits 1 if any
+property fails:
 
     PYTHONPATH=src python tests/survey.py [LARGE] [SMALL] [FLOOR] [SLICE]
 """
@@ -55,6 +57,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 import oracle
 from oseenspec import analysis, operators, solver
@@ -114,19 +118,23 @@ def closed_range(mode):
 
 
 def measure(k, beta_k, n):
-    """(values, calls, follows): the property values of one case, by name
-    (the ratios to Sigma only where |beta_k| >= 1, the closed forms only
-    where |beta_k| >= 1e3, and range's at |k| >= 2 from 1e4), the cold
+    """(values, calls, follows, checks): the property values of one case, by
+    name (the ratios to Sigma only where |beta_k| >= 1, the closed forms
+    only where |beta_k| >= 1e3, and range's at |k| >= 2 from 1e4), the cold
     smallest_singular_value calls of its Psi bound, and per quantity,
     "sigma" and "range", the band solves of each refined level's follow,
-    None where it declined (range follows only for |k| >= 2)."""
+    None where it declined, and the Ritz checks of each Arnoldi call on
+    first levels and on declines (range runs the Arnoldi and follows only
+    for |k| >= 2)."""
     mode = ModeSpec(alpha=EIGHT_PI * beta_k / k, k=k)
     grid = analysis.bound_grid(mode, "psi", n)
     psi, calls, outside = _counted_psi(mode, grid)
     band = operators.assemble_banded(mode, make_grid(psi.grid_n, grid.r_max))
     fresh = oracle.psi_window_scan(band, mode)
-    sigma, sigma_follows = _followed(mode, "sigma", analysis.bound_grid(mode, "sigma", n))
-    rng, range_follows = _followed(mode, "range", analysis.bound_grid(mode, "range", n))
+    sigma, sigma_follows, sigma_checks = _followed(mode, "sigma",
+                                                   analysis.bound_grid(mode, "sigma", n))
+    rng, range_follows, range_checks = _followed(mode, "range",
+                                                 analysis.bound_grid(mode, "range", n))
     out = {"psi_above_scan": math.inf if fresh is None else (psi.value - fresh[0]) / fresh[0],
            "lambda_ratio": psi.lambda_star / mode.beta_k, "psi_interior": outside,
            "off_record": off_record((k, beta_k, n), sigma, psi, rng)}
@@ -137,7 +145,8 @@ def measure(k, beta_k, n):
         out["sigma_closed"] = abs(sigma.value / closed_sigma(mode) - 1)
     if abs(beta_k) >= (1e3 if abs(k) == 1 else 1e4):
         out["range_closed"] = abs(rng.value / closed_range(mode) - 1)
-    return out, calls, {"sigma": sigma_follows, "range": range_follows}
+    return out, calls, {"sigma": sigma_follows, "range": range_follows}, {
+        "sigma": sigma_checks, "range": range_checks}
 
 
 def off_record(case, sigma, psi, rng):
@@ -173,16 +182,30 @@ def _counted_psi(mode, grid):
 
 
 def _followed(mode, quantity, grid):
-    """sweep_point(mode, quantity, grid), and per refined level the band
-    solves its solver.follow_eigenvalue took, None where it declined: a
-    follow that declines runs the Arnoldi on a second band LU."""
-    follow, lu, follows = solver.follow_eigenvalue, solver._band_lu, []
+    """sweep_point(mode, quantity, grid); per refined level the band solves
+    its solver.follow_eigenvalue took, None where it declined (ran the
+    Arnoldi loop, solver._arnoldi); and the Ritz checks (Hessenberg eigs)
+    of each Arnoldi call, "first" for first levels and "declined" for
+    declined follows."""
+    follow, lu, arnoldi, eig = (solver.follow_eigenvalue, solver._band_lu, solver._arnoldi,
+                                np.linalg.eig)
+    follows, checks, eigs, inside = [], {"first": [], "declined": []}, [], []
+
+    def counted_eig(a):
+        eigs.append(len(a))
+        return eig(a)
+
+    def counted_arnoldi(m, z, solve):
+        before = len(eigs)
+        try:
+            return arnoldi(m, z, solve)
+        finally:
+            checks["declined" if inside else "first"].append(len(eigs) - before)
 
     def recorded(band, shift):
-        lus, solves = [], []
+        solves = []
 
         def counting_lu(m, z):
-            lus.append(z)
             solve = lu(m, z)
 
             def counted(v, adjoint):
@@ -190,19 +213,22 @@ def _followed(mode, quantity, grid):
                 return solve(v, adjoint)
             return counted
 
+        declined = len(checks["declined"])
         solver._band_lu = counting_lu
+        inside.append(shift)
         try:
             got = follow(band, shift)
         finally:
             solver._band_lu = lu
-        follows.append(len(solves) if len(lus) == 1 else None)
+            inside.pop()
+        follows.append(len(solves) if len(checks["declined"]) == declined else None)
         return got
 
-    solver.follow_eigenvalue = recorded
+    solver.follow_eigenvalue, solver._arnoldi, np.linalg.eig = recorded, counted_arnoldi, counted_eig
     try:
-        return analysis.sweep_point(mode, quantity, grid), follows
+        return analysis.sweep_point(mode, quantity, grid), follows, checks
     finally:
-        solver.follow_eigenvalue = follow
+        solver.follow_eigenvalue, solver._arnoldi, np.linalg.eig = follow, arnoldi, eig
 
 
 def failures(case, values):
@@ -214,22 +240,28 @@ def main(names):
     failed = False
     for name in names or LISTS:
         runs = {case: measure(*case) for case in LISTS[name]}
-        values = {case: v for case, (v, _, _) in runs.items()}
+        values = {case: v for case, (v, *_) in runs.items()}
         for prop in PROPERTIES:
             seen = [(v[prop], case) for case, v in values.items() if prop in v]
             print("%-6s %-16s %3d cases" % (name, prop, len(seen))
                   + ("  min %.6g at %s  max %.6g at %s" % (min(seen) + max(seen))
                      if seen else ""))
-        calls = [c for _, c, _ in runs.values()]
+        calls = [c for _, c, *_ in runs.values()]
         print("%-6s cold s_min calls per Psi bound: mean %.2f  max %d"
               % (name, sum(calls) / len(calls), max(calls)))
         for quantity, label in (("sigma", "Sigma"), ("range", "range")):
-            follows = [f for _, _, fs in runs.values() for f in fs[quantity]]
+            follows = [f for _, _, fs, _ in runs.values() for f in fs[quantity]]
             settled = [f for f in follows if f is not None]
             print("%-6s refined %s levels: %d followed, %d declined; band solves per "
                   "followed level: mean %.2f  max %d"
                   % (name, label, len(settled), len(follows) - len(settled),
                      sum(settled) / max(len(settled), 1), max(settled, default=0)))
+            parts = []
+            for kind in ("first", "declined"):
+                per = [c for *_, checks in runs.values() for c in checks[quantity][kind]]
+                parts.append("%s %d calls, mean %.2f  max %d" % (
+                    kind, len(per), sum(per) / max(len(per), 1), max(per, default=0)))
+            print("%-6s Ritz checks per %s Arnoldi call: %s" % (name, label, "; ".join(parts)))
         bad = {case: failures(case, v) for case, v in values.items() if failures(case, v)}
         print("%s: %d of %d cases fail" % (name, len(bad), len(values)))
         for msgs in bad.values():

@@ -220,17 +220,26 @@ def test_banded_sigma_matches_dense_eig(k, sign, beta, n):
 
 
 def _follow(band, shift, follow=solver.follow_eigenvalue):
-    """follow(band, shift), and whether it declined: ran
-    solver.bottom_eigenvalue."""
-    arnoldi, runs = solver.bottom_eigenvalue, []
+    """follow(band, shift), and whether it declined: ran the Arnoldi loop,
+    solver._arnoldi, on its band and shift; either way the follow makes
+    exactly one band LU."""
+    arnoldi, lu, runs, lus = solver._arnoldi, solver._band_lu, [], []
 
-    def recorded(m, z):
-        runs.append(z)
-        return arnoldi(m, z)
+    def recorded(m, z, solve):
+        runs.append((m, z))
+        return arnoldi(m, z, solve)
+
+    def counted(m, z):
+        lus.append((m, z))
+        return lu(m, z)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "bottom_eigenvalue", recorded)
-        return follow(band, shift), bool(runs)
+        mp.setattr(solver, "_arnoldi", recorded)
+        mp.setattr(solver, "_band_lu", counted)
+        got = follow(band, shift)
+    assert [(m is band, z == shift) for m, z in lus] == [(True, True)], lus
+    assert all(m is band and z == shift for m, z in runs) and len(runs) <= 1, runs
+    return got, bool(runs)
 
 
 def _levels(monkeypatch, quantity, mode, grid):
@@ -306,16 +315,16 @@ def test_follow_declines_a_residual_that_stalls_above_its_floor():
 def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     # k = 1, beta_1 = 3e7 from n = 300: on the refined level at n = 600 the
     # follow's residual falls by about 70 per solve and is still 9e-14 after
-    # 8, over 1e-14 and still falling, so the follow declines: it runs
-    # bottom_eigenvalue on its band from its shift, the first level's
-    # eigenvalue, and the level reports that call's value bitwise
-    arnoldi, runs = solver.bottom_eigenvalue, []
+    # 8, over 1e-14 and still falling, so the follow declines: it runs the
+    # Arnoldi on its band and the band LU it made, from its shift, the first
+    # level's eigenvalue, and the level reports that call's value bitwise
+    arnoldi, runs = solver._arnoldi, []
 
-    def recorded(band, shift):
-        runs.append((band, shift, arnoldi(band, shift)))
+    def recorded(band, shift, solve):
+        runs.append((band, shift, arnoldi(band, shift, solve)))
         return runs[-1][2]
 
-    monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
+    monkeypatch.setattr(solver, "_arnoldi", recorded)
     mode = ModeSpec(alpha=8 * math.pi * 3e7, k=1)
     res, calls = _levels(monkeypatch, "sigma", mode, analysis.sigma_grid(mode, n=300))
     assert res.grid_n == 600 and res.converged
@@ -323,7 +332,7 @@ def test_declined_refined_level_runs_the_arnoldi(monkeypatch):
     band, shift, got, _ = calls[0]
     assert band.grid.n == 600 and shift == runs[0][2]
     assert runs[1][0] is band and runs[1][1] == shift
-    assert got == runs[1][2] == arnoldi(band, shift) and res.value == got.real
+    assert got == runs[1][2] == solver.bottom_eigenvalue(band, shift) and res.value == got.real
 
 
 def test_follow_stops_at_its_rounding_floor(monkeypatch):
@@ -428,15 +437,15 @@ def test_range_bound_without_the_follow(monkeypatch, k, beta):
 
 def test_declined_range_level_runs_the_arnoldi_on_its_pencil(monkeypatch):
     # k = 2, beta_2 = 3e7 from n = 300: the follow declines on the 600-point
-    # level and runs bottom_eigenvalue on the very pencil it got, from the
-    # first level's value, and the level reports that call's value bitwise;
-    # the level assembles its band once and bisects nothing
-    arnoldi, runs = solver.bottom_eigenvalue, []
+    # level and runs the Arnoldi on the very pencil it got and the band LU it
+    # made, from the first level's value, and the level reports that call's
+    # value bitwise; the level assembles its band once and bisects nothing
+    arnoldi, runs = solver._arnoldi, []
     assemble, assembled = operators.assemble_banded, []
     bisect, bisected = solver._tridiagonal_eigenvalue, []
 
-    def recorded(band, shift):
-        runs.append((band, shift, arnoldi(band, shift)))
+    def recorded(band, shift, solve):
+        runs.append((band, shift, arnoldi(band, shift, solve)))
         return runs[-1][2]
 
     def counted(mode, grid):
@@ -447,7 +456,7 @@ def test_declined_range_level_runs_the_arnoldi_on_its_pencil(monkeypatch):
         bisected.append(len(diag))
         return bisect(diag, off, index)
 
-    monkeypatch.setattr(solver, "bottom_eigenvalue", recorded)
+    monkeypatch.setattr(solver, "_arnoldi", recorded)
     monkeypatch.setattr(operators, "assemble_banded", counted)
     monkeypatch.setattr(solver, "_tridiagonal_eigenvalue", counted_bisection)
     mode = ModeSpec(alpha=8 * math.pi * 3e7 / 2, k=2)
@@ -531,7 +540,28 @@ def test_bottom_eigenvalue_is_not_the_nearest_eigenvalue():
     assert abs(got - ref[0]) <= 1e-10 * abs(ref[0]), (got, ref[0])
 
 
-def _hidden_bottom_band(n=300, angle=1e-4):
+@pytest.mark.parametrize("beta,sizes", [(1e4, [20]), (1e3, [20, 24])])
+def test_sigma_first_level_runs_no_early_ritz_check(monkeypatch, beta, sizes):
+    # k = 1 at n = 300: Sigma's first level runs its first Ritz check, an
+    # eig of the Hessenberg, at step 20; it stops there at beta_1 = 1e4 and
+    # at the next check, step 24, at 1e3.  A first check at step 12 ran 3
+    # and 4 eigs for the same values.
+    mode = ModeSpec(alpha=8 * math.pi * beta, k=1)
+    rotated, seed = analysis._sigma_mode(mode)
+    band = operators.assemble_banded(rotated, analysis.sigma_grid(mode, n=300))
+    ref = solver.bottom_eigenvalue(band, seed)
+    eig, seen = np.linalg.eig, []
+
+    def counted(a):
+        seen.append(a.shape[0])
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    assert solver.bottom_eigenvalue(band, seed) == ref
+    assert seen == sizes
+
+
+def _hidden_bottom_band(n=300, angle=1e-11):
     """A real symmetric L1_band: the eigenvalues 0.01 and 0.5..0.8 east of
     the shift 0, a cluster 5.5..1000 further east, and the bottom -5,
     sixth nearest, in a 2 x 2 block with 1000 on rows 0 and 1 whose -5
@@ -549,30 +579,36 @@ def _hidden_bottom_band(n=300, angle=1e-4):
 
 
 def test_ritz_guard_waits_for_a_hidden_bottom(monkeypatch):
-    # The bottom enters the Krylov space late.  Until it does, the sixth
-    # Ritz pair nearest the shift is an unconverged one from the cluster,
-    # east of 0.01, while the nearest eigenvalue 0.01 converges within the
-    # first Ritz check.  The guard keeps the loop going until the bottom
-    # arrives, as ARPACK's all-six test does; 1e-2 still does, and a guard
-    # of 1e-1, or none, stops at the nearest eigenvalue.
+    # The bottom enters the Krylov space late: at the first Ritz check
+    # (step 20) the sixth Ritz pair nearest the shift is an unconverged one
+    # from the cluster, at 5.504 with residual 8.5e-3, east of 0.01, while
+    # the nearest eigenvalue 0.01 has long converged; the bottom is there
+    # from step 24.  The guard keeps the loop going until the bottom
+    # arrives, as ARPACK's all-six test does; 1e-3 still does, and a guard
+    # of 1e-1, or none, stops at the nearest eigenvalue.  Angles from 1e-9
+    # down hide the bottom at step 20; from 1e-8 up it is already there.
     band = _hidden_bottom_band()
     assert oracle.bottom_eigenvalue(band, 0.0) == pytest.approx(-5.0, rel=1e-12)
-    for guard, bottom in ((solver._RITZ_GUARD, -5.0), (1e-2, -5.0), (1e-1, 0.01),
+    for guard, bottom in ((solver._RITZ_GUARD, -5.0), (1e-3, -5.0), (1e-1, 0.01),
                           (math.inf, 0.01)):
         monkeypatch.setattr(solver, "_RITZ_GUARD", guard)
         assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(bottom, rel=1e-12), guard
 
 
 def test_bottom_eigenvalue_holds_the_chosen_pair_to_1e14():
-    # The bottom -3 is the sixth nearest eigenvalue to the shift 0, next
-    # to a cluster from 6 east, so of the six nearest pairs it converges
-    # slowest.  At the first Ritz check (step 12) all six are under the
-    # 1e-4 guard, the bottom's residual at 2e-5, and its Ritz value is
-    # still 3e-10 off: the guard alone would stop there, and only the
-    # 1e-14 residual test on the chosen pair carries it to the eps level.
+    # The bottom -3 is the sixth nearest eigenvalue to the shift 0, and the
+    # eigenvalues past the six nearest lie at moduli 4 to 100 in every
+    # direction around it, so of the six nearest pairs it converges
+    # slowest: its residual reads 2.4e-3 at the first Ritz check (step 20)
+    # and 7.4e-5 at the second.  There all six are under the 1e-4 guard and
+    # its Ritz value is still 1.6e-8 off: the guard alone would stop there,
+    # and only the 1e-14 residual test on the chosen pair carries it to the
+    # eps level (step 44).
     n = 100
+    ring = np.geomspace(4.0, 100.0, n - 6) * np.exp(1j * np.pi * (math.sqrt(5) - 1)
+                                                     * np.arange(n - 6))
     data = np.zeros((n, 3), dtype=complex)
-    data[:, 1] = np.concatenate([[-3.0, 0.5, 0.6, 0.7, 0.8, 0.9], np.geomspace(6.0, 100.0, n - 6)])
+    data[:, 1] = np.concatenate([[-3.0, 0.5, 0.6, 0.7, 0.8, 0.9], ring])
     band = OperatorMatrix(kind="L1_band", grid=make_grid(n, 10.0), data=data)
     assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(-3.0, rel=1e-12)
 

@@ -198,6 +198,49 @@ def test_F_small_z_behavior():
     assert sf.F_complex("F0", 0.0) == 0.0
 
 
+@pytest.mark.parametrize("z", [[0.6, 2.0, 40.0, 0.5], [0.1, 0.25, 0.49, 1e-3],
+                               [0.1, 0.6, 3.0, 0.3], [0.2 + 0.4j, 3.0 - 1j, 0.5j],
+                               [0.3 - 0.3j, 0.1j], [0.7 + 0.1j, -2.0 + 5j]])
+def test_F_runs_only_the_branches_with_points(z):
+    # every F with a series, on points all above |z| = 1/2, all below, and
+    # some of each: the values are each branch's on its own points, bitwise,
+    # and a branch with no point is not run
+    z = np.asarray(z)
+    small = np.abs(z) < 0.5
+    for name, (series, closed) in sf._FORMS.items():
+        if series is None:
+            continue
+        ref = np.empty_like(z)
+        ref[small], ref[~small] = series(z[small]), closed(z[~small])
+        runs = []
+
+        def spy(branch, label):
+            def run(x):
+                runs.append(label)
+                return branch(x)
+            return run
+
+        got = sf._F((spy(series, "series"), spy(closed, "closed")), z)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        assert runs == [label for label, some in (("series", small.any()),
+                                                  ("closed", not small.all())) if some], name
+
+
+def test_F3_and_F4_above_one_half_run_no_series(monkeypatch):
+    # their closed form reads E0, whose own series has no point there
+    horner, calls = sf._horner, []
+
+    def counted(c, x):
+        calls.append(len(x))
+        return horner(c, x)
+
+    monkeypatch.setattr(sf, "_horner", counted)
+    for fun_id in ("F3", "F4"):
+        sf.F_complex(fun_id, np.array([0.6, 2.0 - 1j, 30.0 + 4j]))
+    assert sf.f(np.array([2.0, 3.0, 8.0])).shape == (3,)
+    assert calls == []
+
+
 def test_F_complex_frozen_values():
     # mpmath, 30 digits
     cases = {

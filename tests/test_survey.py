@@ -11,7 +11,7 @@ import survey
 
 @pytest.mark.parametrize("case", survey.SLICE, ids=lambda c: "k%d-beta%g-n%d" % c)
 def test_survey_slice_holds_every_property(case):
-    values, calls, follows = survey.measure(*case)
+    values, calls, follows, checks = survey.measure(*case)
     k, beta = case[0], abs(case[1])
     want = {"psi_above_scan", "lambda_ratio", "psi_interior", "off_record"}
     want |= {"psi_over_sigma", "range_over_sigma"} if beta >= 1 else set()
@@ -23,6 +23,13 @@ def test_survey_slice_holds_every_property(case):
     # |k| >= 2, and a settled follow took one band solve at least
     assert follows["sigma"] and bool(follows["range"]) == (abs(case[0]) >= 2)
     assert all(f is None or f > 0 for fs in follows.values() for f in fs)
+    # Sigma's first level runs the Arnoldi once, range's for |k| >= 2, each
+    # declined follow runs it once more, and each call stops at a Ritz check
+    assert len(checks["sigma"]["first"]) == 1
+    assert len(checks["range"]["first"]) == (abs(case[0]) >= 2)
+    for quantity, kinds in checks.items():
+        assert len(kinds["declined"]) == follows[quantity].count(None)
+        assert all(c >= 1 for c in kinds["first"] + kinds["declined"])
 
 
 def test_survey_properties_can_fail():
