@@ -17,9 +17,10 @@ tridiagonal, then for |k| >= 2 on a 3n pencil by the same Arnoldi on the
 first level and the same follow on refined ones.  follow_eigenvalue is
 inverse iteration, and where that does not settle within its budget it
 declines and returns the Arnoldi's eigenvalue itself, run on the same band
-LU, so a refined level is one call and one factorization whatever happens.  Inverse Lanczos measures a shift cold,
-from a fixed start vector, to relative 1e-14, and so measures every
-shift of Psi's secant and every value a Psi bound reports;
+LU, so a refined level is one call and one factorization whatever
+happens.  Inverse Lanczos measures a shift cold, from a fixed start
+vector, to relative 1e-14, and so measures every shift of Psi's secant
+and every value a Psi bound reports;
 smallest_singular_value returns each s with the slope ds/dshift that the
 secant runs on, read from the top Ritz vector at the cost of one more band
 solve.  The four public routines take band operators only and raise
@@ -233,7 +234,6 @@ def _lanczos(apply, start, vector=False):
     n = len(start)
     basis = np.empty((min(n, 32), n), dtype=start.dtype)
     basis[0] = start / _norm(start)
-    conj = basis.conj()
     tri = _workspace(n)
     prev = 0.0
     for j in range(n):
@@ -244,15 +244,15 @@ def _lanczos(apply, start, vector=False):
         if abs(theta - prev) <= _LANCZOS_RTOL * abs(theta) or j == n - 1:
             break
         prev = theta
+        q = basis[:j + 1]
         for _ in range(2):
-            z -= (conj[:j + 1] @ z) @ basis[:j + 1]
+            z -= (q @ z.conj()).conj() @ q
         tri.e[j] = beta = _norm(z)
         if beta <= _LANCZOS_RTOL * abs(theta):
             break               # invariant subspace: theta is exact
         if j + 1 == basis.shape[0]:
-            basis, conj = _grown(basis, n), _grown(conj, n)
+            basis = _grown(basis, n)
         np.divide(z, beta, out=basis[j + 1])
-        np.conjugate(basis[j + 1], out=conj[j + 1])
     theta = float(theta)
     if not vector:
         return theta
@@ -284,14 +284,14 @@ def _arnoldi(m, shift, solve):
     hess = np.zeros((steps + 1, steps), dtype=complex)
     start = _start_vector(n)
     basis[0] = start / _norm(start)
-    conj = basis.conj()
     for j in range(steps):
         w = solve(basis[j], False)
         size = j + 1
-        c = conj[:size] @ w
-        w -= c @ basis[:size]
-        d = conj[:size] @ w
-        w -= d @ basis[:size]
+        q = basis[:size]
+        c = (q @ w.conj()).conj()
+        w -= c @ q
+        d = (q @ w.conj()).conj()
+        w -= d @ q
         hess[:size, j] = c + d
         hess[size, j] = beta = _norm(w)
         exhausted = size == n or beta <= _LANCZOS_RTOL * np.abs(hess[:size, j]).max()
@@ -304,9 +304,8 @@ def _arnoldi(m, shift, solve):
                              and resid[near].max() <= _RITZ_GUARD):
                 return complex(shift + 1.0 / mu[pick])
         if size == basis.shape[0]:
-            basis, conj = _grown(basis, n), _grown(conj, n)
+            basis = _grown(basis, n)
         np.divide(w, beta, out=basis[size])
-        np.conjugate(basis[size], out=conj[size])
     raise SolverError("Arnoldi did not converge for %s (n=%d) in %d steps"
                       % (m.kind, n, steps))
 
