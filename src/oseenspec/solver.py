@@ -251,7 +251,7 @@ def _lanczos(apply, start, vector=False):
         if beta <= _LANCZOS_RTOL * abs(theta):
             break               # invariant subspace: theta is exact
         if j + 1 == basis.shape[0]:
-            basis = _grown(basis, n)
+            basis = np.concatenate([basis, np.empty_like(basis)])[:n]
         np.divide(z, beta, out=basis[j + 1])
     theta = float(theta)
     if not vector:
@@ -304,7 +304,7 @@ def _arnoldi(m, shift, solve):
                              and resid[near].max() <= _RITZ_GUARD):
                 return complex(shift + 1.0 / mu[pick])
         if size == basis.shape[0]:
-            basis = _grown(basis, n)
+            basis = np.concatenate([basis, np.empty_like(basis)])
         np.divide(w, beta, out=basis[size])
     raise SolverError("Arnoldi did not converge for %s (n=%d) in %d steps"
                       % (m.kind, n, steps))
@@ -340,11 +340,6 @@ def _norm(v):
         return math.sqrt(v.dot(v))
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _grown(rows, n):
-    """rows with twice as many rows, at most n, the first ones kept."""
-    return np.concatenate([rows, np.empty_like(rows)])[:n]
 
 
 def _top_eigenvalue(matvec, n):

@@ -544,8 +544,7 @@ def test_bottom_eigenvalue_is_not_the_nearest_eigenvalue():
 def test_sigma_first_level_runs_no_early_ritz_check(monkeypatch, beta, sizes):
     # k = 1 at n = 300: Sigma's first level runs its first Ritz check, an
     # eig of the Hessenberg, at step 20; it stops there at beta_1 = 1e4 and
-    # at the next check, step 24, at 1e3.  A first check at step 12 ran 3
-    # and 4 eigs for the same values.
+    # at the next check, step 24, at 1e3 (checks from step 12 ran 3 and 4)
     mode = ModeSpec(alpha=8 * math.pi * beta, k=1)
     rotated, seed = analysis._sigma_mode(mode)
     band = operators.assemble_banded(rotated, analysis.sigma_grid(mode, n=300))
