@@ -112,7 +112,9 @@ class OperatorMatrix:
     (2n, 5)); solver._hermitian_pencil builds, under kind "H_band", the
     3n pencil of an H_band's Hermitian part, data of shape (3n, 7).  Row
     i of their data holds the matrix entries of row i from column i - b
-    to i + b, b = 1, 2, 3.  The dense kinds, (n, n) data, are the
+    to i + b.  The solver reads b from the data's shape, (b n, 2b + 1)
+    with b = 1, 2 or 3, and refuses any other shape whatever the kind
+    says (solver._band_stride).  The dense kinds, (n, n) data, are the
     benchmark's oracle: "A_k", "K_k", "B_k" (real) and "H_full",
     "L1_model", "H_deformed" (complex symmetric, equal to their
     transpose, not their adjoint).

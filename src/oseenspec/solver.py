@@ -19,19 +19,20 @@ inverse iteration, and where that does not settle within its budget it
 declines and returns the Arnoldi's eigenvalue itself, run on the same band
 LU, so a refined level is one call and one factorization whatever
 happens.  Inverse Lanczos measures a shift cold, from a fixed start
-vector, to relative 1e-14, and so measures every shift of Psi's secant
-and every value a Psi bound reports;
-smallest_singular_value returns each s with the slope ds/dshift that the
-secant runs on, read from the top Ritz vector at the cost of one more band
-solve.  The four public routines take band operators only and raise
-ValueError on anything else.  verify reads tridiagonal bottoms by the same
-bisection and the top of a symmetric operator given by its product by
-inverse Lanczos's own loop (_lanczos, through _top_eigenvalue).  The one
-dense routine left, eigenvalues (n <= 4000), is the benchmark's oracle; no
-library or verify path calls it.
+vector, to relative 1e-14, and so measures every shift of Psi's secant and
+every value a Psi bound reports; smallest_singular_value returns each s
+with the slope ds/dshift that the secant runs on, read from the top Ritz
+vector at the cost of one more band solve.  The four public routines read
+a band's stride b from its data's shape, (b n, 2b + 1) with b = 1, 2 or 3,
+and raise ValueError on any other, whatever the kind.  verify reads
+tridiagonal bottoms by the same bisection and the top of a symmetric
+operator given by its product by inverse Lanczos's own loop (_lanczos,
+through _top_eigenvalue).  Between calls the solver keeps one tridiagonal
+workspace per thread and one start vector, each sized to the largest n
+seen.  The one dense routine left, eigenvalues (n <= 4000), is the
+benchmark's oracle; no library or verify path calls it.
 """
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -46,10 +47,6 @@ class SolverError(RuntimeError):
     """An eigenvalue or singular-value iteration or a band factorization failed."""
 
 
-# kinds of operators.assemble_banded: data has b n rows (b = 1 or 2, and 3
-# for the pencil of _hermitian_pencil) and 2b + 1 diagonals, and the shift
-# and the singular value act on rows 0, b, 2b, ...
-BANDED_KINDS = ("L1_band", "H_band")
 # stop once the largest Ritz value moves by less than this, relatively
 _LANCZOS_RTOL = 1e-14
 _ARNOLDI_COUNT = 6      # eigenvalues nearest the shift, among which the bottom is chosen
@@ -117,9 +114,16 @@ def eigenvalues(m):
     return EigenResult(values=vals, backward_error=err)
 
 
-def _check_band(m, routine):
-    if not (isinstance(m, OperatorMatrix) and m.kind in BANDED_KINDS):
-        raise ValueError("%s needs a banded operator (kind in %s)" % (routine, BANDED_KINDS))
+def _band_stride(m):
+    """The stride b of a band operator from its data's shape, (b n, 2b + 1)
+    with b = 1, 2 or 3 (grids.OperatorMatrix); the shift and the singular
+    value act on rows 0, b, 2b, ...  Any other input raises ValueError."""
+    shape = np.shape(m.data) if isinstance(m, OperatorMatrix) else ()
+    b = shape[0] // m.grid.n if len(shape) == 2 else 0
+    if not (1 <= b <= 3 and shape == (b * m.grid.n, 2 * b + 1)):
+        raise ValueError("a banded operator has data of shape (b n, 2b + 1), b = 1, 2 "
+                         "or 3; got %s" % (shape or type(m).__name__,))
+    return b
 
 
 def smallest_singular_value(m, shift=0.0):
@@ -140,22 +144,18 @@ def smallest_singular_value(m, shift=0.0):
     there in about 30 to 260 steps, and in 7 to 10 steps near the peak,
     where Psi's secant measures.
     """
-    _check_band(m, "smallest_singular_value")
     solve = _band_lu(m, 1j * shift)
-    theta, y = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n),
-                        vector=True)
+    theta, y = _lanczos(lambda v: solve(solve(v, False), True), _start_vector(m.grid.n))
     # s = 1/sigma_max(X) and dX/dshift = i X^2 give ds = Im(y^H X y)/||X y||
     w = solve(y, False)
-    return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag
-                                         / (np.linalg.norm(y) * np.linalg.norm(w)))
+    return 1.0 / math.sqrt(theta), float(np.vdot(y, w).imag / (_norm(y) * _norm(w)))
 
 
 def _band_lu(m, z):
     """One LU of the band shifted by the complex z (zgttrf for b = 1,
-    zgbtrf otherwise); returns solve(v, adjoint), which applies the x-row
-    block of (M - z)^{-1} or of its adjoint to a length-n vector."""
-    data, n = m.data, m.grid.n
-    b = data.shape[0] // n
+    zgbtrf otherwise, b from _band_stride); returns solve(v, adjoint), the
+    x-row block of (M - z)^{-1} or of its adjoint applied to a length-n v."""
+    b, data, n = _band_stride(m), m.data, m.grid.n
     diag = data[:, b].copy()
     diag[::b] -= z
     if b == 1:
@@ -198,39 +198,45 @@ def _tridiagonal_eigenvalue(diag, off, index):
     """The index-th smallest (from 1) eigenvalue of a real symmetric
     tridiagonal, by LAPACK bisection (dstebz)."""
     tri = _workspace(len(diag))
-    tri.d[:], tri.e[:len(diag) - 1] = diag, off
+    tri.d[:len(diag)], tri.e[:len(diag) - 1] = diag, off
     return _checked(tri.eigenvalue(len(diag), index), "tridiagonal bisection")
 
 
-_WORKSPACES = threading.local()
+_WORKSPACE = threading.local()
+_START = np.empty(0, dtype=complex)     # _start_vector's one seeded vector
 
 
 def _workspace(n):
-    """This thread's dstebz and dstein workspace of capacity n, made once;
-    a caller is done with it before anything else on the thread takes it
+    """This thread's one dstebz and dstein workspace, which serves every
+    size up to its capacity and is replaced only when a larger n comes; a
+    caller is done with it before anything else on the thread takes it
     (apply, inside _lanczos, never does)."""
-    cache = _WORKSPACES.__dict__
-    if n not in cache:
-        cache[n] = _lapack.Tridiagonal(n)
-    return cache[n]
+    tri = getattr(_WORKSPACE, "tri", None)
+    if tri is None or len(tri.d) < n:
+        tri = _WORKSPACE.tri = _lapack.Tridiagonal(n)
+    return tri
 
 
-@functools.lru_cache(maxsize=None)
 def _start_vector(n):
-    """The fixed start vector of the Lanczos and Arnoldi iterations, built
-    once per n and read-only."""
-    v = np.random.default_rng(0).standard_normal(n) + 0j
-    v.flags.writeable = False
-    return v
+    """The fixed start vector of the Lanczos and Arnoldi iterations,
+    default_rng(0).standard_normal(n) bitwise and read-only: a slice of one
+    seeded vector, drawn again only for a larger n (racing threads may each draw)."""
+    global _START
+    v = _START
+    if len(v) < n:
+        v = np.random.default_rng(0).standard_normal(n) + 0j
+        v.flags.writeable = False
+        _START = max(_START, v, key=len)
+    return v[:n]
 
 
-def _lanczos(apply, start, vector=False):
+def _lanczos(apply, start):
     """Hermitian Lanczos with full reorthogonalization (twice is enough) on
     the operator apply, from start.  Stops when the largest Ritz value
     theta changes by less than relative _LANCZOS_RTOL, or the Krylov space
-    is exhausted, and returns theta, or (theta, its Ritz vector) if vector:
-    dstebz bisects the tridiagonal for theta at every step, and dstein
-    reads its eigenvector once at the end."""
+    is exhausted, and returns (theta, its Ritz vector): dstebz bisects the
+    tridiagonal for theta at every step, and dstein reads its eigenvector
+    once at the end."""
     n = len(start)
     basis = np.empty((min(n, 32), n), dtype=start.dtype)
     basis[0] = start / _norm(start)
@@ -253,12 +259,9 @@ def _lanczos(apply, start, vector=False):
         if j + 1 == basis.shape[0]:
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
         np.divide(z, beta, out=basis[j + 1])
-    theta = float(theta)
-    if not vector:
-        return theta
-    if j == 0:
-        return theta, basis[0].copy()
-    return theta, _checked(tri.vector(), "tridiagonal eigenvector") @ basis[:j + 1]
+    if j > 0:
+        return float(theta), _checked(tri.vector(), "tridiagonal eigenvector") @ basis[:j + 1]
+    return float(theta), basis[0].copy()
 
 
 def bottom_eigenvalue(m, shift):
@@ -272,7 +275,6 @@ def bottom_eigenvalue(m, shift):
     residual |h_{j+1,j} y_j| is at most _LANCZOS_RTOL |mu| and every
     pair nearest the shift is under _RITZ_GUARD |mu|, or when the Krylov
     space is exhausted; past _ARNOLDI_MAX steps raises SolverError."""
-    _check_band(m, "bottom_eigenvalue")
     return _arnoldi(m, shift, _band_lu(m, shift))
 
 
@@ -280,7 +282,7 @@ def _arnoldi(m, shift, solve):
     """bottom_eigenvalue's loop, on solve, the band LU of m at the shift."""
     n = m.grid.n
     steps = min(n, _ARNOLDI_MAX)
-    basis = np.empty((min(steps, 32), n), dtype=complex)
+    basis = np.empty((steps + 1, n), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
     start = _start_vector(n)
     basis[0] = start / _norm(start)
@@ -303,8 +305,6 @@ def _arnoldi(m, shift, solve):
             if exhausted or (resid[pick] <= _LANCZOS_RTOL
                              and resid[near].max() <= _RITZ_GUARD):
                 return complex(shift + 1.0 / mu[pick])
-        if size == basis.shape[0]:
-            basis = np.concatenate([basis, np.empty_like(basis)])
         np.divide(w, beta, out=basis[size])
     raise SolverError("Arnoldi did not converge for %s (n=%d) in %d steps"
                       % (m.kind, n, steps))
@@ -319,7 +319,6 @@ def follow_eigenvalue(m, shift):
     residual before it and at most _FOLLOW_FLOOR |mu|.  Past _FOLLOW_SOLVES
     solves it declines, and returns bottom_eigenvalue(m, shift), run on the
     same band LU."""
-    _check_band(m, "follow_eigenvalue")
     solve, w = _band_lu(m, shift), _start_vector(m.grid.n)
     last = math.inf
     for _ in range(_FOLLOW_SOLVES):
@@ -345,7 +344,7 @@ def _norm(v):
 def _top_eigenvalue(matvec, n):
     """Largest eigenvalue of a real symmetric n x n operator given by its
     product, by _lanczos from the fixed start vector."""
-    return _lanczos(matvec, _start_vector(n).real)
+    return _lanczos(matvec, _start_vector(n).real)[0]
 
 
 def _hermitian_pencil(m):
@@ -373,7 +372,6 @@ def hermitian_part_min_eig(m):
     Hermitian part (Re diag, Re off), whose bottom (by bisection) is the
     answer for L1_band and seeds bottom_eigenvalue on _hermitian_pencil
     for H_band."""
-    _check_band(m, "hermitian_part_min_eig")
-    b = m.data.shape[0] // m.grid.n
+    b = _band_stride(m)
     low = _tridiagonal_eigenvalue(m.data[::b, b].real, m.data[:-b:b, 2 * b].real, 1)
     return low if b == 1 else bottom_eigenvalue(_hermitian_pencil(m), low).real

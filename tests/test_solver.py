@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -126,6 +127,25 @@ def test_hermitian_part_bounds_spectrum():
 def test_band_only_routines_reject_dense_input(routine, grid600):
     dense = operators.assemble_L1(ModeSpec(alpha=8 * math.pi * 10, k=1), grid600)
     for m in (np.eye(20, dtype=complex), dense):
+        with pytest.raises(ValueError, match="banded operator"):
+            routine(m)
+
+
+@pytest.mark.parametrize("routine", [
+    lambda m: solver.smallest_singular_value(m, 0.5), lambda m: solver.bottom_eigenvalue(m, 0.5),
+    lambda m: solver.follow_eigenvalue(m, 0.5), solver.hermitian_part_min_eig],
+    ids=["smallest_singular_value", "bottom_eigenvalue", "follow_eigenvalue",
+         "hermitian_part_min_eig"])
+def test_band_routines_refuse_a_misshaped_band(routine):
+    # the stride comes from the data's shape, (b n, 2b + 1), not from the
+    # kind: a dense 40 x 40 tridiagonal labelled L1_band (its bottom
+    # eigenvalue is 0.914, and read as a band it gave -3.58e-9) and an
+    # H_band whose data has 3 columns, not 5, are both refused
+    n = 40
+    grid = make_grid(n, 10.0)
+    dense = np.diag(np.arange(1.0, n + 1)) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    for m in (OperatorMatrix(kind="L1_band", grid=grid, data=dense.astype(complex)),
+              OperatorMatrix(kind="H_band", grid=grid, data=np.ones((2 * n, 3), dtype=complex))):
         with pytest.raises(ValueError, match="banded operator"):
             routine(m)
 
@@ -612,14 +632,92 @@ def test_bottom_eigenvalue_holds_the_chosen_pair_to_1e14():
     assert solver.bottom_eigenvalue(band, 0.0) == pytest.approx(-3.0, rel=1e-12)
 
 
-def test_start_vector_is_cached_and_read_only():
+def _counted_draws(monkeypatch):
+    """Spy on np.random.default_rng: returns the list of the seeds it is
+    called with, in order, and the original function."""
+    rng, seeds = np.random.default_rng, []
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return seeds, rng
+
+
+def test_start_vector_is_cached_and_read_only(monkeypatch):
+    seeds, _ = _counted_draws(monkeypatch)
     for n in (32, 300):
         v = solver._start_vector(n)
-        assert v is solver._start_vector(n)
+        drawn = len(seeds)
+        solver._start_vector(n)
+        assert len(seeds) == drawn
         assert not v.flags.writeable
         assert np.array_equal(v, np.random.default_rng(0).standard_normal(n) + 0j)
         with pytest.raises(ValueError):
             v[0] = 0.0
+
+
+def test_solver_holds_one_workspace_and_one_start_vector(monkeypatch):
+    # a sweep whose first level moves n at nearly every point left one
+    # workspace and one start vector per n behind; now a thread holds one
+    # workspace and the process one start vector, each grown to the largest
+    # n seen, and the seeded stream is drawn once per growth
+    monkeypatch.setattr(solver, "_WORKSPACE", threading.local())
+    monkeypatch.setattr(solver, "_START", np.empty(0, dtype=complex))
+    seeds, rng = _counted_draws(monkeypatch)
+    mode = ModeSpec(alpha=8 * math.pi * 1e3, k=1)
+    early = solver._start_vector(300)
+    levels = [n for base in (300, 600, 100) for n, _ in
+              analysis.pseudospectral_bound(mode, make_grid(base, 30.0)).levels]
+    assert levels == [300, 600, 600, 1200, 100, 200]
+    assert seeds == [0, 0, 0]               # at n = 300, 600 and 1200
+    assert list(vars(solver._WORKSPACE)) == ["tri"]
+    main = solver._workspace(1)
+    assert len(main.d) == 1200
+    longest = solver._START
+    assert len(longest) == 1200 and not longest.flags.writeable
+    for n in (16, 200, 300, 600, 1200):
+        v = solver._start_vector(n)
+        assert v.tobytes() == (rng(0).standard_normal(n) + 0j).tobytes()
+        assert np.shares_memory(v, longest) and not v.flags.writeable
+    assert early.tobytes() == solver._start_vector(300).tobytes()
+    assert seeds == [0, 0, 0]
+
+    held = []
+    worker = threading.Thread(target=lambda: held.extend((
+        analysis.pseudospectral_bound(mode, make_grid(100, 30.0)), solver._workspace(1))))
+    worker.start()
+    worker.join()
+    assert held[1] is not main and len(held[1].d) == 200
+    assert solver._workspace(1) is main and seeds == [0, 0, 0]
+
+
+def test_start_vector_under_racing_threads(monkeypatch):
+    # the start vector is shared by every thread: eight threads, switching
+    # every microsecond, each grow it and slice it; whichever draw is kept
+    # (a race costs at most a second draw), every slice is the seeded draw
+    # of its length, bitwise
+    monkeypatch.setattr(solver, "_START", np.empty(0, dtype=complex))
+    sizes = [16, 3000, 40, 1200, 4000, 300, 2500, 600]
+    refs = {n: (np.random.default_rng(0).standard_normal(n) + 0j).tobytes() for n in sizes}
+    bad, interval = [], sys.getswitchinterval()
+
+    def run(i):
+        for n in sizes[i:] + sizes[:i]:
+            if solver._start_vector(n).tobytes() != refs[n]:
+                bad.append(n)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and bad == []
 
 
 def test_banded_smin_exact_singularity_raises():
